@@ -393,6 +393,9 @@ class RegisterState:
     def n_labels(self) -> int:
         return len(self.states)
 
+    def tail_mass(self) -> float:
+        return max(s.tail_mass() for s in self.states)
+
 
 def register_heat_flow_R(reg: RegisterState, t: float) -> RegisterState:
     """Classical heat flow on every per-label noise density."""

@@ -16,7 +16,6 @@ import sys
 
 import numpy as np
 
-from . import channels as ch
 from . import fock as fk
 from . import gaussian as ga
 from . import harness as hn
@@ -99,7 +98,7 @@ def _gauss_noise_t(spec: str):
     return float(arg.partition("@")[0])
 
 
-def parse_instance(state_spec: str, noise_spec: str, args):
+def parse_instance(state_spec: str, noise_spec: str, args) -> hn.Instance:
     """Assemble the check instance named by --state/--noise."""
     spacing, extent = args.grid_spacing, args.grid_extent
     if state_spec.startswith("register:"):
@@ -125,22 +124,28 @@ def parse_instance(state_spec: str, noise_spec: str, args):
             ts = [_parse_gauss_args(n)[0] for n in noises if n.startswith("gauss:")]
             if ts:
                 spacing = 0.25 * math.sqrt(min(0.5, min(ts)))
-        pdfs = [parse_noise_spec(n, spacing, extent, snap=True) for n in noises]
-        return ch.RegisterState(ps_list, states, pdfs)
+        return hn.Instance(
+            {"family": "F2", "labels": len(parts), "instance": "register"}, lambda: states,
+            lambda s=None: tuple(parse_noise_spec(n, s or spacing, extent, snap=True) for n in noises),
+            probs=ps_list,
+        )
     if state_spec.startswith("tmsv:"):
         r = float(state_spec.partition(":")[2])
-        t = _gauss_noise_t(noise_spec)
-        if t is None:
-            tm = fk.two_mode_squeezed_vacuum(r, args.cutoff)
-            return ch.CQState(parse_noise_spec(noise_spec, spacing, extent), tm)
-        return hn.F1Instance(
-            name=state_spec, r=r, noise_t=t, cutoff=args.cutoff, spacing=spacing, extent=extent
-        )
-    st, gs = parse_state_spec(state_spec, args.cutoff, args.seed)
+        family, fock, gs = "F1", lambda: fk.two_mode_squeezed_vacuum(r, args.cutoff), ga.tmsv_state(r)
+    else:
+        st, gs = parse_state_spec(state_spec, args.cutoff, args.seed)
+        family, fock = "trivial-M", lambda: st
+
+    def noise(s=None):
+        return (parse_noise_spec(noise_spec, s or spacing, extent),)
+
     t = _gauss_noise_t(noise_spec)
-    if gs is not None and t is not None:
-        return hn.TrivialMemoryInstance(state_spec, st, gs, t, spacing, extent)
-    return ch.CQState(parse_noise_spec(noise_spec, spacing, extent), st)
+    if gs is None or t is None:
+        return hn.Instance({"family": family, "instance": "cq"}, fock, noise)
+    return hn.Instance(
+        {"family": family, "instance": state_spec, "t": t}, fock, noise, gaussian=lambda: gs,
+        noise_t=t, fock_diagnostics={"cutoff": args.cutoff} if family == "F1" else {},
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -167,8 +172,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--b", type=float, default=1.0, help="tightness target S(R|M)")
     p.add_argument("--E", type=float, default=1.0, help="energy budget for capacity")
     p.add_argument("--seed", type=int, default=7)
-    p.add_argument("--threads", type=int, default=None,
-                   help="suite worker count (EPI_LAB_THREADS also caps it)")
     p.add_argument("--tolerance", type=float, default=None, help="tolerance override")
     p.add_argument("--out", default=None, help="report output path")
     p.add_argument("--format", choices=("json", "csv"), default="json")
@@ -176,7 +179,7 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _apply_config_file(argv, path) -> list:
+def _apply_config_file(path) -> list:
     """Prepend file options so explicit flags win."""
     opts = []
     try:
@@ -203,7 +206,7 @@ def parse_config(argv):
         prelim, _ = parser.parse_known_args(argv)
         if prelim.config:
             command, rest = argv[0], [a for a in argv[1:]]
-            argv = [command] + _apply_config_file(argv, prelim.config) + rest
+            argv = [command] + _apply_config_file(prelim.config) + rest
         args, extra = parser.parse_known_args(argv)
     except SystemExit as exc:
         raise UsageError("invalid arguments") from exc
@@ -226,33 +229,19 @@ def run_command(args) -> list:
     cmd = args.command
     t_list = _parse_floats(args.t_list)
     if cmd == "suite":
-        return hn.run_suite(seed=args.seed, threads=args.threads)
+        return hn.run_suite(seed=args.seed)
     if cmd == "epi":
         return hn.check_conditional_epi(parse_instance(args.state, args.noise, args))
     if cmd == "linear-epi":
-        inst = parse_instance(args.state, args.noise, args)
-        path = "gaussian" if isinstance(inst, hn.F1Instance) else "fock"
-        return [hn.check_linear_epi(inst, _lam_value(args), path)]
+        return [hn.check_linear_epi(parse_instance(args.state, args.noise, args), _lam_value(args))]
     if cmd == "stam":
-        inst = parse_instance(args.state, args.noise, args)
-        fine_spacing = 0.25 * math.sqrt(1e-2 / 4)
-        fine_reg = fine_noise = None
-        if isinstance(inst, ch.RegisterState):
-            fine_args = argparse.Namespace(**vars(args))
-            fine_args.grid_spacing = fine_spacing
-            fine_reg = parse_instance(args.state, args.noise, fine_args)
-        elif isinstance(inst, ch.CQState):
-            fine_noise = parse_noise_spec(args.noise, fine_spacing, args.grid_extent)
-        return hn.check_stam(inst, fine_register=fine_reg, fine_noise=fine_noise)
+        return hn.check_stam(parse_instance(args.state, args.noise, args))
     if cmd == "scaling":
         inst = parse_instance(args.state, args.noise, args)
-        if isinstance(inst, hn.F1Instance) or isinstance(inst, hn.TrivialMemoryInstance):
+        if inst.gaussian:
             raise UsageError("scaling runs on register or independent-noise instances")
-        if isinstance(inst, ch.RegisterState):
-            sigma = max(float(np.linalg.eigvalsh(ps.moments(f)[1]).max()) for f in inst.pdfs)
-        else:
-            sigma = float(np.linalg.eigvalsh(ps.moments(inst.grid)[1]).max())
-        return [hn.check_scaling(inst, t_list, sigma, args.state)]
+        sigma = max(float(np.linalg.eigvalsh(ps.moments(f)[1]).max()) for f in inst.noise())
+        return [hn.check_scaling(inst.pair(), t_list, sigma, args.state)]
     if cmd == "tightness":
         k_list = _parse_floats(args.k_list)
         reports = [hn.check_tightness(args.a, args.b, k_list),
@@ -261,23 +250,16 @@ def run_command(args) -> list:
         return reports
     if cmd == "isoperimetric":
         inst = parse_instance(args.state, args.noise, args)
-        if isinstance(inst, hn.TrivialMemoryInstance):
-            return [hn.check_isoperimetric(inst.state_gaussian, args.state)]
-        if isinstance(inst, hn.F1Instance):
-            return [hn.check_isoperimetric(inst.gaussian_state(), args.state)]
-        return [hn.check_isoperimetric(inst, args.state)]
+        # without a Gaussian twin the inequality is checked on the noise R
+        return [hn.check_isoperimetric(inst.gaussian() if inst.gaussian else inst.pair(), args.state)]
     if cmd == "concavity":
         inst = parse_instance(args.state, args.noise, args)
-        grid = [round(0.05 * i, 10) for i in range(11)]
-        if isinstance(inst, hn.TrivialMemoryInstance):
-            inst2 = inst.state_gaussian
-        elif isinstance(inst, hn.F1Instance):
-            inst2 = inst.gaussian_state()
-        elif isinstance(inst, ch.CQState) and inst.is_independent:
-            inst2 = inst.conditionals
+        if inst.gaussian:
+            state = inst.gaussian()
         else:
-            inst2 = inst
-        return [hn.check_concavity_entropy_power(inst2, grid, args.state)]
+            state = inst.fock() if inst.probs is None else inst.pair()
+        grid = [round(0.05 * i, 10) for i in range(11)]
+        return [hn.check_concavity_entropy_power(state, grid, args.state)]
     if cmd == "capacity":
         f = parse_noise_spec(args.noise, args.grid_spacing, args.grid_extent)
         val = hn.capacity_bound(args.E, f)

@@ -12,10 +12,9 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -24,7 +23,7 @@ from . import fock as fk
 from . import gaussian as ga
 from . import measures as ms
 from . import phase_space as ps
-from .errors import DomainError, UnsupportedFamilyError
+from .errors import DomainError
 
 GAUSS_TOL = 1e-9
 FOCK_TOL = 1e-3
@@ -98,90 +97,80 @@ def _plain(v):
 
 
 # ---------------------------------------------------------------------------
-# instance families
+# instances
 
 
 @dataclass
-class F1Instance:
-    """Memory family 1: a two-mode squeezed pair (A, M) with noise
-    independent of both. Carries matched Gaussian and Fock representations."""
+class Instance:
+    """An input A with memory M and noise R conditionally independent of A
+    given M: the object of the conditional EPI, its linear form and the
+    conditional Stam inequality.
 
-    name: str
-    r: float
-    noise_t: float
-    cutoff: int = 40
-    spacing: float = None
-    extent: float = None
+    The Fock side is built on demand. `fock()` returns the state, whose
+    second mode (if any) is M, or with `probs` set the per-label states of a
+    classical register M. `noise(spacing)` returns the noise densities, one
+    per label or one shared by the state; `spacing=None` keeps the grid of the
+    noise spec. `gaussian()` builds the matched Gaussian input and `noise_t`
+    is its isotropic noise variance; both are None without a Gaussian twin.
+    `params` identify the instance in reports, and `fock_diagnostics` is added
+    to the diagnostics of its Fock path.
+    """
+
+    params: dict
+    fock: Callable
+    noise: Callable
+    probs: tuple = None
+    gaussian: Callable = None
+    noise_t: float = None
+    fock_diagnostics: dict = field(default_factory=dict)
 
     @property
-    def k_value(self) -> float:
-        return math.sqrt(math.cosh(2.0 * self.r) / 2.0)
+    def name(self) -> str:
+        return self.params["instance"]
 
-    def gaussian_state(self) -> ga.GaussianState:
-        return ga.tmsv_state(self.r)
+    def paths(self) -> tuple:
+        return ("gaussian", "fock") if self.gaussian else ("fock",)
 
-    def fock_state(self) -> fk.FockState:
-        return fk.two_mode_squeezed_vacuum(self.r, self.cutoff)
+    def pair(self, spacing: float = None):
+        """The Fock-side joint state: a register, or a classical-quantum state."""
+        noise = self.noise(spacing)
+        if self.probs is None:
+            return ch.CQState(noise[0], self.fock())
+        return ch.RegisterState(self.probs, self.fock(), noise)
 
-    def noise(self) -> ps.GridPdf:
-        return ps.gaussian_pdf(self.noise_t, spacing=self.spacing, extent=self.extent)
+    def _channel(self, path):
+        """(A with its memory, its channel output, S(R|M), diagnostics)."""
+        if path == "gaussian":
+            a = self.gaussian()
+            return a, ms.heat_flow_A(a, [self.noise_t])[0], 1.0 + math.log(self.noise_t), {}
+        pair = self.pair()
+        out = ch.extended_channel(pair)
+        if self.probs is None:
+            a = pair.conditionals
+            s_r, tail = ps.shannon_entropy(pair.grid), max(a.tail_mass(), out.tail_mass())
+        else:
+            a, s_r, tail = pair, ms.cq_conditional_entropy_R_given_M(pair), out.tail_mass()
+        return a, out, s_r, {"tail_mass": tail, **self.fock_diagnostics}
 
+    def entropies(self, path: str):
+        """(S(A|M), S(R|M), S(C|M), diagnostics) on one path."""
+        a, out, s_r, diag = self._channel(path)
+        return ms.entropy_A_given_M(a), s_r, ms.entropy_A_given_M(out), diag
 
-@dataclass
-class TrivialMemoryInstance:
-    """One-mode input with noise and no memory; the conditional statements
-    reduce to their unconditioned forms."""
-
-    name: str
-    state_fock: fk.FockState
-    state_gaussian: ga.GaussianState
-    noise_t: float
-    spacing: float = None
-    extent: float = None
-
-    def noise(self) -> ps.GridPdf:
-        return ps.gaussian_pdf(self.noise_t, spacing=self.spacing, extent=self.extent)
-
-
-def _entropies_f1_gaussian(inst: F1Instance):
-    gs = inst.gaussian_state()
-    s_a = ga.gaussian_conditional_entropy(gs, "A", "M")
-    s_r = 1.0 + math.log(inst.noise_t)
-    s_c = ga.gaussian_conditional_entropy(ga.gaussian_heat_flow(gs, inst.noise_t, "A"), "A", "M")
-    return s_a, s_r, s_c
-
-
-def _entropies_f1_fock(inst: F1Instance):
-    tm = inst.fock_state()
-    f = inst.noise()
-    s_a = fk.conditional_entropy(tm, "A", "M")
-    s_r = ps.shannon_entropy(f)
-    out = ch.extended_channel(ch.CQState(f, tm), target="A")
-    s_c = fk.conditional_entropy(out, "A", "M")
-    tail = max(tm.tail_mass(), out.tail_mass())
-    return s_a, s_r, s_c, tail
+    def fishers(self, path: str, h0: float = 1e-2):
+        """(J(A|M), J(R|M), J(C|M), diagnostics) on one path; J(R|M) runs on
+        a noise grid fine enough for the Fisher step."""
+        a, out, _, diag = self._channel(path)
+        fine = ms.fisher_spacing(h0)
+        if self.probs is None:
+            # independent noise: J(R|M) = J(R), whatever the quantum side
+            r = ch.CQState(self.noise(fine)[0], fk.vacuum(4))
+        else:
+            r = self.pair(fine)
+        return ms.fisher_A_given_M(a, h0), ms.fisher_R_given_M(r, h0), ms.fisher_A_given_M(out, h0), diag
 
 
-def _entropies_register(reg: ch.RegisterState):
-    s_a = ms.register_conditional_entropy_A(reg)
-    s_r = ms.cq_conditional_entropy_R_given_M(reg)
-    out = ch.extended_channel(reg)
-    s_c = ms.register_conditional_entropy_A(out)
-    tail = max(s.tail_mass() for s in out.states)
-    return s_a, s_r, s_c, tail
-
-
-def _entropies_trivial(inst: TrivialMemoryInstance):
-    f = inst.noise()
-    s_a = fk.von_neumann_entropy(inst.state_fock)
-    s_r = ps.shannon_entropy(f)
-    out = ch.classical_noise_channel(f, inst.state_fock)
-    s_c = fk.von_neumann_entropy(out)
-    # matched Gaussian path
-    g_a = ga.gaussian_entropy(inst.state_gaussian)
-    g_c = ga.gaussian_entropy(ga.gaussian_heat_flow(inst.state_gaussian, inst.noise_t))
-    g_r = 1.0 + math.log(inst.noise_t)
-    return (s_a, s_r, s_c, out.tail_mass()), (g_a, g_r, g_c)
+PATH_TOL = {"gaussian": GAUSS_TOL, "fock": FOCK_TOL}
 
 
 # ---------------------------------------------------------------------------
@@ -196,89 +185,35 @@ def _epi_report(name, params, s_a, s_r, s_c, tol, diagnostics=None):
     return make_report(name, params, lhs, rhs, lhs - rhs, tol, diag)
 
 
-def check_conditional_epi(instance, label: str = None) -> list:
+def check_conditional_epi(instance: Instance) -> list:
     """Conditional entropy power inequality exp S(C|M) >= exp S(A|M) + exp S(R|M).
 
     For instances with a Gaussian representation both evaluation paths run:
     the closed-form path must hold outright (1e-9) and the Fock path must
     agree with it within 1e-4.
     """
-    if isinstance(instance, F1Instance):
-        base = {"family": "F1", "instance": instance.name, "t": instance.noise_t}
-        s_a, s_r, s_c = _entropies_f1_gaussian(instance)
-        fa, fr, fc, tail = _entropies_f1_fock(instance)
-        return [
-            _epi_report("cond-epi", {**base, "path": "gaussian"}, s_a, s_r, s_c, GAUSS_TOL),
-            _epi_report(
-                "cond-epi", {**base, "path": "fock"}, fa, fr, fc, FOCK_TOL,
-                {"tail_mass": tail, "cutoff": instance.cutoff},
-            ),
-            make_report(
-                "cond-epi-path-agreement", base, fc, s_c, PATH_AGREEMENT_TOL - abs(fc - s_c),
-                0.0, {"tail_mass": tail},
-            ),
-        ]
-    if isinstance(instance, ch.RegisterState):
-        s_a, s_r, s_c, tail = _entropies_register(instance)
-        params = {"family": "F2", "labels": len(instance.states), "instance": label or "register"}
-        return [_epi_report("cond-epi", {**params, "path": "fock"}, s_a, s_r, s_c, FOCK_TOL,
-                            {"tail_mass": tail})]
-    if isinstance(instance, TrivialMemoryInstance):
-        base = {"family": "trivial-M", "instance": instance.name, "t": instance.noise_t}
-        (fa, fr, fc, tail), (g_a, g_r, g_c) = _entropies_trivial(instance)
-        return [
-            _epi_report("cond-epi", {**base, "path": "fock"}, fa, fr, fc, FOCK_TOL,
-                        {"tail_mass": tail}),
-            _epi_report("cond-epi", {**base, "path": "gaussian"}, g_a, g_r, g_c, GAUSS_TOL),
-            make_report("cond-epi-path-agreement", base, fc, g_c,
-                        PATH_AGREEMENT_TOL - abs(fc - g_c), 0.0, {"tail_mass": tail}),
-        ]
-    if isinstance(instance, ch.CQState) and instance.is_independent:
-        s_a, s_r, s_c, tail = _entropies_cq_independent(instance)
-        fam = "F1" if instance.conditionals.n_modes == 2 else "trivial-M"
-        return [_epi_report("cond-epi", {"family": fam, "instance": "cq", "path": "fock"},
-                            s_a, s_r, s_c, FOCK_TOL, {"tail_mass": tail})]
-    raise UnsupportedFamilyError(f"unsupported instance {type(instance).__name__}")
+    reports, s_c = [], {}
+    for path in instance.paths():
+        s_a, s_r, s_c[path], diag = instance.entropies(path)
+        reports.append(_epi_report("cond-epi", {**instance.params, "path": path},
+                                   s_a, s_r, s_c[path], PATH_TOL[path], diag))
+    if len(s_c) == 2:
+        fc, gc = s_c["fock"], s_c["gaussian"]
+        reports.append(make_report("cond-epi-path-agreement", instance.params, fc, gc,
+                                   PATH_AGREEMENT_TOL - abs(fc - gc), 0.0,
+                                   {"tail_mass": diag["tail_mass"]}))
+    return reports
 
 
-def _entropies_cq_independent(state: ch.CQState):
-    """Fock-path entropies for an independent classical-quantum pair; the
-    quantum side may carry a memory mode."""
-    cond = state.conditionals
-    s_r = ps.shannon_entropy(state.grid)
-    out = ch.extended_channel(state, target=cond.mode_labels[0])
-    if cond.n_modes == 2:
-        t, m = cond.mode_labels
-        s_a = fk.conditional_entropy(cond, t, m)
-        s_c = fk.conditional_entropy(out, t, m)
-    else:
-        s_a = fk.von_neumann_entropy(cond)
-        s_c = fk.von_neumann_entropy(out)
-    return s_a, s_r, s_c, max(cond.tail_mass(), out.tail_mass())
-
-
-def check_linear_epi(instance, lam, path: str = "gaussian") -> CheckReport:
-    """Linear form S(C|M) >= lam S(A|M) + (1-lam) S(R|M) + binary entropy of lam.
+def check_linear_epi(instance: Instance, lam) -> CheckReport:
+    """Linear form S(C|M) >= lam S(A|M) + (1-lam) S(R|M) + binary entropy of lam,
+    on the Gaussian path when the instance has one.
 
     lam="optimal" picks the maximizer exp S(A|M) / (exp S(A|M) + exp S(R|M)),
     where the linear margin equals the log form of the exponential inequality.
     """
-    if isinstance(instance, F1Instance):
-        if path == "gaussian":
-            s_a, s_r, s_c = _entropies_f1_gaussian(instance)
-            tol, diag = GAUSS_TOL, {}
-        else:
-            s_a, s_r, s_c, tail = _entropies_f1_fock(instance)
-            tol, diag = FOCK_TOL, {"tail_mass": tail}
-        name = instance.name
-    elif isinstance(instance, ch.RegisterState):
-        s_a, s_r, s_c, tail = _entropies_register(instance)
-        tol, diag, path, name = FOCK_TOL, {"tail_mass": tail}, "fock", "register"
-    elif isinstance(instance, ch.CQState) and instance.is_independent:
-        s_a, s_r, s_c, tail = _entropies_cq_independent(instance)
-        tol, diag, path, name = FOCK_TOL, {"tail_mass": tail}, "fock", "cq"
-    else:
-        raise UnsupportedFamilyError(f"unsupported instance {type(instance).__name__}")
+    path = instance.paths()[0]
+    s_a, s_r, s_c, diag = instance.entropies(path)
     if lam == "optimal":
         lam_val = math.exp(s_a) / (math.exp(s_a) + math.exp(s_r))
     else:
@@ -292,56 +227,23 @@ def check_linear_epi(instance, lam, path: str = "gaussian") -> CheckReport:
     lhs = s_c
     rhs = lam_val * s_a + (1.0 - lam_val) * s_r + h
     diag.update({"lambda": lam_val, "S_A_given_M": s_a, "S_R_given_M": s_r, "S_C_given_M": s_c})
-    params = {"instance": name, "lambda": lam if lam == "optimal" else lam_val, "path": path}
-    return make_report("linear-epi", params, lhs, rhs, lhs - rhs, tol, diag)
+    params = {"instance": instance.name, "lambda": lam if lam == "optimal" else lam_val, "path": path}
+    return make_report("linear-epi", params, lhs, rhs, lhs - rhs, PATH_TOL[path], diag)
 
 
 # ---------------------------------------------------------------------------
 # Stam inequality
 
 
-def check_stam(instance, h0: float = 1e-2, fine_register: ch.RegisterState = None,
-               fine_noise: ps.GridPdf = None) -> list:
+def check_stam(instance: Instance, h0: float = 1e-2) -> list:
     """Reciprocal-form Stam inequality 1/J(C|M) >= 1/J(A|M) + 1/J(R|M).
 
     Fisher informations come from the forward-difference derivative of the
-    conditional entropy under heat flow; the tolerance budgets both the
-    relative slack and three times the propagated estimate uncertainties.
-    J(R|M) needs noise grids fine enough for the Fisher step
-    (spacing <= 0.25 sqrt(h0/4)): registers take a fine-grid copy through
-    `fine_register`, bare classical-quantum pairs through `fine_noise`.
+    conditional entropy under heat flow, on the Gaussian path when the
+    instance has one; the tolerance budgets both the relative slack and three
+    times the propagated estimate uncertainties.
     """
-    reports = []
-    if isinstance(instance, TrivialMemoryInstance):
-        name = instance.name
-        j_a = ms.fisher_A_given_M(instance.state_gaussian, h0=h0)
-        fine = 0.25 * math.sqrt(h0 / 4)
-        f_fine = ps.gaussian_pdf(instance.noise_t, spacing=fine)
-        j_r = ms.fisher_R_given_M(ch.CQState(f_fine, fk.vacuum(4)), h0=h0)
-        out = ga.gaussian_heat_flow(instance.state_gaussian, instance.noise_t)
-        j_c = ms.fisher_A_given_M(out, h0=h0)
-        diag = {}
-    elif isinstance(instance, ch.RegisterState):
-        name = "register"
-        if fine_register is None:
-            raise DomainError("register Stam needs a fine-grid register for J(R|M)")
-        j_a = ms.fisher_A_given_M(instance, h0=h0)
-        j_r = ms.fisher_R_given_M(fine_register, h0=h0)
-        out = ch.extended_channel(instance)
-        j_c = ms.fisher_A_given_M(out, h0=h0)
-        diag = {"tail_mass": max(s.tail_mass() for s in out.states)}
-    elif isinstance(instance, ch.CQState) and instance.is_independent:
-        name = "cq"
-        if fine_noise is None:
-            raise DomainError("classical-quantum Stam needs a fine-grid noise for J(R|M)")
-        cond = instance.conditionals
-        j_a = ms.fisher_A_given_M(cond, h0=h0)
-        j_r = ms.fisher_R_given_M(ch.CQState(fine_noise, fk.vacuum(4)), h0=h0)
-        out = ch.extended_channel(instance, target=cond.mode_labels[0])
-        j_c = ms.fisher_A_given_M(out, h0=h0)
-        diag = {"tail_mass": max(cond.tail_mass(), out.tail_mass())}
-    else:
-        raise UnsupportedFamilyError(f"unsupported instance {type(instance).__name__}")
+    j_a, j_r, j_c, diag = instance.fishers(instance.paths()[0], h0)
     lhs = 1.0 / j_c.value
     rhs = 1.0 / j_a.value + 1.0 / j_r.value
     sigma = (
@@ -356,8 +258,7 @@ def check_stam(instance, h0: float = 1e-2, fine_register: ch.RegisterState = Non
             "fisher_uncertainties": [j_c.uncertainty, j_a.uncertainty, j_r.uncertainty],
         }
     )
-    reports.append(make_report("stam", {"instance": name}, lhs, rhs, lhs - rhs, tol, diag))
-    return reports
+    return [make_report("stam", {"instance": instance.name}, lhs, rhs, lhs - rhs, tol, diag)]
 
 
 def stam_matched_equality_report(stam_report: CheckReport) -> CheckReport:
@@ -379,7 +280,7 @@ def check_scaling(state, t_list, sigma_sq: float, name: str) -> CheckReport:
     largest time and decrease along t_list."""
     devs = []
     for t in t_list:
-        s = ms.cq_conditional_entropy_R_given_M(_heat_R_generic(state, t))
+        s = ms.cq_conditional_entropy_R_given_M(ms.heat_R(state, t))
         devs.append(abs(s - math.log(t) - 1.0))
     bound = math.log1p(sigma_sq / t_list[-1]) + 0.02
     margins = [devs[i] - devs[i + 1] for i in range(len(devs) - 1)]
@@ -389,12 +290,6 @@ def check_scaling(state, t_list, sigma_sq: float, name: str) -> CheckReport:
         devs[-1], bound, margin, 0.0,
         {"deviations": devs, "sigma_sq": sigma_sq},
     )
-
-
-def _heat_R_generic(state, t):
-    if isinstance(state, ch.RegisterState):
-        return ch.register_heat_flow_R(state, t)
-    return ch.cq_classical_heat_flow(state, t)
 
 
 # ---------------------------------------------------------------------------
@@ -443,28 +338,17 @@ def check_tightness_epi(a: float, b: float, k: float) -> CheckReport:
 # isoperimetric inequalities
 
 
-def check_isoperimetric(instance, name: str, h0: float = 1e-2, **fisher_kw) -> CheckReport:
-    """(1/n) J(A|M) exp S(A|M) >= e, with a 1e-2 relative slack."""
+def check_isoperimetric(instance, name: str, h0: float = 1e-2) -> CheckReport:
+    """(1/n) J(X|M) exp S(X|M) >= e, with a 1e-2 relative slack, where X is
+    the noise R of a register or classical-quantum state, and A otherwise."""
     if isinstance(instance, (ch.CQState, ch.RegisterState)):
         j = ms.fisher_R_given_M(instance, h0=h0)
         s = ms.cq_conditional_entropy_R_given_M(instance)
         diag = {}
-    elif isinstance(instance, ga.GaussianState):
-        j = ms.fisher_A_given_M(instance, h0=h0)
-        s = (
-            ga.gaussian_entropy(instance)
-            if instance.n_modes == 1
-            else ga.gaussian_conditional_entropy(instance, "A", "M")
-        )
-        diag = {}
     else:
-        j = ms.fisher_A_given_M(instance, h0=h0, **fisher_kw)
-        s = (
-            fk.von_neumann_entropy(instance)
-            if instance.n_modes == 1
-            else fk.conditional_entropy(instance, "A", "M")
-        )
-        diag = {"tail_mass": instance.tail_mass()}
+        j = ms.fisher_A_given_M(instance, h0=h0)
+        s = ms.entropy_A_given_M(instance)
+        diag = {} if isinstance(instance, ga.GaussianState) else {"tail_mass": instance.tail_mass()}
     lhs = j.value * math.exp(s)
     diag.update({"J": j.value, "S": s, "fisher_uncertainty": j.uncertainty,
                  "ratio_to_e": lhs / math.e})
@@ -499,17 +383,14 @@ def check_isoperimetric_ratio_monotone(nus) -> CheckReport:
 
 
 def check_fisher_isoperimetric(instance, name: str, h: float = 0.05, h0: float = 1e-2) -> CheckReport:
-    """d/dt [1/J(t)] >= 1 at t = 0 along the heat flow."""
+    """d/dt [1/J(t)] >= 1 at t = 0 along the heat flow: on the noise R of a
+    classical-quantum state, and on A otherwise."""
 
     def inv_j(t):
-        if isinstance(instance, ga.GaussianState):
-            state = ga.gaussian_heat_flow(instance, t) if t else instance
-            est = ms.fisher_A_given_M(state, h0=h0)
-        elif isinstance(instance, ch.CQState):
-            state = ch.cq_classical_heat_flow(instance, t) if t else instance
-            est = ms.fisher_R_given_M(state, h0=h0)
+        if isinstance(instance, ch.CQState):
+            est = ms.fisher_R_given_M(ms.heat_R(instance, t) if t else instance, h0=h0)
         else:
-            raise UnsupportedFamilyError(f"unsupported instance {type(instance).__name__}")
+            est = ms.fisher_A_given_M(ms.heat_flow_A(instance, [t])[0] if t else instance, h0=h0)
         return 1.0 / est.value, est.uncertainty / est.value ** 2
 
     f0, u0 = inv_j(0.0)
@@ -530,33 +411,13 @@ def check_fisher_isoperimetric(instance, name: str, h: float = 0.05, h0: float =
 # concavity of the entropy power along heat flow
 
 
-def check_concavity_entropy_power(instance, t_grid, name: str, cutoff: int = None) -> CheckReport:
+def check_concavity_entropy_power(instance, t_grid, name: str) -> CheckReport:
     """Second difference quotient of exp S(A|M)(t) must stay below 1e-3."""
     t_grid = list(t_grid)
     h = t_grid[1] - t_grid[0]
-    diag = {}
-    if isinstance(instance, ga.GaussianState):
-        target = instance.mode_labels[0]
-
-        def s_of(state):
-            if state.n_modes == 1:
-                return ga.gaussian_entropy(state)
-            return ga.gaussian_conditional_entropy(state, target, state.mode_labels[1])
-
-        powers = [math.exp(s_of(ga.gaussian_heat_flow(instance, t, target))) for t in t_grid]
-    elif isinstance(instance, ch.RegisterState):
-        evolved = [ch.quantum_heat_flow_fock_multi(s, t_grid) for s in instance.states]
-        powers = [
-            math.exp(
-                sum(p * fk.von_neumann_entropy(ev[i]) for p, ev in zip(instance.probs, evolved))
-            )
-            for i in range(len(t_grid))
-        ]
-        diag["tail_mass"] = max(ev[-1].tail_mass() for ev in evolved)
-    else:
-        outs = ch.quantum_heat_flow_fock_multi(instance, t_grid)
-        powers = [math.exp(fk.von_neumann_entropy(o)) for o in outs]
-        diag["tail_mass"] = outs[-1].tail_mass()
+    outs = ms.heat_flow_A(instance, t_grid)
+    powers = [math.exp(ms.entropy_A_given_M(o)) for o in outs]
+    diag = {} if isinstance(instance, ga.GaussianState) else {"tail_mass": outs[-1].tail_mass()}
     quotients = [
         (powers[i + 1] - 2 * powers[i] + powers[i - 1]) / h ** 2 for i in range(1, len(powers) - 1)
     ]
@@ -738,7 +599,7 @@ def check_classical_epi(g: ps.GridPdf, f: ps.GridPdf, name: str) -> CheckReport:
 # cross-representation and convolution oracles
 
 
-def check_crossrep(name: str, seed: int = 0) -> CheckReport:
+def check_crossrep(name: str) -> CheckReport:
     """Fock-path entropies, conditional entropies and moments must match the
     Gaussian closed forms for the Gaussian constructor states."""
     if name == "vacuum":
@@ -810,43 +671,39 @@ def check_convolution_oracle(t: float, cutoff: int = 60) -> CheckReport:
 # the built-in suite
 
 
-def _register_with_noise(probs, states, noise_ts, centers, spacing=0.1):
-    pdfs = tuple(
-        ps.gaussian_pdf(t, center=c, spacing=spacing) for t, c in zip(noise_ts, centers)
-    )
-    return ch.RegisterState(probs, states, pdfs)
+def _noises(noise_ts, centers, spacing):
+    return tuple(ps.gaussian_pdf(t, center=c, spacing=spacing) for t, c in zip(noise_ts, centers))
 
 
-def _corpus_register_epi() -> ch.RegisterState:
-    return _register_with_noise(
-        [0.4, 0.6], [fk.fock(1, 48), fk.cat(2.0, 48)], [0.3, 0.7], [(0.5, 0.0), (-0.4, 0.3)]
-    )
+def _register(label, probs, states, noise_ts, centers) -> Instance:
+    """Register instance whose noise grids default to spacing 0.1; `states`
+    builds the per-label states."""
+    return Instance({"family": "F2", "labels": len(probs), "instance": label}, states,
+                    lambda spacing=None: _noises(noise_ts, centers, spacing or 0.1), probs=probs)
 
 
-def _corpus_register_mixed() -> ch.RegisterState:
-    return _register_with_noise(
-        [0.3, 0.7], [fk.thermal(0.5, 48), fk.fock(2, 48)], [0.5, 0.9], [(0.0, 0.0), (0.8, -0.6)]
-    )
+def _gauss_noise(t):
+    return lambda spacing=None: (ps.gaussian_pdf(t, spacing=spacing),)
 
 
-def _corpus_register_stam(spacing: float = 0.1) -> ch.RegisterState:
-    return _register_with_noise(
-        [0.5, 0.5], [fk.thermal(0.8, 48), fk.fock(1, 48)], [0.4, 0.6],
-        [(0.0, 0.0), (0.3, 0.2)], spacing=spacing,
-    )
+def _f1(t: float) -> Instance:
+    """Memory family 1: a two-mode squeezed pair (A, M) with noise
+    independent of both."""
+    return Instance({"family": "F1", "instance": "tmsv-0.66", "t": t},
+                    lambda: fk.two_mode_squeezed_vacuum(0.66, 40), _gauss_noise(t),
+                    gaussian=lambda: ga.tmsv_state(0.66), noise_t=t, fock_diagnostics={"cutoff": 40})
 
 
-def _corpus_register_concavity() -> ch.RegisterState:
-    return _register_with_noise(
-        [0.4, 0.6], [fk.fock(1, 48), fk.cat(2.0, 48)], [0.3, 0.7], [(0.0, 0.0), (0.4, -0.2)]
-    )
+def _thermal(name: str, n: float, t: float) -> Instance:
+    """One-mode thermal input without memory: the conditional statements
+    reduce to their unconditioned forms."""
+    return Instance({"family": "trivial-M", "instance": name, "t": t}, lambda: fk.thermal(n, 60),
+                    _gauss_noise(t), gaussian=lambda: ga.thermal_state(n), noise_t=t)
 
 
-def _matched_gaussian_instance() -> TrivialMemoryInstance:
-    return TrivialMemoryInstance(
-        name="thermal-matched", state_fock=fk.thermal(1.5, 60),
-        state_gaussian=ga.thermal_state(1.5), noise_t=0.5,
-    )
+def _corpus_register_epi(label: str = "register") -> Instance:
+    return _register(label, [0.4, 0.6], lambda: [fk.fock(1, 48), fk.cat(2.0, 48)], [0.3, 0.7],
+                     [(0.5, 0.0), (-0.4, 0.3)])
 
 
 def default_suite(seed: int = 7):
@@ -869,31 +726,31 @@ def default_suite(seed: int = 7):
         add(f"tightness-epi[k={k}]", lambda k=k: [check_tightness_epi(1.0, 1.0, k)])
 
     for t in (0.2, 0.5, 1.0):
-        inst = F1Instance(name="tmsv-0.66", r=0.66, noise_t=t)
-        add(f"cond-epi[f1,t={t}]", lambda i=inst: check_conditional_epi(i))
-    add("cond-epi[f2-register]", lambda: check_conditional_epi(_corpus_register_epi(), label="fock1-cat2"))
-    add("cond-epi[f2-register-mixed]", lambda: check_conditional_epi(_corpus_register_mixed(), label="thermal-fock2"))
-    add("cond-epi[trivial-M]", lambda: check_conditional_epi(
-        TrivialMemoryInstance("thermal-1", fk.thermal(1.0, 60), ga.thermal_state(1.0), 0.5)))
+        add(f"cond-epi[f1,t={t}]", lambda t=t: check_conditional_epi(_f1(t)))
+    add("cond-epi[f2-register]", lambda: check_conditional_epi(_corpus_register_epi("fock1-cat2")))
+    add("cond-epi[f2-register-mixed]", lambda: check_conditional_epi(_register(
+        "thermal-fock2", [0.3, 0.7], lambda: [fk.thermal(0.5, 48), fk.fock(2, 48)], [0.5, 0.9],
+        [(0.0, 0.0), (0.8, -0.6)])))
+    add("cond-epi[trivial-M]", lambda: check_conditional_epi(_thermal("thermal-1", 1.0, 0.5)))
 
-    f1_mid = F1Instance(name="tmsv-0.66", r=0.66, noise_t=0.5)
     for lam in (0.5, 0.9, "optimal"):
-        add(f"linear-epi[lam={lam}]", lambda l=lam: [check_linear_epi(f1_mid, l, "gaussian")])
+        add(f"linear-epi[lam={lam}]", lambda l=lam: [check_linear_epi(_f1(0.5), l)])
     add("linear-epi[register]", lambda: [check_linear_epi(_corpus_register_epi(), 0.5)])
 
     def stam_matched():
-        reports = check_stam(_matched_gaussian_instance())
+        reports = check_stam(_thermal("thermal-matched", 1.5, 0.5))
         return reports + [stam_matched_equality_report(reports[0])]
 
     add("stam[matched]", stam_matched)
-    add("stam[register]", lambda: check_stam(
-        _corpus_register_stam(), fine_register=_corpus_register_stam(spacing=0.0125)))
+    add("stam[register]", lambda: check_stam(_register(
+        "register", [0.5, 0.5], lambda: [fk.thermal(0.8, 48), fk.fock(1, 48)], [0.4, 0.6],
+        [(0.0, 0.0), (0.3, 0.2)])))
 
     add("scaling[independent]", lambda: [check_scaling(
         ch.CQState(ps.gaussian_pdf(1.0), fk.vacuum(4)), [5.0, 20.0, 50.0], 1.0, "gauss-1")])
     add("scaling[register]", lambda: [check_scaling(
-        _register_with_noise([0.5, 0.5], [fk.vacuum(8), fk.vacuum(8)], [0.5, 1.5],
-                             [(0.4, 0.0), (-0.6, 0.8)]),
+        ch.RegisterState([0.5, 0.5], [fk.vacuum(8), fk.vacuum(8)],
+                         _noises([0.5, 1.5], [(0.4, 0.0), (-0.6, 0.8)], 0.1)),
         [5.0, 20.0, 50.0], 1.5, "register-mixture")])
 
     for nu in (2.0, 5.0, 10.0):
@@ -921,15 +778,15 @@ def default_suite(seed: int = 7):
         ga.tmsv_state(0.66), t_grid, "gauss-tmsv")])
     add("concavity[fock-vacuum]", lambda: [check_concavity_entropy_power(
         fk.vacuum(40), t_grid, "fock-vacuum")])
-    add("concavity[register]", lambda: [check_concavity_entropy_power(
-        _corpus_register_concavity(), t_grid, "register")])
+    add("concavity[register]", lambda: [check_concavity_entropy_power(ch.RegisterState(
+        [0.4, 0.6], [fk.fock(1, 48), fk.cat(2.0, 48)]), t_grid, "register")])
 
     reg_t = [round(0.1 * i, 10) for i in range(1, 21)]
     add("debruijn-regularity[register]", lambda: [check_debruijn_regularity(
-        _corpus_register_epi(), reg_t, "register")])
+        _corpus_register_epi().pair(), reg_t, "register")])
     add("debruijn-regularity[independent]", lambda: [check_debruijn_regularity(
         ch.CQState(ps.gaussian_pdf(0.7), fk.thermal(0.5, 24)), reg_t, "gauss-0.7")])
-    add("debruijn-consistency", lambda: [check_debruijn_consistency(_corpus_register_epi(), 0.5)])
+    add("debruijn-consistency", lambda: [check_debruijn_consistency(_corpus_register_epi().pair(), 0.5)])
 
     add("qou-decay[fock-1]", lambda: [check_qou_decay(
         fk.fock(1, 30), 1.0, 0.5, [0.5, 1.0, 2.0], bipartite=False)])
@@ -964,36 +821,16 @@ def default_suite(seed: int = 7):
     return entries
 
 
-def resolve_threads(requested: int = None) -> int:
-    """Worker count for the suite; EPI_LAB_THREADS caps whatever was asked."""
-    env = os.environ.get("EPI_LAB_THREADS", "").strip()
-    cap = max(1, int(env)) if env else None
-    threads = requested if requested else (cap or 1)
-    if cap is not None:
-        threads = min(threads, cap)
-    return max(1, threads)
-
-
-def run_suite(seed: int = 7, threads: int = None):
+def run_suite(seed: int = 7):
     """Run the built-in corpus and return reports sorted by name and params."""
-    entries = default_suite(seed)
-    threads = min(resolve_threads(threads), len(entries))
-
-    def run_entry(entry):
-        name, fn = entry
+    reports = []
+    for name, fn in default_suite(seed):
         start = time.perf_counter()
-        reports = fn()
+        group = fn()
         elapsed_ms = (time.perf_counter() - start) * 1000.0
-        for rep in reports:
+        for rep in group:
             rep.diagnostics.setdefault("runtime_ms", round(elapsed_ms, 3))
-        return reports
-
-    if threads <= 1:
-        results = [run_entry(e) for e in entries]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run_entry, entries))
-    reports = [rep for group in results for rep in group]
+        reports += group
     reports.sort(key=lambda r: (r.check_name, json.dumps(r.params, sort_keys=True)))
     return reports
 

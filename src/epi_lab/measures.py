@@ -68,10 +68,11 @@ def _register_fields(reg: RegisterState):
     return fields, s ** 2 / (2.0 * math.pi)
 
 
-def cq_conditional_entropy_R_given_M(state, memory: str = None) -> float:
+def cq_conditional_entropy_R_given_M(state) -> float:
     """Conditional entropy of the classical variable given the quantum side,
     computed through the chain rule S(M|R) + S(R) - S(M) with the average
-    S(M|R) = sum_cells w(xi) S(rho_{M|R=xi})."""
+    S(M|R) = sum_cells w(xi) S(rho_{M|R=xi}); a two-mode quantum side is
+    (A, M) and only M enters."""
     if isinstance(state, RegisterState):
         return _register_entropy_R_given_M(state)
     if not isinstance(state, CQState):
@@ -79,14 +80,13 @@ def cq_conditional_entropy_R_given_M(state, memory: str = None) -> float:
     w = state.weights()
     if state.is_independent:
         cond = state.conditionals
-        marg = cond if cond.n_modes == 1 else fk.partial_trace(cond, memory or cond.mode_labels[-1])
+        marg = cond if cond.n_modes == 1 else fk.partial_trace(cond, cond.mode_labels[-1])
         s_m_given_r = fk.von_neumann_entropy(marg)
         s_m = s_m_given_r
     else:
         conds = state.conditionals
         if conds[0].n_modes == 2:
-            mem = memory or conds[0].mode_labels[-1]
-            conds = [fk.partial_trace(c, mem) for c in conds]
+            conds = [fk.partial_trace(c, c.mode_labels[-1]) for c in conds]
         ent = np.array([fk.von_neumann_entropy(c) for c in conds])
         s_m_given_r = float(w @ ent)
         mixed = fk.FockState(
@@ -123,21 +123,49 @@ def register_conditional_entropy_A(reg: RegisterState) -> float:
     return float(sum(p * fk.von_neumann_entropy(s) for p, s in zip(reg.probs, reg.states)))
 
 
-def _heat_R(state, t: float):
+def heat_R(state, t: float):
+    """Classical heat flow on the noise R of a register or classical-quantum state."""
     if isinstance(state, RegisterState):
         return register_heat_flow_R(state, t)
     return cq_classical_heat_flow(state, t)
 
 
-def integral_fisher_R_given_M(state, t: float, memory: str = None) -> float:
+def integral_fisher_R_given_M(state, t: float) -> float:
     """Entropy gained by the classical variable under heat flow for time t."""
     if t < 0:
         raise NegativeTimeError(f"requires t >= 0, got {t}")
     if t == 0:
         return 0.0
-    before = cq_conditional_entropy_R_given_M(state, memory)
-    after = cq_conditional_entropy_R_given_M(_heat_R(state, t), memory)
-    return after - before
+    return cq_conditional_entropy_R_given_M(heat_R(state, t)) - cq_conditional_entropy_R_given_M(state)
+
+
+def entropy_A_given_M(state) -> float:
+    """S(A|M) of a Gaussian or Fock state whose first mode is A and second
+    mode, if any, is M; of a register, whose labels are M."""
+    if isinstance(state, RegisterState):
+        return register_conditional_entropy_A(state)
+    if isinstance(state, GaussianState):
+        if state.n_modes == 1:
+            return gaussian_entropy(state)
+        return gaussian_conditional_entropy(state, *state.mode_labels)
+    if isinstance(state, fk.FockState):
+        if state.n_modes == 1:
+            return fk.von_neumann_entropy(state)
+        return fk.conditional_entropy(state, *state.mode_labels)
+    raise DomainError(f"unsupported state type {type(state).__name__}")
+
+
+def heat_flow_A(state, t_list) -> list:
+    """The state after quantum heat flow on A (the first mode, or every
+    label's state of a register) for each time in t_list."""
+    if isinstance(state, GaussianState):
+        return [gaussian_heat_flow(state, t, state.mode_labels[0]) for t in t_list]
+    if isinstance(state, RegisterState):
+        evolved = [quantum_heat_flow_fock_multi(s, t_list) for s in state.states]
+        return [RegisterState(state.probs, outs, state.pdfs, state.labels) for outs in zip(*evolved)]
+    if isinstance(state, fk.FockState):
+        return quantum_heat_flow_fock_multi(state, t_list)
+    raise DomainError(f"unsupported state type {type(state).__name__}")
 
 
 def _richardson(f0: float, values, h0: float) -> FisherEstimate:
@@ -154,63 +182,31 @@ def _richardson(f0: float, values, h0: float) -> FisherEstimate:
     return est
 
 
-def fisher_R_given_M(state, h0: float = 1e-2, memory: str = None) -> FisherEstimate:
+def fisher_spacing(h0: float) -> float:
+    """Coarsest noise grid that resolves the smallest Fisher step h0/4."""
+    return 0.25 * math.sqrt(h0 / 4)
+
+
+def fisher_R_given_M(state, h0: float = 1e-2) -> FisherEstimate:
     """Forward-difference derivative of S(R|M) along the classical heat flow.
 
-    The grid must resolve the smallest step: spacing <= 0.25 sqrt(h0/4),
-    otherwise the sampled kernels bias the derivative.
+    The grid must resolve the smallest step (see `fisher_spacing`), otherwise
+    the sampled kernels bias the derivative.
     """
     spacing = state.pdfs[0].spacing if isinstance(state, RegisterState) else state.grid.spacing
-    if spacing > 0.25 * math.sqrt(h0 / 4) * (1 + 1e-12):
+    if spacing > fisher_spacing(h0) * (1 + 1e-12):
         raise QuadratureError(
             f"spacing {spacing:.4g} too coarse for Fisher step h0={h0}"
         )
-    f0 = cq_conditional_entropy_R_given_M(state, memory)
-    vals = [cq_conditional_entropy_R_given_M(_heat_R(state, h), memory) for h in (h0, h0 / 2, h0 / 4)]
+    f0 = cq_conditional_entropy_R_given_M(state)
+    vals = [cq_conditional_entropy_R_given_M(heat_R(state, h)) for h in (h0, h0 / 2, h0 / 4)]
     return _richardson(f0, vals, h0)
 
 
-def fisher_A_given_M(
-    rho, h0: float = 1e-2, target: str = None, memory: str = None, spacing: float = None,
-    extent: float = None,
-) -> FisherEstimate:
+def fisher_A_given_M(rho, h0: float = 1e-2) -> FisherEstimate:
     """Forward-difference derivative of S(A|M) along the quantum heat flow."""
-    hs = (h0, h0 / 2, h0 / 4)
-    if isinstance(rho, GaussianState):
-        target = target or rho.mode_labels[0]
-
-        def s_of(state):
-            if state.n_modes == 1:
-                return gaussian_entropy(state)
-            mem = memory or [l for l in state.mode_labels if l != target][0]
-            return gaussian_conditional_entropy(state, target, mem)
-
-        f0 = s_of(rho)
-        vals = [s_of(gaussian_heat_flow(rho, h, target)) for h in hs]
-        return _richardson(f0, vals, h0)
-    if isinstance(rho, RegisterState):
-        f0 = register_conditional_entropy_A(rho)
-        evolved = [
-            quantum_heat_flow_fock_multi(s, hs, spacing=spacing, extent=extent) for s in rho.states
-        ]
-        vals = [
-            float(sum(p * fk.von_neumann_entropy(ev[i]) for p, ev in zip(rho.probs, evolved)))
-            for i in range(len(hs))
-        ]
-        return _richardson(f0, vals, h0)
-    if isinstance(rho, fk.FockState):
-        target = target or rho.mode_labels[0]
-
-        def s_fock(state):
-            if state.n_modes == 1:
-                return fk.von_neumann_entropy(state)
-            mem = memory or [l for l in state.mode_labels if l != target][0]
-            return fk.conditional_entropy(state, target, mem)
-
-        f0 = s_fock(rho)
-        outs = quantum_heat_flow_fock_multi(rho, hs, target=target, spacing=spacing, extent=extent)
-        return _richardson(f0, [s_fock(o) for o in outs], h0)
-    raise DomainError(f"unsupported state type {type(rho).__name__}")
+    vals = [entropy_A_given_M(s) for s in heat_flow_A(rho, (h0, h0 / 2, h0 / 4))]
+    return _richardson(entropy_A_given_M(rho), vals, h0)
 
 
 def conditional_mutual_information(reg: RegisterState, memory: str = "register") -> float:

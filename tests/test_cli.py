@@ -39,7 +39,7 @@ class TestParsing:
 
     def test_register_spec(self):
         args = cli.parse_config(["epi", "--cutoff", "24"])
-        reg = cli.parse_instance("register:p=0.3,fock:1|vacuum", "gauss:0.3|gauss:0.5", args)
+        reg = cli.parse_instance("register:p=0.3,fock:1|vacuum", "gauss:0.3|gauss:0.5", args).pair()
         assert list(reg.probs) == pytest.approx([0.3, 0.7])
         assert reg.states[0].mode_dims == (24,)
 
@@ -91,6 +91,23 @@ class TestExitCodes:
         bad.write_text("gridpdf 1\norigin 0 0\nspacing 0.1\nsize 2\n1 2\n")
         code, _, err = run_cli(["epi", "--state", "thermal:1.0", "--noise", f"file:{bad}"])
         assert code == 2
+
+    def test_linear_epi_on_one_mode_gaussian_input(self):
+        code, out, _ = run_cli(["linear-epi", "--state", "thermal:1.0", "--noise", "gauss:0.5",
+                                "--cutoff", "40"])
+        assert code == 0
+        (rep,) = json.loads(out)["reports"]
+        assert rep["pass"] and rep["params"]["path"] == "gaussian"
+
+    def test_stam_defaults(self):
+        code, out, _ = run_cli(["stam", "--cutoff", "24"])
+        assert code == 0
+        (rep,) = json.loads(out)["reports"]
+        assert rep["pass"] and rep["params"] == {"instance": "tmsv:0.66"}
+        diag = rep["diagnostics"]
+        assert diag["J_A"] == pytest.approx(15.60, abs=0.01)
+        assert diag["J_R"] == pytest.approx(2.0, abs=1e-3)
+        assert rep["margin"] == pytest.approx(0.10, abs=0.01)
 
     def test_forced_failure_is_1(self):
         # an absurd tolerance override cannot rescue a strict report, but a

@@ -12,15 +12,25 @@ from epi_lab import phase_space as ps
 from epi_lab.errors import DomainError, UnsupportedFamilyError
 
 
+def gauss_noise(t):
+    return lambda spacing=None: (ps.gaussian_pdf(t, spacing=spacing),)
+
+
 def small_f1():
-    return hn.F1Instance(name="tmsv-small", r=0.4, noise_t=0.3, cutoff=24)
+    return hn.Instance(
+        {"family": "F1", "instance": "tmsv-small", "t": 0.3},
+        lambda: fk.two_mode_squeezed_vacuum(0.4, 24), gauss_noise(0.3),
+        gaussian=lambda: ga.tmsv_state(0.4), noise_t=0.3,
+    )
 
 
 def small_register():
-    return ch.RegisterState(
-        [0.5, 0.5],
-        [fk.fock(1, 30), fk.thermal(0.4, 30)],
-        [ps.gaussian_pdf(0.3, spacing=0.1), ps.gaussian_pdf(0.5, center=(0.4, -0.2), spacing=0.1)],
+    return hn.Instance(
+        {"family": "F2", "labels": 2, "instance": "small"},
+        lambda: [fk.fock(1, 30), fk.thermal(0.4, 30)],
+        lambda spacing=None: (ps.gaussian_pdf(0.3, spacing=spacing or 0.1),
+                              ps.gaussian_pdf(0.5, center=(0.4, -0.2), spacing=spacing or 0.1)),
+        probs=[0.5, 0.5],
     )
 
 
@@ -52,38 +62,46 @@ class TestConditionalEpiChecks:
         assert agree.margin >= 0
 
     def test_register(self):
-        reports = hn.check_conditional_epi(small_register(), label="small")
+        reports = hn.check_conditional_epi(small_register())
         (rep,) = reports
         assert rep.passed
         assert rep.diagnostics["tail_mass"] <= 1e-8
 
     def test_trivial_memory(self):
-        inst = hn.TrivialMemoryInstance("thermal", fk.thermal(0.8, 40), ga.thermal_state(0.8), 0.4)
+        inst = hn.Instance({"family": "trivial-M", "instance": "thermal", "t": 0.4},
+                           lambda: fk.thermal(0.8, 40), gauss_noise(0.4),
+                           gaussian=lambda: ga.thermal_state(0.8), noise_t=0.4)
         reports = hn.check_conditional_epi(inst)
         assert all(r.passed for r in reports)
 
     def test_unsupported(self):
+        # cell-dependent conditionals certify no conditional independence
+        f = ps.gaussian_pdf(0.5, spacing=0.25, extent=6.1)
+        inst = hn.Instance({"family": "F1", "instance": "cells"},
+                           lambda: [fk.coherent(0.2 * (x + 1j * y), 24) if x >= 0 else fk.vacuum(24)
+                                    for x, y in f.points()],
+                           lambda spacing=None: (f,))
         with pytest.raises(UnsupportedFamilyError):
-            hn.check_conditional_epi(object())
+            hn.check_conditional_epi(inst)
 
 
 class TestLinearEpi:
     def test_endpoints_use_zero_convention(self):
         inst = small_f1()
         for lam in (0.0, 1.0, 0.5, "optimal"):
-            rep = hn.check_linear_epi(inst, lam, "gaussian")
+            rep = hn.check_linear_epi(inst, lam)
             assert rep.passed
 
     def test_optimal_matches_exponential_form(self):
         inst = small_f1()
-        rep_lin = hn.check_linear_epi(inst, "optimal", "gaussian")
-        s_a, s_r, s_c = hn._entropies_f1_gaussian(inst)
+        rep_lin = hn.check_linear_epi(inst, "optimal")
+        s_a, s_r, s_c, _ = inst.entropies("gaussian")
         log_form = s_c - math.log(math.exp(s_a) + math.exp(s_r))
         assert rep_lin.margin == pytest.approx(log_form, abs=1e-12)
 
     def test_domain(self):
         with pytest.raises(DomainError):
-            hn.check_linear_epi(small_f1(), 1.2, "gaussian")
+            hn.check_linear_epi(small_f1(), 1.2)
 
 
 class TestScalingAndTightness:
@@ -190,13 +208,3 @@ class TestReportRevalidation:
             back = hn.CheckReport.from_dict(rep)
             assert back.passed == (back.margin >= -back.tolerance)
             assert back.passed == rep["pass"]
-
-
-class TestThreadResolution:
-    def test_env_caps_requested(self, monkeypatch):
-        monkeypatch.setenv("EPI_LAB_THREADS", "2")
-        assert hn.resolve_threads(8) == 2
-        assert hn.resolve_threads(None) == 2
-        monkeypatch.delenv("EPI_LAB_THREADS")
-        assert hn.resolve_threads(None) == 1
-        assert hn.resolve_threads(4) == 4

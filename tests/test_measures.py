@@ -127,6 +127,38 @@ class TestFisherEstimates:
             ms.fisher_A_given_M("not a state")
 
 
+PAIRS = {
+    "thermal": (lambda: fk.thermal(0.8, 40), lambda: ga.thermal_state(0.8)),
+    "tmsv": (lambda: fk.two_mode_squeezed_vacuum(0.3, 16), lambda: ga.tmsv_state(0.3)),
+}
+
+
+class TestEntropyAndHeatFlowA:
+    @pytest.mark.parametrize("name", sorted(PAIRS))
+    def test_fock_matches_gaussian(self, name):
+        st, gs = (build() for build in PAIRS[name])
+        assert ms.entropy_A_given_M(st) == pytest.approx(ms.entropy_A_given_M(gs), abs=1e-4)
+        assert ms.fisher_A_given_M(st).value == pytest.approx(ms.fisher_A_given_M(gs).value, abs=1e-4)
+
+    def test_heat_flow_matches_gaussian(self):
+        outs_f = ms.heat_flow_A(fk.thermal(0.8, 40), [0.0, 0.2])
+        outs_g = ms.heat_flow_A(ga.thermal_state(0.8), [0.0, 0.2])
+        for f, g in zip(outs_f, outs_g):
+            assert ms.entropy_A_given_M(f) == pytest.approx(ms.entropy_A_given_M(g), abs=1e-4)
+
+    def test_one_label_register_is_its_state(self):
+        st = fk.thermal(0.8, 40)
+        reg = ch.RegisterState([1.0], [st])
+        assert ms.entropy_A_given_M(reg) == ms.entropy_A_given_M(st)
+        assert ms.fisher_A_given_M(reg) == ms.fisher_A_given_M(st)
+        (out_reg,), (out,) = ms.heat_flow_A(reg, [0.3]), ms.heat_flow_A(st, [0.3])
+        assert np.array_equal(out_reg.states[0].matrix, out.matrix)
+
+    def test_unsupported_type(self):
+        with pytest.raises(DomainError):
+            ms.entropy_A_given_M(ps.gaussian_pdf(0.5))
+
+
 class TestConditionalMutualInformation:
     def test_register_is_zero(self):
         assert ms.conditional_mutual_information(small_register()) == pytest.approx(0.0, abs=1e-8)
