@@ -26,22 +26,17 @@ from .errors import (
     UnsupportedFamilyError,
 )
 from .fock import FockState, displacement_batch, thermal, thermal_cutoff
-from .phase_space import GridPdf, classical_heat_flow, gaussian_pdf, moments
+from .gaussian import _check_qou_params, qou_mean_photon
+from .phase_space import GridPdf, classical_heat_flow, gaussian_pdf, moments, resolving_spacing
 
 CHUNK = 1024
 TRACE_DRIFT_LIMIT = 1e-4
-SPACING_FACTOR = 0.25
-
-
-def _grid_quadrature(f: GridPdf):
-    """Cell centers and integration weights of a density grid."""
-    return f.points(), f.values.ravel() * f.cell_weight
 
 
 def _check_quadrature(f: GridPdf):
     _, cov = moments(f)
     t_eq = float(np.linalg.eigvalsh(cov).max())
-    limit = SPACING_FACTOR * math.sqrt(min(0.5, t_eq))
+    limit = resolving_spacing(t_eq)
     if f.spacing > limit * (1 + 1e-12):
         raise QuadratureError(
             f"grid spacing {f.spacing:.4g} too coarse for noise strength "
@@ -50,14 +45,13 @@ def _check_quadrature(f: GridPdf):
 
 
 def _finish(mat: np.ndarray, dims, labels) -> FockState:
-    """Renormalize and hermitize a channel output; the pre-normalization
-    trace drift is kept on the state as `trace_drift`."""
+    """Renormalize and hermitize a channel output, keeping the
+    pre-normalization trace drift on the state."""
     tr = float(np.real(np.trace(mat)))
     if abs(tr - 1.0) > TRACE_DRIFT_LIMIT:
         raise DriftError(f"channel output trace drifted to {tr}")
-    out = FockState(dims, 0.5 * (mat + mat.conj().T) / tr, labels)
+    out = FockState(dims, 0.5 * (mat + mat.conj().T) / tr, labels, trace_drift=tr - 1.0)
     out.check_tail()
-    out.trace_drift = tr - 1.0
     return out
 
 
@@ -110,6 +104,25 @@ def apply_one_mode_kernel(K: np.ndarray, rho: FockState, target: str) -> np.ndar
     return out.reshape(rho.dim, rho.dim)
 
 
+def _noise_outputs(grids, rho: FockState, target: str = None) -> list:
+    """sum_xi f(xi) D(xi) rho D(xi)^dag on the `target` mode (default: the
+    first) for each density f in `grids`; the densities share one grid
+    (origin, spacing, side), so one displacement batch serves them all."""
+    for f in grids:
+        f.validate()
+        _check_quadrature(f)
+    points = grids[0].points()
+    weight_sets = [f.values.ravel() * f.cell_weight for f in grids]
+    if target is None:
+        target = rho.mode_labels[0]
+    d = rho.mode_dims[rho.mode_index(target)]
+    if rho.n_modes == 1:
+        mats = _conjugation_sums(points, weight_sets, rho.matrix, d)
+    else:
+        mats = [apply_one_mode_kernel(K, rho, target) for K in one_mode_kernels(points, weight_sets, d)]
+    return [_finish(mat, rho.mode_dims, rho.mode_labels) for mat in mats]
+
+
 def classical_noise_channel(f: GridPdf, rho: FockState, target: str = None) -> FockState:
     """Mixture of displaced copies of the state, weighted by the density f.
 
@@ -118,27 +131,7 @@ def classical_noise_channel(f: GridPdf, rho: FockState, target: str = None) -> F
     resolve the noise, the output trace is renormalized and the truncation
     tail re-checked afterwards.
     """
-    f.validate()
-    _check_quadrature(f)
-    points, weights = _grid_quadrature(f)
-    if target is None:
-        target = rho.mode_labels[0]
-    k = rho.mode_index(target)
-    if rho.n_modes == 1:
-        (mat,) = _conjugation_sums(points, [weights], rho.matrix, rho.mode_dims[0])
-    else:
-        K = one_mode_kernel(points, weights, rho.mode_dims[k])
-        mat = apply_one_mode_kernel(K, rho, target)
-    return _finish(mat, rho.mode_dims, rho.mode_labels)
-
-
-def _heat_grid(t_list, spacing=None, extent=None):
-    ts = [t for t in t_list if t > 0]
-    if spacing is None:
-        spacing = SPACING_FACTOR * math.sqrt(min(0.5, min(ts)))
-    if extent is None:
-        extent = 8.5 * math.sqrt(max(ts))
-    return spacing, extent
+    return _noise_outputs([f], rho, target)[0]
 
 
 def quantum_heat_flow_fock(
@@ -149,51 +142,29 @@ def quantum_heat_flow_fock(
         raise NegativeTimeError(f"heat flow requires t >= 0, got {t}")
     if t == 0:
         return rho.copy()
-    spacing, extent = _heat_grid([t], spacing, extent)
     return classical_noise_channel(gaussian_pdf(t, spacing=spacing, extent=extent), rho, target)
 
 
 def quantum_heat_flow_fock_multi(
     rho: FockState, t_list, target: str = None, spacing: float = None, extent: float = None
 ):
-    """Heat flow at several times sharing one quadrature grid and one pass
-    over the displacement batch; errors vary smoothly along t_list, which
+    """Heat flow at several times sharing one quadrature grid, resolving the
+    smallest time and reaching as far as the largest, and one pass over the
+    displacement batch; errors vary smoothly along t_list, which
     finite-difference consumers rely on."""
     t_list = list(t_list)
     if any(t < 0 for t in t_list):
         raise NegativeTimeError("heat flow requires t >= 0")
-    if target is None:
-        target = rho.mode_labels[0]
-    k = rho.mode_index(target)
     positive = [t for t in t_list if t > 0]
     if not positive:
         return [rho.copy() for _ in t_list]
-    spacing, extent = _heat_grid(t_list, spacing, extent)
-    grids = {t: gaussian_pdf(t, spacing=spacing, extent=extent) for t in sorted(set(positive))}
-    base = grids[max(positive)]
-    points = base.points()
-    L = base.size
-
-    def padded_weights(g: GridPdf):
-        pad = (L - g.size) // 2
-        w = np.zeros((L, L))
-        w[pad : pad + g.size, pad : pad + g.size] = g.values * g.cell_weight
-        return w.ravel()
-
-    weight_sets = [padded_weights(grids[t]) for t in positive]
-    for g in grids.values():
-        _check_quadrature(g)
-    d = rho.mode_dims[k]
-    if rho.n_modes == 1:
-        mats = _conjugation_sums(points, weight_sets, rho.matrix, d)
-    else:
-        kernels = one_mode_kernels(points, weight_sets, d)
-        mats = [apply_one_mode_kernel(K, rho, target) for K in kernels]
-    outs = []
-    it = iter(mats)
-    for t in t_list:
-        outs.append(rho.copy() if t == 0 else _finish(next(it), rho.mode_dims, rho.mode_labels))
-    return outs
+    if spacing is None:
+        spacing = resolving_spacing(min(positive))
+    if extent is None:
+        extent = 8.5 * math.sqrt(max(positive))
+    grids = [gaussian_pdf(t, spacing=spacing, extent=extent) for t in positive]
+    outs = iter(_noise_outputs(grids, rho, target))
+    return [next(outs) if t > 0 else rho.copy() for t in t_list]
 
 
 # ---------------------------------------------------------------------------
@@ -238,9 +209,7 @@ def beam_splitter(rho_ab: FockState, transmissivity: float) -> FockState:
 def qou_environment(mu: float, lam: float, env_dim: int = None) -> FockState:
     """Thermal fixed point of the damping semigroup, (1-q) sum q^k |k><k|
     with q = lam^2 / mu^2."""
-    if not mu > lam > 0:
-        raise ParameterError(f"requires mu > lambda > 0, got mu={mu}, lambda={lam}")
-    n_avg = lam ** 2 / (mu ** 2 - lam ** 2)
+    n_avg = qou_mean_photon(mu, lam)
     if env_dim is None:
         env_dim = thermal_cutoff(n_avg)
     return thermal(n_avg, env_dim, label="E")
@@ -251,20 +220,17 @@ def qou_channel_fock(
 ) -> FockState:
     """Damping-semigroup evolution of one mode: a beam splitter of
     transmissivity exp(-(mu^2 - lam^2) t) against the thermal fixed point."""
-    if not mu > lam > 0:
-        raise ParameterError(f"requires mu > lambda > 0, got mu={mu}, lambda={lam}")
+    _check_qou_params(mu, lam)
     if t < 0:
         raise NegativeTimeError(f"qOU evolution requires t >= 0, got {t}")
     if t == 0:
         return rho.copy()
-    eta = math.exp(-(mu ** 2 - lam ** 2) * t)
-    env = qou_environment(mu, lam, env_dim)
     if target is None:
         target = rho.mode_labels[0]
     k = rho.mode_index(target)
     if rho.n_modes == 1:
-        joint = fk.tensor_product(rho, env, labels=(target, "E"))
-        out = beam_splitter(joint, eta)
+        joint = fk.tensor_product(rho, qou_environment(mu, lam, env_dim), labels=(target, "E"))
+        out = beam_splitter(joint, math.exp(-(mu ** 2 - lam ** 2) * t))
         return FockState(out.mode_dims, out.matrix, (target,))
     K = qou_superoperator(rho.mode_dims[k], t, mu, lam, env_dim)
     mat = apply_one_mode_kernel(K, rho, target)

@@ -123,7 +123,7 @@ def parse_instance(state_spec: str, noise_spec: str, args) -> hn.Instance:
             # shared lattice across the labels: resolve the narrowest noise
             ts = [_parse_gauss_args(n)[0] for n in noises if n.startswith("gauss:")]
             if ts:
-                spacing = 0.25 * math.sqrt(min(0.5, min(ts)))
+                spacing = ps.resolving_spacing(min(ts))
         return hn.Instance(
             {"family": "F2", "labels": len(parts), "instance": "register"}, lambda: states,
             lambda s=None: tuple(parse_noise_spec(n, s or spacing, extent, snap=True) for n in noises),
@@ -172,7 +172,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--b", type=float, default=1.0, help="tightness target S(R|M)")
     p.add_argument("--E", type=float, default=1.0, help="energy budget for capacity")
     p.add_argument("--seed", type=int, default=7)
-    p.add_argument("--tolerance", type=float, default=None, help="tolerance override")
     p.add_argument("--out", default=None, help="report output path")
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--config", default=None, help="flat key = value config file")
@@ -248,16 +247,15 @@ def run_command(args) -> list:
                    hn.check_tightness_noise_entropy(args.b)]
         reports += [hn.check_tightness_epi(args.a, args.b, k) for k in k_list]
         return reports
-    if cmd == "isoperimetric":
-        inst = parse_instance(args.state, args.noise, args)
-        # without a Gaussian twin the inequality is checked on the noise R
-        return [hn.check_isoperimetric(inst.gaussian() if inst.gaussian else inst.pair(), args.state)]
-    if cmd == "concavity":
+    if cmd in ("isoperimetric", "concavity"):
+        # both check the input A: its Gaussian twin, else its Fock state, else the register
         inst = parse_instance(args.state, args.noise, args)
         if inst.gaussian:
             state = inst.gaussian()
         else:
             state = inst.fock() if inst.probs is None else inst.pair()
+        if cmd == "isoperimetric":
+            return [hn.check_isoperimetric(state, args.state)]
         grid = [round(0.05 * i, 10) for i in range(11)]
         return [hn.check_concavity_entropy_power(state, grid, args.state)]
     if cmd == "capacity":
@@ -291,16 +289,6 @@ def run_command(args) -> list:
     raise UsageError(f"unknown command {cmd!r}")
 
 
-def _apply_tolerance_override(reports, tol):
-    if tol is None:
-        return reports
-    out = []
-    for r in reports:
-        out.append(hn.make_report(r.check_name, r.params, r.lhs, r.rhs, r.margin, tol,
-                                  r.diagnostics))
-    return out
-
-
 def write_reports(reports, args) -> str:
     payload = hn.suite_payload(reports, args.seed)
     if args.format == "csv":
@@ -320,7 +308,7 @@ def run(argv) -> int:
     usage or numeric errors."""
     try:
         args = parse_config(argv)
-        reports = _apply_tolerance_override(run_command(args), args.tolerance)
+        reports = run_command(args)
         write_reports(reports, args)
     except UsageError as exc:
         print(f"epi-lab: usage error: {exc}", file=sys.stderr)

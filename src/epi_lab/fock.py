@@ -49,11 +49,13 @@ def number_op(d: int) -> np.ndarray:
 
 @dataclass
 class FockState:
-    """Density operator on one or two truncated bosonic modes."""
+    """Density operator on one or two truncated bosonic modes; `trace_drift`
+    is the trace error the channel that produced it renormalized away."""
 
     mode_dims: tuple
     matrix: np.ndarray
     mode_labels: tuple = None
+    trace_drift: float = 0.0
 
     def __post_init__(self):
         self.mode_dims = tuple(int(d) for d in self.mode_dims)

@@ -146,10 +146,10 @@ class Instance:
         pair = self.pair()
         out = ch.extended_channel(pair)
         if self.probs is None:
-            a = pair.conditionals
-            s_r, tail = ps.shannon_entropy(pair.grid), max(a.tail_mass(), out.tail_mass())
+            a, tail = pair.conditionals, max(pair.conditionals.tail_mass(), out.tail_mass())
         else:
-            a, s_r, tail = pair, ms.cq_conditional_entropy_R_given_M(pair), out.tail_mass()
+            a, tail = pair, out.tail_mass()
+        s_r = ms.cq_conditional_entropy_R_given_M(pair)
         return a, out, s_r, {"tail_mass": tail, **self.fock_diagnostics}
 
     def entropies(self, path: str):
@@ -340,8 +340,9 @@ def check_tightness_epi(a: float, b: float, k: float) -> CheckReport:
 
 def check_isoperimetric(instance, name: str, h0: float = 1e-2) -> CheckReport:
     """(1/n) J(X|M) exp S(X|M) >= e, with a 1e-2 relative slack, where X is
-    the noise R of a register or classical-quantum state, and A otherwise."""
-    if isinstance(instance, (ch.CQState, ch.RegisterState)):
+    the noise R of a classical-quantum state, and A otherwise (the first mode
+    of a Gaussian or Fock state, or every label's state of a register)."""
+    if isinstance(instance, ch.CQState):
         j = ms.fisher_R_given_M(instance, h0=h0)
         s = ms.cq_conditional_entropy_R_given_M(instance)
         diag = {}

@@ -27,7 +27,7 @@ from .errors import (
     QuadratureError,
 )
 from .gaussian import GaussianState, gaussian_conditional_entropy, gaussian_entropy, gaussian_heat_flow
-from .phase_space import shannon_entropy
+from .phase_space import resolving_spacing, shannon_entropy
 
 
 @dataclass
@@ -69,7 +69,9 @@ def _register_fields(reg: RegisterState):
 
 
 def cq_conditional_entropy_R_given_M(state) -> float:
-    """Conditional entropy of the classical variable given the quantum side,
+    """Conditional entropy of the classical variable given the quantum side.
+
+    Noise independent of the quantum side has S(R|M) = S(R). Otherwise it is
     computed through the chain rule S(M|R) + S(R) - S(M) with the average
     S(M|R) = sum_cells w(xi) S(rho_{M|R=xi}); a two-mode quantum side is
     (A, M) and only M enters."""
@@ -77,25 +79,21 @@ def cq_conditional_entropy_R_given_M(state) -> float:
         return _register_entropy_R_given_M(state)
     if not isinstance(state, CQState):
         raise DomainError(f"unsupported state type {type(state).__name__}")
-    w = state.weights()
-    if state.is_independent:
-        cond = state.conditionals
-        marg = cond if cond.n_modes == 1 else fk.partial_trace(cond, cond.mode_labels[-1])
-        s_m_given_r = fk.von_neumann_entropy(marg)
-        s_m = s_m_given_r
-    else:
-        conds = state.conditionals
-        if conds[0].n_modes == 2:
-            conds = [fk.partial_trace(c, c.mode_labels[-1]) for c in conds]
-        ent = np.array([fk.von_neumann_entropy(c) for c in conds])
-        s_m_given_r = float(w @ ent)
-        mixed = fk.FockState(
-            conds[0].mode_dims,
-            np.tensordot(w, np.stack([c.matrix for c in conds]), axes=1),
-            conds[0].mode_labels,
-        )
-        s_m = fk.von_neumann_entropy(mixed)
     s_r = shannon_entropy(state.grid)
+    if state.is_independent:
+        return s_r
+    w = state.weights()
+    conds = state.conditionals
+    if conds[0].n_modes == 2:
+        conds = [fk.partial_trace(c, c.mode_labels[-1]) for c in conds]
+    ent = np.array([fk.von_neumann_entropy(c) for c in conds])
+    s_m_given_r = float(w @ ent)
+    mixed = fk.FockState(
+        conds[0].mode_dims,
+        np.tensordot(w, np.stack([c.matrix for c in conds]), axes=1),
+        conds[0].mode_labels,
+    )
+    s_m = fk.von_neumann_entropy(mixed)
     total = s_m_given_r + s_r - s_m
     if not math.isfinite(total):
         raise InfiniteEntropyError("a constituent entropy is not finite")
@@ -184,7 +182,7 @@ def _richardson(f0: float, values, h0: float) -> FisherEstimate:
 
 def fisher_spacing(h0: float) -> float:
     """Coarsest noise grid that resolves the smallest Fisher step h0/4."""
-    return 0.25 * math.sqrt(h0 / 4)
+    return resolving_spacing(h0 / 4)
 
 
 def fisher_R_given_M(state, h0: float = 1e-2) -> FisherEstimate:

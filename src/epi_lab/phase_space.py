@@ -99,6 +99,12 @@ class GridPdf:
         return GridPdf((self.origin[0] + eta[0], self.origin[1] + eta[1]), self.spacing, self.values)
 
 
+def resolving_spacing(t: float) -> float:
+    """Coarsest grid spacing that resolves a Gaussian of variance t: a quarter
+    of its standard deviation, never coarser than at variance 0.5."""
+    return 0.25 * math.sqrt(min(0.5, t))
+
+
 def gaussian_pdf(t: float, center=(0.0, 0.0), spacing: float = None, extent: float = None) -> GridPdf:
     """Isotropic Gaussian density with per-axis variance t, sampled and
     renormalized on a grid centered at `center`.
@@ -111,7 +117,7 @@ def gaussian_pdf(t: float, center=(0.0, 0.0), spacing: float = None, extent: flo
         raise DomainError(f"gaussian_pdf requires t > 0, got {t}")
     sigma = math.sqrt(t)
     if spacing is None:
-        spacing = 0.25 * math.sqrt(min(0.5, t))
+        spacing = resolving_spacing(t)
     if extent is None:
         extent = 8.5 * sigma
     if extent < 8.0 * sigma:

@@ -43,6 +43,13 @@ class TestClassicalNoiseChannel:
         f = ps.gaussian_pdf(0.05, spacing=0.12)
         with pytest.raises(QuadratureError):
             ch.classical_noise_channel(f, fk.vacuum(30))
+        # the default grid sits exactly on the resolving spacing
+        t = 0.2
+        f = ps.gaussian_pdf(t)
+        assert f.spacing == ps.resolving_spacing(t)
+        ch.classical_noise_channel(f, fk.vacuum(16))
+        with pytest.raises(QuadratureError):
+            ch.classical_noise_channel(ps.gaussian_pdf(t, spacing=1.01 * f.spacing), fk.vacuum(16))
 
     def test_tail_guard(self):
         with pytest.raises(TailError):
@@ -93,6 +100,18 @@ class TestHeatFlowFock:
     def test_entropy_value(self):
         out = ch.quantum_heat_flow_fock(fk.vacuum(40), 0.5)
         assert fk.von_neumann_entropy(out) == pytest.approx(ga.g_function(0.5), abs=1e-4)
+
+    @pytest.mark.parametrize("rho", [fk.thermal(0.4, 20), fk.two_mode_squeezed_vacuum(0.3, 12)],
+                             ids=["thermal", "tmsv"])
+    def test_multi_is_the_noise_channel_on_the_shared_grid(self, rho):
+        ts = [0.0, 0.05, 0.1]
+        spacing, extent = ps.resolving_spacing(0.05), 8.5 * math.sqrt(0.1)
+        outs = ch.quantum_heat_flow_fock_multi(rho, ts, target="A")
+        for t, out in zip(ts[1:], outs[1:]):
+            f = ps.gaussian_pdf(t, spacing=spacing, extent=extent)
+            single = ch.classical_noise_channel(f, rho, "A")
+            assert np.array_equal(out.matrix, single.matrix)
+            assert out.trace_drift == single.trace_drift
 
     def test_multi_matches_single(self):
         rho = fk.thermal(0.4, 30)

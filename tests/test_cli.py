@@ -1,10 +1,12 @@
 import io
 import json
+import math
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
 from epi_lab import cli
+from epi_lab import gaussian as ga
 from epi_lab import phase_space as ps
 from epi_lab.errors import UsageError
 
@@ -110,12 +112,24 @@ class TestExitCodes:
         assert rep["margin"] == pytest.approx(0.10, abs=0.01)
 
     def test_forced_failure_is_1(self):
-        # an absurd tolerance override cannot rescue a strict report, but a
-        # negative one forces margins below tolerance
-        code, out, err = run_cli(
-            ["capacity", "--E", "1", "--noise", "gauss:0.5", "--tolerance", "-2"]
-        )
-        assert code == 1 and "FAILED" in err
+        # the saturating family's gap grows from k=16 to k=2, so the
+        # monotone-gap statement fails outright
+        code, out, err = run_cli(["tightness", "--k-list", "16,2"])
+        assert code == 1 and "FAILED tightness" in err
+        (rep,) = [r for r in json.loads(out)["reports"] if not r["pass"]]
+        assert rep["margin"] == pytest.approx(-0.1116, abs=1e-4)
+
+    def test_isoperimetric_checks_the_state(self):
+        # a register of thermal states: J(A|M) and S(A|M) average the labels'
+        # log((N+1)/N) and g(N)
+        code, out, _ = run_cli(["isoperimetric", "--state", "register:p=0.5,thermal:0.5|thermal:1.0",
+                                "--noise", "gauss:0.5", "--cutoff", "30"])
+        assert code == 0
+        (rep,) = json.loads(out)["reports"]
+        j = 0.5 * math.log(3.0) + 0.5 * math.log(2.0)
+        s = 0.5 * ga.g_function(0.5) + 0.5 * ga.g_function(1.0)
+        assert rep["diagnostics"]["J"] == pytest.approx(j, abs=1e-4)
+        assert rep["diagnostics"]["S"] == pytest.approx(s, abs=1e-4)
 
 
 class TestOutputs:

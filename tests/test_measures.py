@@ -121,6 +121,14 @@ class TestFisherEstimates:
         state = ch.CQState(ps.gaussian_pdf(0.8, spacing=0.1), fk.vacuum(4))
         with pytest.raises(QuadratureError):
             ms.fisher_R_given_M(state)
+        # the limit is the grid that resolves the smallest step h0/4
+        h0 = 0.16
+        spacing = ms.fisher_spacing(h0)
+        assert spacing == ps.resolving_spacing(h0 / 4)
+        ms.fisher_R_given_M(ch.CQState(ps.gaussian_pdf(0.8, spacing=spacing), fk.vacuum(4)), h0)
+        coarse = ch.CQState(ps.gaussian_pdf(0.8, spacing=1.01 * spacing), fk.vacuum(4))
+        with pytest.raises(QuadratureError):
+            ms.fisher_R_given_M(coarse, h0)
 
     def test_unsupported_type(self):
         with pytest.raises(DomainError):
