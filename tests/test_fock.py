@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from epi_lab import channels as ch
 from epi_lab import fock as fk
 from epi_lab import gaussian as ga
+from epi_lab import phase_space as ps
 from epi_lab.errors import (
     DimensionMismatchError,
     DomainError,
@@ -169,6 +171,62 @@ class TestSpectralFunctionals:
             fk.relative_entropy(fk.vacuum(8), fk.vacuum(9))
 
 
+def _tmsv40():
+    return fk.two_mode_squeezed_vacuum(0.66, 40)
+
+
+def _beam_split_thermals():
+    joint = fk.tensor_product(fk.thermal(0.5, 30), fk.thermal(1.0, 30), labels=("A", "M"))
+    u = ch.beam_splitter_unitary((30, 30), 0.3)
+    return fk.FockState((30, 30), u @ joint.matrix @ u.T)
+
+
+class TestBlockedSpectrum:
+    @pytest.mark.parametrize(
+        "state",
+        [
+            _tmsv40,
+            lambda: ch.classical_noise_channel(ps.gaussian_pdf(0.5), _tmsv40(), target="A"),
+            _beam_split_thermals,  # commutes with n_A + n_M only
+            lambda: fk.thermal(1.0, 60),
+        ],
+        ids=["tmsv", "tmsv-noise-on-A", "beam-split-thermals", "thermal"],
+    )
+    def test_blocked_matches_dense(self, state):
+        st = state()
+        assert fk.spectral_path(st)["eigensolve"] == "blocked"
+        assert np.abs(fk.eigenvalues(st) - np.linalg.eigvalsh(st.matrix)).max() <= 1e-12
+
+    def test_off_block_perturbation_takes_the_dense_path(self):
+        st = _tmsv40()
+        # (0,0) and (1,0) differ in both n_A - n_M and n_A + n_M
+        i, j = 0, 40
+        st.matrix[i, j] += 1e-9
+        st.matrix[j, i] += 1e-9
+        path = fk.spectral_path(st)
+        assert path["eigensolve"] == "dense"
+        assert path["off_block_norm"] == pytest.approx(math.sqrt(2) * 1e-9, rel=1e-6)
+        assert np.abs(fk.eigenvalues(st) - np.linalg.eigvalsh(st.matrix)).max() <= 1e-12
+
+    def test_negative_eigenvalue_in_a_sector_raises(self):
+        # |0,0> and |1,1> share the n_A - n_M = 0 sector; their 2x2 block
+        # has positive diagonal and eigenvalues 0.6 + 1e-8 and -1e-8
+        mat = np.diag(np.full(64, 0.4 / 62))
+        mat[0, 0] = mat[9, 9] = 0.3
+        mat[0, 9] = mat[9, 0] = 0.3 + 1e-8
+        st = fk.FockState((8, 8), mat)
+        assert fk.spectral_path(st)["eigensolve"] == "blocked"
+        with pytest.raises(NegativeEigenvalueError):
+            fk.von_neumann_entropy(st)
+
+    def test_trace_norm_distance_of_blocked_states(self):
+        rho = fk.two_mode_squeezed_vacuum(0.5, 30)
+        sigma = ch.classical_noise_channel(ps.gaussian_pdf(0.3), rho, target="A")
+        dense = np.abs(np.linalg.eigvalsh(rho.matrix - sigma.matrix)).sum()
+        assert fk.spectral_path(sigma)["eigensolve"] == "blocked"
+        assert fk.trace_norm_distance(rho, sigma) == pytest.approx(dense, abs=1e-12)
+
+
 class TestPartialTrace:
     def test_product(self):
         joint = fk.tensor_product(fk.thermal(0.5, 20), fk.coherent(0.4, 20), labels=("A", "M"))
@@ -204,6 +262,14 @@ class TestCrossRepresentation:
         mean, cov = fk.moments_of_state(st)
         assert np.abs(mean - gs.mean).max() <= 1e-6
         assert np.abs(cov - gs.cov).max() <= 1e-6
+
+    def test_copy_keeps_trace_drift(self):
+        st = fk.thermal(1.0, 30)
+        st.trace_drift = 3e-9
+        dup = st.copy()
+        assert dup.trace_drift == 3e-9
+        assert dup.matrix is not st.matrix
+        assert np.array_equal(dup.matrix, st.matrix)
 
     def test_tail_accounting(self):
         st = fk.thermal(1.0, 60)
