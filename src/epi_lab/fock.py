@@ -137,39 +137,34 @@ def _eigvalsh(mat: np.ndarray) -> np.ndarray:
 
 
 def _sectors(mat: np.ndarray, dims):
-    """(index sets, off-block Frobenius norm) of the first photon-number
-    charge (n for one mode; n_A - n_M, then n_A + n_M for two) whose
-    off-block part is at most dim * eps, the dense solver's own backward
-    error, so by Weyl no eigenvalue moves further than a dense solve would;
-    (None, the smallest norm over the charges) when no charge qualifies.
+    """(index sets of the n_A - n_M charge sectors, off-block Frobenius norm)
+    of a two-mode matrix. The sets are None when the norm exceeds dim * eps,
+    the dense solver's own backward error: within it, by Weyl, no eigenvalue
+    moves further than a dense solve would. One-mode matrices are not split
+    (their photon-number blocks are 1x1; one dense solve is faster): (None,
+    None).
 
     The norm is summed over the off-block entries themselves: taking it as
     ||mat||^2 - ||blocks||^2 would lose ~1e-8 to cancellation.
     """
     if len(dims) == 1:
-        charges = [np.arange(dims[0])]
-    else:
-        a, m = np.indices(dims).reshape(2, -1)
-        charges = [a - m, a + m]
-    best = math.inf
-    for charge in charges:
-        order = np.argsort(charge, kind="stable")
-        sectors = np.split(order, np.flatnonzero(np.diff(charge[order])) + 1)
-        off2 = 0.0
-        for idx in sectors:
-            rows = mat[idx]
-            rows[:, idx] = 0.0
-            off2 += np.vdot(rows, rows).real
-        norm = math.sqrt(off2)
-        if norm <= mat.shape[0] * np.finfo(float).eps:
-            return sectors, norm
-        best = min(best, norm)
-    return None, best
+        return None, None
+    a, m = np.indices(dims).reshape(2, -1)
+    charge = a - m
+    order = np.argsort(charge, kind="stable")
+    sectors = np.split(order, np.flatnonzero(np.diff(charge[order])) + 1)
+    off2 = 0.0
+    for idx in sectors:
+        rows = mat[idx]
+        rows[:, idx] = 0.0
+        off2 += np.vdot(rows, rows).real
+    norm = math.sqrt(off2)
+    return (sectors if norm <= mat.shape[0] * np.finfo(float).eps else None), norm
 
 
 def _spectrum(mat: np.ndarray, dims) -> np.ndarray:
     """Ascending eigenvalues, solved one charge sector at a time when the
-    matrix is block diagonal in one, else by one dense solve."""
+    matrix is block diagonal in n_A - n_M, else by one dense solve."""
     sectors, _ = _sectors(mat, dims)
     if sectors is None:
         return _eigvalsh(mat)
@@ -182,7 +177,8 @@ def eigenvalues(rho: FockState) -> np.ndarray:
 
 def spectral_path(rho: FockState) -> dict:
     """How `eigenvalues(rho)` solves: `eigensolve` is "blocked" (by charge
-    sectors) or "dense", `off_block_norm` the norm that decided it."""
+    sectors) or "dense", `off_block_norm` the norm that decided it (None for
+    one mode, which is always dense). Rescans the matrix: one pass over it."""
     sectors, norm = _sectors(rho.matrix, rho.mode_dims)
     return {"eigensolve": "dense" if sectors is None else "blocked", "off_block_norm": norm}
 

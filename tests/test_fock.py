@@ -175,31 +175,28 @@ def _tmsv40():
     return fk.two_mode_squeezed_vacuum(0.66, 40)
 
 
-def _beam_split_thermals():
-    joint = fk.tensor_product(fk.thermal(0.5, 30), fk.thermal(1.0, 30), labels=("A", "M"))
-    u = ch.beam_splitter_unitary((30, 30), 0.3)
-    return fk.FockState((30, 30), u @ joint.matrix @ u.T)
-
-
 class TestBlockedSpectrum:
     @pytest.mark.parametrize(
         "state",
         [
             _tmsv40,
             lambda: ch.classical_noise_channel(ps.gaussian_pdf(0.5), _tmsv40(), target="A"),
-            _beam_split_thermals,  # commutes with n_A + n_M only
-            lambda: fk.thermal(1.0, 60),
         ],
-        ids=["tmsv", "tmsv-noise-on-A", "beam-split-thermals", "thermal"],
+        ids=["tmsv", "tmsv-noise-on-A"],
     )
     def test_blocked_matches_dense(self, state):
         st = state()
         assert fk.spectral_path(st)["eigensolve"] == "blocked"
         assert np.abs(fk.eigenvalues(st) - np.linalg.eigvalsh(st.matrix)).max() <= 1e-12
 
+    def test_one_mode_takes_the_dense_path(self):
+        st = fk.thermal(1.0, 60)
+        assert fk.spectral_path(st) == {"eigensolve": "dense", "off_block_norm": None}
+        assert np.array_equal(fk.eigenvalues(st), np.linalg.eigvalsh(st.matrix))
+
     def test_off_block_perturbation_takes_the_dense_path(self):
         st = _tmsv40()
-        # (0,0) and (1,0) differ in both n_A - n_M and n_A + n_M
+        # (0,0) and (1,0) lie in different n_A - n_M sectors
         i, j = 0, 40
         st.matrix[i, j] += 1e-9
         st.matrix[j, i] += 1e-9
