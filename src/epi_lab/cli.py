@@ -11,7 +11,6 @@ Noise grammar:   gauss:T[@X,Y] | file:PATH, with one |-separated entry per
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 
 import numpy as np
@@ -47,10 +46,7 @@ def parse_state_spec(spec: str, cutoff: int, seed: int):
             return fk.thermal(float(arg), cutoff), ga.thermal_state(float(arg))
         if kind == "coherent":
             alpha = complex(arg.replace(" ", ""))
-            gs = ga.GaussianState(
-                [math.sqrt(2) * alpha.real, math.sqrt(2) * alpha.imag], 0.5 * np.eye(2)
-            )
-            return fk.coherent(alpha, cutoff), gs
+            return fk.coherent(alpha, cutoff), ga.coherent_state(alpha)
         if kind == "cat":
             return fk.cat(float(arg), cutoff), None
         if kind == "random":
@@ -91,11 +87,15 @@ def parse_noise_spec(spec: str, spacing=None, extent=None, snap=False) -> ps.Gri
     raise UsageError(f"unknown noise constructor {kind!r} in {spec!r}")
 
 
-def _gauss_noise_t(spec: str):
+def _tmsv_r(spec: str):
+    """Squeezing parameter of a `tmsv:R` spec; None for any other state."""
     kind, _, arg = spec.partition(":")
-    if kind != "gauss":
+    if kind != "tmsv":
         return None
-    return float(arg.partition("@")[0])
+    try:
+        return float(arg)
+    except ValueError as exc:
+        raise UsageError(f"bad state spec {spec!r}: {exc}") from exc
 
 
 def parse_instance(state_spec: str, noise_spec: str, args) -> hn.Instance:
@@ -129,8 +129,8 @@ def parse_instance(state_spec: str, noise_spec: str, args) -> hn.Instance:
             lambda s=None: tuple(parse_noise_spec(n, s or spacing, extent, snap=True) for n in noises),
             probs=ps_list,
         )
-    if state_spec.startswith("tmsv:"):
-        r = float(state_spec.partition(":")[2])
+    r = _tmsv_r(state_spec)
+    if r is not None:
         family, fock, gs = "F1", lambda: fk.two_mode_squeezed_vacuum(r, args.cutoff), ga.tmsv_state(r)
     else:
         st, gs = parse_state_spec(state_spec, args.cutoff, args.seed)
@@ -139,7 +139,7 @@ def parse_instance(state_spec: str, noise_spec: str, args) -> hn.Instance:
     def noise(s=None):
         return (parse_noise_spec(noise_spec, s or spacing, extent),)
 
-    t = _gauss_noise_t(noise_spec)
+    t = _parse_gauss_args(noise_spec)[0] if noise_spec.startswith("gauss:") else None
     if gs is None or t is None:
         return hn.Instance({"family": family, "instance": "cq"}, fock, noise)
     return hn.Instance(
@@ -202,14 +202,11 @@ def parse_config(argv):
     if "-h" in argv or "--help" in argv:
         parser.parse_args(argv)  # prints help and exits
     try:
-        prelim, _ = parser.parse_known_args(argv)
-        if prelim.config:
-            command, rest = argv[0], [a for a in argv[1:]]
-            argv = [command] + _apply_config_file(prelim.config) + rest
         args, extra = parser.parse_known_args(argv)
+        if args.config:
+            args, extra = parser.parse_known_args(argv[:1] + _apply_config_file(args.config) + argv[1:])
     except SystemExit as exc:
         raise UsageError("invalid arguments") from exc
-    extra = [e for e in extra if e != "--config" and e != (prelim.config or "")]
     if extra:
         raise UsageError(f"unrecognized arguments: {' '.join(extra)}")
     return args
@@ -270,11 +267,9 @@ def run_command(args) -> list:
         lam = _lam_value(args)
         if lam == "optimal":
             raise UsageError("qou needs a numeric --lambda")
-        if args.state.startswith("tmsv:"):
-            r = float(args.state.partition(":")[2])
-            return [hn.check_qou_decay(ga.tmsv_state(r), args.mu, lam, t_list, bipartite=True)]
-        st, _ = parse_state_spec(args.state, args.cutoff, args.seed)
-        return [hn.check_qou_decay(st, args.mu, lam, t_list, bipartite=False)]
+        r = _tmsv_r(args.state)
+        state = parse_state_spec(args.state, args.cutoff, args.seed)[0] if r is None else ga.tmsv_state(r)
+        return [hn.check_qou_decay(state, args.mu, lam, t_list)]
     if cmd == "bs-epi":
         lam = _lam_value(args)
         if lam == "optimal":

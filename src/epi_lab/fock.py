@@ -260,14 +260,6 @@ def two_mode_squeezed_vacuum(r: float, d: int, labels=("A", "M")) -> FockState:
     return state
 
 
-def tmsv_r_for_k(k: float) -> float:
-    """Squeezing parameter realizing diagonal covariance blocks k^2 I,
-    through cosh(2r) = 2 k^2."""
-    if k < 1 / SQRT2:
-        raise DomainError("needs 2 k^2 >= 1")
-    return 0.5 * math.acosh(2.0 * k ** 2)
-
-
 def random_mixed(rank: int, d: int, seed: int, label: str = "A", support: int = None) -> FockState:
     """rho = G G^dag / tr with G an i.i.d. standard-complex-Gaussian matrix.
 

@@ -131,6 +131,10 @@ def thermal_state(N: float, label: str = "A") -> GaussianState:
     return GaussianState(np.zeros(2), (N + 0.5) * np.eye(2), (label,))
 
 
+def coherent_state(alpha: complex, label: str = "A") -> GaussianState:
+    return GaussianState(math.sqrt(2) * np.array([alpha.real, alpha.imag]), 0.5 * np.eye(2), (label,))
+
+
 def gaussian_entropy(state: GaussianState) -> float:
     """von Neumann entropy, sum of g(nu_k - 1/2) over the symplectic spectrum.
 
@@ -180,12 +184,20 @@ def tmsv_state(r: float) -> GaussianState:
     return GaussianState(np.zeros(4), tmsv_covariance(r), ("A", "M"))
 
 
+def tmsv_r_for_k(k: float) -> float:
+    """Squeezing parameter realizing diagonal covariance blocks k^2 I,
+    through cosh(2r) = 2 k^2."""
+    if 2.0 * k ** 2 < 1:
+        raise DomainError("needs 2 k^2 >= 1")
+    return 0.5 * math.acosh(2.0 * k ** 2)
+
+
 def tightness_covariance(k: float) -> np.ndarray:
     """Two-mode pure covariance with diagonal blocks k^2 I and cross-correlations
     +/- sqrt(k^4 - 1/4) on the (Q, Q) and (P, P) entries."""
     if k < 1:
         raise DomainError(f"tightness family requires k >= 1, got {k}")
-    return tmsv_covariance(0.5 * math.acosh(2.0 * k ** 2))
+    return tmsv_covariance(tmsv_r_for_k(k))
 
 
 def tightness_state(k: float) -> GaussianState:

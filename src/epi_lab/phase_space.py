@@ -203,7 +203,7 @@ def classical_convolution(g: GridPdf, f: GridPdf) -> GridPdf:
     return out
 
 
-def classical_heat_flow(f: GridPdf, t: float, spacing: float = None) -> GridPdf:
+def classical_heat_flow(f: GridPdf, t: float) -> GridPdf:
     """Convolution with the isotropic Gaussian of variance t; t = 0 is the identity."""
     if t < 0:
         raise NegativeTimeError(f"heat flow requires t >= 0, got {t}")

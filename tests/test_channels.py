@@ -222,6 +222,22 @@ class TestQouChannel:
         with pytest.raises(ParameterError):
             ch.qou_channel_fock(fk.vacuum(8), 1.0, 0.5, 0.5)
 
+    @pytest.mark.parametrize("t", [0.5, 2.0])
+    @pytest.mark.parametrize("make", [
+        lambda: fk.fock(1, 30),
+        lambda: fk.random_mixed(3, 20, 7, support=14),
+        lambda: fk.cat(1.1, 20),
+    ], ids=["fock1", "random", "cat"])
+    def test_one_mode_matches_beam_splitter(self, make, t):
+        # the superoperator path against the dilation it is built from: the
+        # input and the thermal fixed point meet on a beam splitter
+        rho = make()
+        joint = fk.tensor_product(rho, ch.qou_environment(1.0, 0.5), labels=("A", "E"))
+        expected = ch.beam_splitter(joint, math.exp(-0.75 * t))
+        out = ch.qou_channel_fock(rho, t, 1.0, 0.5)
+        assert out.mode_dims == rho.mode_dims and out.mode_labels == rho.mode_labels
+        assert np.abs(out.matrix - expected.matrix).max() <= 1e-13
+
 
 class TestCQStateMachinery:
     def test_heat_flow_shared_vs_cellwise(self):

@@ -81,8 +81,13 @@ class TestExitCodes:
         assert payload["reports"][0]["check_name"] == "capacity-bound"
 
     def test_usage_error_is_2(self):
-        code, _, err = run_cli(["epi", "--state", "wigglium:2"])
-        assert code == 2 and "usage error" in err
+        for argv in (["epi", "--state", "wigglium:2"],
+                     ["epi", "--noise", "gauss:lots"],
+                     ["stam", "--noise", "gauss:"],
+                     ["epi", "--state", "tmsv:abc"],
+                     ["qou", "--state", "tmsv:x", "--lambda", "0.5"]):
+            code, _, err = run_cli(argv)
+            assert code == 2 and "usage error" in err, argv
 
     def test_numeric_error_is_2(self):
         code, _, err = run_cli(["qou", "--state", "fock:1", "--mu", "1", "--lambda", "1.5"])

@@ -220,6 +220,21 @@ class TestTightnessFamily:
         with pytest.raises(DomainError):
             ga.tightness_family(0.5, 1.0, 1.0)
 
+    def test_k_to_r_domains(self):
+        # one formula, two domains: the TMSV needs 2 k^2 >= 1, the family k >= 1
+        assert ga.tmsv_r_for_k(math.sqrt(0.5)) == pytest.approx(0.0, abs=1e-7)
+        assert ga.tmsv_covariance(ga.tmsv_r_for_k(0.9))[0, 0] == pytest.approx(0.81, abs=1e-12)
+        with pytest.raises(DomainError):
+            ga.tmsv_r_for_k(0.7)
+        with pytest.raises(DomainError):
+            ga.tightness_covariance(0.9)
+        assert np.array_equal(ga.tightness_covariance(2.0), ga.tmsv_covariance(ga.tmsv_r_for_k(2.0)))
+
+    def test_coherent_state(self):
+        gs = ga.coherent_state(1.0 + 0.5j)
+        assert gs.mean == pytest.approx([math.sqrt(2), 0.5 * math.sqrt(2)], abs=0)
+        assert np.array_equal(gs.cov, 0.5 * np.eye(2)) and gs.mode_labels == ("A",)
+
 
 class TestQouEvolution:
     def test_fixed_point_invariant(self):

@@ -124,12 +124,13 @@ class TestScalingAndTightness:
 
 class TestQouChecks:
     def test_fock_path(self):
-        rep = hn.check_qou_decay(fk.fock(1, 25), 1.0, 0.5, [0.5, 1.0], bipartite=False)
-        assert rep.passed and rep.params["path"] == "fock"
+        rep = hn.check_qou_decay(fk.fock(1, 25), 1.0, 0.5, [0.5, 1.0])
+        assert rep.passed and rep.params["path"] == "fock" and rep.params["bipartite"] is False
 
     def test_gaussian_path(self):
-        rep = hn.check_qou_decay(ga.tmsv_state(0.8), 1.0, 0.5, [0.5, 1.0], bipartite=True)
+        rep = hn.check_qou_decay(ga.tmsv_state(0.8), 1.0, 0.5, [0.5, 1.0])
         assert rep.passed and rep.margin >= 0
+        assert rep.params["path"] == "gaussian" and rep.params["bipartite"] is True
 
     def test_fixed_point_and_semigroup(self):
         assert hn.check_qou_fixed_point(1.0, 0.5, 0.7).passed
