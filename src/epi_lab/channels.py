@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import expm
-from scipy.signal import fftconvolve
 
 from . import fock as fk
 from .errors import (
@@ -248,69 +247,24 @@ def qou_superoperator(d: int, t: float, mu: float, lam: float) -> np.ndarray:
 
 @dataclass
 class CQState:
-    """Joint state of a classical phase-space variable and a quantum system.
-
-    `conditionals` is either a single FockState (the classical variable is
-    independent of the quantum side) or one FockState per grid cell in
-    row-major order.
-    """
+    """Joint state of a classical noise density `grid` and one quantum state
+    `conditionals`, independent of each other. Noise correlated with the
+    memory is the RegisterState family."""
 
     grid: GridPdf
-    conditionals: object
+    conditionals: FockState
 
     def __post_init__(self):
         self.grid.validate()
-        if not self.is_independent:
-            self.conditionals = tuple(self.conditionals)
-            if len(self.conditionals) != self.grid.size ** 2:
-                raise DomainError("need one conditional state per grid cell")
-            dims = self.conditionals[0].mode_dims
-            if any(c.mode_dims != dims for c in self.conditionals):
-                raise DomainError("conditional states must share their dims")
-
-    @property
-    def is_independent(self) -> bool:
-        return isinstance(self.conditionals, FockState)
-
-    def weights(self) -> np.ndarray:
-        return self.grid.values.ravel() * self.grid.cell_weight
-
-    def conditional_dims(self):
-        c = self.conditionals if self.is_independent else self.conditionals[0]
-        return c.mode_dims
+        if not isinstance(self.conditionals, FockState):
+            raise UnsupportedFamilyError(
+                f"a CQState holds one FockState, got {type(self.conditionals).__name__}"
+            )
 
 
 def cq_classical_heat_flow(state: CQState, t: float) -> CQState:
-    """Classical heat flow on the phase-space variable of a joint state."""
-    if t < 0:
-        raise NegativeTimeError(f"heat flow requires t >= 0, got {t}")
-    if t == 0:
-        return CQState(GridPdf(state.grid.origin, state.grid.spacing, state.grid.values.copy()),
-                       state.conditionals)
-    if state.is_independent:
-        return CQState(classical_heat_flow(state.grid, t), state.conditionals)
-    kernel = gaussian_pdf(t, spacing=state.grid.spacing)
-    L = state.grid.size
-    dims = state.conditional_dims()
-    dim = int(np.prod(dims))
-    field = np.stack([c.matrix for c in state.conditionals]).reshape(L, L, dim, dim)
-    field = field * state.grid.values[:, :, None, None]
-    out = fftconvolve(field, kernel.values[:, :, None, None] * kernel.cell_weight, axes=(0, 1))
-    traces = np.maximum(np.real(np.trace(out, axis1=2, axis2=3)), 0.0)
-    labels = state.conditionals[0].mode_labels
-    conds = []
-    eye = np.eye(dim) / dim
-    Lo = traces.shape[0]
-    for i in range(Lo):
-        for j in range(Lo):
-            if traces[i, j] > 1e-300:
-                mat = out[i, j] / traces[i, j]
-            else:
-                mat = eye
-            conds.append(FockState(dims, 0.5 * (mat + mat.conj().T), labels))
-    origin = (state.grid.origin[0] + kernel.origin[0], state.grid.origin[1] + kernel.origin[1])
-    new_grid = GridPdf(origin, state.grid.spacing, traces).normalized()
-    return CQState(new_grid, conds)
+    """Classical heat flow on the noise of a joint state."""
+    return CQState(classical_heat_flow(state.grid, t), state.conditionals)
 
 
 @dataclass
@@ -374,14 +328,12 @@ def register_heat_flow_A(reg: RegisterState, t: float, **grid_kw) -> RegisterSta
 def extended_channel(state, target: str = None):
     """Memory extension of the classical-noise channel.
 
-    Supported families with certified conditional independence:
-      - CQState with a shared conditional (the classical variable is
-        independent of the quantum side): displaces the `target` mode of the
-        conditional, returns a FockState on (C, memory).
+    Supported families, whose noise is conditionally independent of A given M
+    by construction:
+      - CQState: displaces the `target` mode of its quantum state, returns a
+        FockState on (C, memory).
       - RegisterState: per-label one-mode convolutions f_m * rho_m, returns a
         RegisterState holding the channel outputs.
-    Anything else is rejected: conditional independence cannot be certified
-    for arbitrary cell-dependent conditionals.
     """
     if isinstance(state, RegisterState):
         if state.pdfs is None:
@@ -389,9 +341,5 @@ def extended_channel(state, target: str = None):
         outs = tuple(classical_noise_channel(f, s) for f, s in zip(state.pdfs, state.states))
         return RegisterState(state.probs, outs, None, state.labels)
     if isinstance(state, CQState):
-        if not state.is_independent:
-            raise UnsupportedFamilyError(
-                "cell-dependent conditionals carry no conditional-independence certificate"
-            )
         return classical_noise_channel(state.grid, state.conditionals, target=target)
     raise UnsupportedFamilyError(f"unsupported input of type {type(state).__name__}")

@@ -29,9 +29,12 @@ COMMANDS = (
 
 def _parse_floats(text: str):
     try:
-        return [float(x) for x in text.split(",") if x.strip()]
+        values = [float(x) for x in text.split(",") if x.strip()]
     except ValueError as exc:
         raise UsageError(f"expected comma-separated numbers, got {text!r}") from exc
+    if not values:
+        raise UsageError(f"expected at least one number, got {text!r}")
+    return values
 
 
 def parse_state_spec(spec: str, cutoff: int, seed: int):
@@ -65,6 +68,8 @@ def _parse_gauss_args(spec: str):
         cxy = tuple(float(x) for x in center.split(",")) if center else (0.0, 0.0)
     except ValueError as exc:
         raise UsageError(f"bad noise spec {spec!r}") from exc
+    if len(cxy) != 2:
+        raise UsageError(f"noise center needs two coordinates X,Y, got {spec!r}")
     return t, cxy
 
 

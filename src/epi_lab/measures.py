@@ -35,8 +35,6 @@ class FisherEstimate:
     """Finite-difference derivative of a conditional entropy at t = 0."""
 
     value: float
-    step: float
-    richardson_order: int
     uncertainty: float
 
     def __post_init__(self):
@@ -69,35 +67,14 @@ def _register_fields(reg: RegisterState):
 
 
 def cq_conditional_entropy_R_given_M(state) -> float:
-    """Conditional entropy of the classical variable given the quantum side.
-
-    Noise independent of the quantum side has S(R|M) = S(R). Otherwise it is
-    computed through the chain rule S(M|R) + S(R) - S(M) with the average
-    S(M|R) = sum_cells w(xi) S(rho_{M|R=xi}); a two-mode quantum side is
-    (A, M) and only M enters."""
+    """Conditional entropy of the noise R given the memory M: S(R) for a
+    CQState, whose noise is independent of its quantum side, and the
+    label-conditioned entropy for a RegisterState."""
     if isinstance(state, RegisterState):
         return _register_entropy_R_given_M(state)
     if not isinstance(state, CQState):
         raise DomainError(f"unsupported state type {type(state).__name__}")
-    s_r = shannon_entropy(state.grid)
-    if state.is_independent:
-        return s_r
-    w = state.weights()
-    conds = state.conditionals
-    if conds[0].n_modes == 2:
-        conds = [fk.partial_trace(c, c.mode_labels[-1]) for c in conds]
-    ent = np.array([fk.von_neumann_entropy(c) for c in conds])
-    s_m_given_r = float(w @ ent)
-    mixed = fk.FockState(
-        conds[0].mode_dims,
-        np.tensordot(w, np.stack([c.matrix for c in conds]), axes=1),
-        conds[0].mode_labels,
-    )
-    s_m = fk.von_neumann_entropy(mixed)
-    total = s_m_given_r + s_r - s_m
-    if not math.isfinite(total):
-        raise InfiniteEntropyError("a constituent entropy is not finite")
-    return total
+    return shannon_entropy(state.grid)
 
 
 def _register_entropy_R_given_M(reg: RegisterState) -> float:
@@ -172,7 +149,7 @@ def _richardson(f0: float, values, h0: float) -> FisherEstimate:
     e1 = 2 * d[1] - d[0]
     e2 = 2 * d[2] - d[1]
     g = (4 * e2 - e1) / 3.0
-    est = FisherEstimate(value=float(g), step=h0, richardson_order=3, uncertainty=abs(g - e2))
+    est = FisherEstimate(value=float(g), uncertainty=abs(g - e2))
     if est.uncertainty > 0.05 * abs(est.value):
         raise ConvergenceError(
             f"Fisher estimate {est.value} has uncertainty {est.uncertainty}"

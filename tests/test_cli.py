@@ -85,7 +85,12 @@ class TestExitCodes:
                      ["epi", "--noise", "gauss:lots"],
                      ["stam", "--noise", "gauss:"],
                      ["epi", "--state", "tmsv:abc"],
-                     ["qou", "--state", "tmsv:x", "--lambda", "0.5"]):
+                     ["qou", "--state", "tmsv:x", "--lambda", "0.5"],
+                     ["tightness", "--k-list", ","],
+                     ["qou", "--state", "fock:1", "--t-list", ","],
+                     ["scaling", "--state", "fock:1", "--noise", "gauss:0.5", "--t-list", ","],
+                     ["capacity", "--noise", "gauss:0.5@1"],
+                     ["capacity", "--noise", "gauss:0.5@1,2,3"]):
             code, _, err = run_cli(argv)
             assert code == 2 and "usage error" in err, argv
 

@@ -45,15 +45,6 @@ class TestConditionalEntropyRM:
             assert cur >= prev - 1e-12
             prev = cur
 
-    def test_conditioning_reduces_entropy(self):
-        # correlated cell-dependent conditionals: S(R|M) < S(R)
-        f = ps.gaussian_pdf(0.5, spacing=0.25, extent=6.1)
-        conds = []
-        for x, y in f.points():
-            conds.append(fk.coherent(0.2 * (x + 1j * y), 24) if x >= 0 else fk.vacuum(24))
-        state = ch.CQState(f, conds)
-        assert ms.cq_conditional_entropy_R_given_M(state) < ps.shannon_entropy(f) - 0.01
-
 
 class TestIntegralFisher:
     def test_zero_time(self):
