@@ -242,29 +242,7 @@ def qou_superoperator(d: int, t: float, mu: float, lam: float) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# classical-quantum joint states
-
-
-@dataclass
-class CQState:
-    """Joint state of a classical noise density `grid` and one quantum state
-    `conditionals`, independent of each other. Noise correlated with the
-    memory is the RegisterState family."""
-
-    grid: GridPdf
-    conditionals: FockState
-
-    def __post_init__(self):
-        self.grid.validate()
-        if not isinstance(self.conditionals, FockState):
-            raise UnsupportedFamilyError(
-                f"a CQState holds one FockState, got {type(self.conditionals).__name__}"
-            )
-
-
-def cq_classical_heat_flow(state: CQState, t: float) -> CQState:
-    """Classical heat flow on the noise of a joint state."""
-    return CQState(classical_heat_flow(state.grid, t), state.conditionals)
+# classical memory registers
 
 
 @dataclass
@@ -272,18 +250,15 @@ class RegisterState:
     """Classical register M with one quantum state and one noise density per
     label; represents sum_m p_m |m><m| x rho_m x f_m, which has vanishing
     conditional mutual information between the quantum and classical parts
-    by construction."""
+    by construction. Noise independent of A and M is its GridPdf alone."""
 
     probs: np.ndarray
     states: tuple
     pdfs: tuple = None
-    labels: tuple = None
 
     def __post_init__(self):
         self.probs = np.asarray(self.probs, dtype=float)
         self.states = tuple(self.states)
-        if self.labels is None:
-            self.labels = tuple(f"m{i}" for i in range(len(self.states)))
         if len(self.probs) != len(self.states):
             raise DomainError("one probability per state required")
         if self.probs.min() < 0 or abs(self.probs.sum() - 1.0) > 1e-6:
@@ -315,31 +290,30 @@ def register_heat_flow_R(reg: RegisterState, t: float) -> RegisterState:
     """Classical heat flow on every per-label noise density."""
     if reg.pdfs is None:
         raise DomainError("register has no classical densities")
-    return RegisterState(reg.probs, reg.states, tuple(classical_heat_flow(f, t) for f in reg.pdfs),
-                         reg.labels)
+    return RegisterState(reg.probs, reg.states, tuple(classical_heat_flow(f, t) for f in reg.pdfs))
 
 
 def register_heat_flow_A(reg: RegisterState, t: float, **grid_kw) -> RegisterState:
     """Quantum heat flow on every per-label quantum state."""
     return RegisterState(reg.probs, tuple(quantum_heat_flow_fock(s, t, **grid_kw) for s in reg.states),
-                         reg.pdfs, reg.labels)
+                         reg.pdfs)
 
 
-def extended_channel(state, target: str = None):
-    """Memory extension of the classical-noise channel.
-
-    Supported families, whose noise is conditionally independent of A given M
-    by construction:
-      - CQState: displaces the `target` mode of its quantum state, returns a
-        FockState on (C, memory).
-      - RegisterState: per-label one-mode convolutions f_m * rho_m, returns a
-        RegisterState holding the channel outputs.
-    """
+def cq_classical_heat_flow(state, t: float):
+    """Classical heat flow on the noise R: a GridPdf (noise independent of A
+    and M) or every label's density of a RegisterState."""
     if isinstance(state, RegisterState):
-        if state.pdfs is None:
-            raise DomainError("register carries no noise densities")
-        outs = tuple(classical_noise_channel(f, s) for f, s in zip(state.pdfs, state.states))
-        return RegisterState(state.probs, outs, None, state.labels)
-    if isinstance(state, CQState):
-        return classical_noise_channel(state.grid, state.conditionals, target=target)
-    raise UnsupportedFamilyError(f"unsupported input of type {type(state).__name__}")
+        return register_heat_flow_R(state, t)
+    return classical_heat_flow(state, t)
+
+
+def extended_channel(state: RegisterState) -> RegisterState:
+    """Memory extension of the classical-noise channel on a register: the
+    per-label convolutions f_m * rho_m, as a RegisterState. Noise independent
+    of A and M needs no extension; it goes to `classical_noise_channel`."""
+    if not isinstance(state, RegisterState):
+        raise UnsupportedFamilyError(f"unsupported input of type {type(state).__name__}")
+    if state.pdfs is None:
+        raise DomainError("register carries no noise densities")
+    outs = tuple(classical_noise_channel(f, s) for f, s in zip(state.pdfs, state.states))
+    return RegisterState(state.probs, outs)

@@ -27,11 +27,19 @@ COMMANDS = (
 )
 
 
-def _parse_floats(text: str):
+def _finite(text: str, kind=float):
+    """A finite float (or complex); NaN, infinities and non-numbers are usage errors."""
     try:
-        values = [float(x) for x in text.split(",") if x.strip()]
+        value = kind(text)
     except ValueError as exc:
-        raise UsageError(f"expected comma-separated numbers, got {text!r}") from exc
+        raise UsageError(f"expected a number, got {text!r}") from exc
+    if not np.isfinite(value):
+        raise UsageError(f"expected a finite number, got {text!r}")
+    return value
+
+
+def _parse_floats(text: str):
+    values = [_finite(x) for x in text.split(",") if x.strip()]
     if not values:
         raise UsageError(f"expected at least one number, got {text!r}")
     return values
@@ -46,12 +54,13 @@ def parse_state_spec(spec: str, cutoff: int, seed: int):
         if kind == "fock":
             return fk.fock(int(arg), cutoff), None
         if kind == "thermal":
-            return fk.thermal(float(arg), cutoff), ga.thermal_state(float(arg))
+            n = _finite(arg)
+            return fk.thermal(n, cutoff), ga.thermal_state(n)
         if kind == "coherent":
-            alpha = complex(arg.replace(" ", ""))
+            alpha = _finite(arg.replace(" ", ""), complex)
             return fk.coherent(alpha, cutoff), ga.coherent_state(alpha)
         if kind == "cat":
-            return fk.cat(float(arg), cutoff), None
+            return fk.cat(_finite(arg), cutoff), None
         if kind == "random":
             return fk.random_mixed(int(arg), cutoff, seed), None
     except (ValueError, EpiLabError) as exc:
@@ -64,10 +73,10 @@ def parse_state_spec(spec: str, cutoff: int, seed: int):
 def _parse_gauss_args(spec: str):
     body, _, center = spec.partition(":")[2].partition("@")
     try:
-        t = float(body)
-        cxy = tuple(float(x) for x in center.split(",")) if center else (0.0, 0.0)
-    except ValueError as exc:
-        raise UsageError(f"bad noise spec {spec!r}") from exc
+        t = _finite(body)
+        cxy = tuple(_finite(x) for x in center.split(",")) if center else (0.0, 0.0)
+    except UsageError as exc:
+        raise UsageError(f"bad noise spec {spec!r}: {exc}") from exc
     if len(cxy) != 2:
         raise UsageError(f"noise center needs two coordinates X,Y, got {spec!r}")
     return t, cxy
@@ -98,8 +107,8 @@ def _tmsv_r(spec: str):
     if kind != "tmsv":
         return None
     try:
-        return float(arg)
-    except ValueError as exc:
+        return _finite(arg)
+    except UsageError as exc:
         raise UsageError(f"bad state spec {spec!r}: {exc}") from exc
 
 
@@ -166,16 +175,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--noise", default="gauss:0.5", help="noise spec (see grammar)")
     p.add_argument("--noise-b", default="gauss:0.5", help="second noise for classical-epi")
     p.add_argument("--cutoff", type=int, default=60, help="Fock cutoff per mode")
-    p.add_argument("--grid-spacing", type=float, default=None)
-    p.add_argument("--grid-extent", type=float, default=None)
+    p.add_argument("--grid-spacing", type=_finite, default=None)
+    p.add_argument("--grid-extent", type=_finite, default=None)
     p.add_argument("--t-list", default="0.5,1.0,2.0", help="comma-separated times")
     p.add_argument("--k-list", default="2,4,8,16", help="comma-separated family sizes")
     p.add_argument("--lambda", dest="lam", default="0.5",
                    help="mixing parameter in [0,1], or 'optimal' for linear-epi")
-    p.add_argument("--mu", type=float, default=1.0)
-    p.add_argument("--a", type=float, default=1.0, help="tightness target S(A|M)")
-    p.add_argument("--b", type=float, default=1.0, help="tightness target S(R|M)")
-    p.add_argument("--E", type=float, default=1.0, help="energy budget for capacity")
+    p.add_argument("--mu", type=_finite, default=1.0)
+    p.add_argument("--a", type=_finite, default=1.0, help="tightness target S(A|M)")
+    p.add_argument("--b", type=_finite, default=1.0, help="tightness target S(R|M)")
+    p.add_argument("--E", type=_finite, default=1.0, help="energy budget for capacity")
     p.add_argument("--seed", type=int, default=7)
     p.add_argument("--out", default=None, help="report output path")
     p.add_argument("--format", choices=("json", "csv"), default="json")
@@ -221,8 +230,8 @@ def _lam_value(args):
     if args.lam == "optimal":
         return "optimal"
     try:
-        return float(args.lam)
-    except ValueError as exc:
+        return _finite(args.lam)
+    except UsageError as exc:
         raise UsageError(f"--lambda must be a number or 'optimal', got {args.lam!r}") from exc
 
 
@@ -239,8 +248,6 @@ def run_command(args) -> list:
         return hn.check_stam(parse_instance(args.state, args.noise, args))
     if cmd == "scaling":
         inst = parse_instance(args.state, args.noise, args)
-        if inst.gaussian:
-            raise UsageError("scaling runs on register or independent-noise instances")
         sigma = max(float(np.linalg.eigvalsh(ps.moments(f)[1]).max()) for f in inst.noise())
         return [hn.check_scaling(inst.pair(), t_list, sigma, args.state)]
     if cmd == "tightness":

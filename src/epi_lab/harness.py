@@ -132,10 +132,11 @@ class Instance:
         return ("gaussian", "fock") if self.gaussian else ("fock",)
 
     def pair(self, spacing: float = None):
-        """The Fock-side joint state: a register, or a classical-quantum state."""
+        """The noise R with its memory: a register, or the GridPdf of noise
+        independent of A and M."""
         noise = self.noise(spacing)
         if self.probs is None:
-            return ch.CQState(noise[0], self.fock())
+            return noise[0]
         return ch.RegisterState(self.probs, self.fock(), noise)
 
     def _channel(self, path):
@@ -144,11 +145,13 @@ class Instance:
             a = self.gaussian()
             return a, ms.heat_flow_A(a, [self.noise_t])[0], 1.0 + math.log(self.noise_t), {}
         pair = self.pair()
-        out = ch.extended_channel(pair)
         if self.probs is None:
-            a, tail = pair.conditionals, max(pair.conditionals.tail_mass(), out.tail_mass())
+            a = self.fock()
+            out = ch.classical_noise_channel(pair, a)
+            tail = max(a.tail_mass(), out.tail_mass())
         else:
-            a, tail = pair, out.tail_mass()
+            a, out = pair, ch.extended_channel(pair)
+            tail = out.tail_mass()
         s_r = ms.cq_conditional_entropy_R_given_M(pair)
         return a, out, s_r, {"tail_mass": tail, **self.fock_diagnostics}
 
@@ -161,12 +164,7 @@ class Instance:
         """(J(A|M), J(R|M), J(C|M), diagnostics) on one path; J(R|M) runs on
         a noise grid fine enough for the Fisher step."""
         a, out, _, diag = self._channel(path)
-        fine = ms.fisher_spacing(h0)
-        if self.probs is None:
-            # independent noise: J(R|M) = J(R), whatever the quantum side
-            r = ch.CQState(self.noise(fine)[0], fk.vacuum(4))
-        else:
-            r = self.pair(fine)
+        r = self.pair(ms.fisher_spacing(h0))
         return ms.fisher_A_given_M(a, h0), ms.fisher_R_given_M(r, h0), ms.fisher_A_given_M(out, h0), diag
 
 
@@ -277,10 +275,13 @@ def stam_matched_equality_report(stam_report: CheckReport) -> CheckReport:
 
 def check_scaling(state, t_list, sigma_sq: float, name: str) -> CheckReport:
     """|S(R|M)(t) - log t - 1| must fall below log(1 + sigma^2/t) + 0.02 at the
-    largest time and decrease along t_list."""
+    largest time and decrease along t_list; `state` is the noise R, a GridPdf
+    or a RegisterState."""
+    if not all(t > 0 for t in t_list):
+        raise DomainError(f"scaling needs times t > 0, got {list(t_list)}")
     devs = []
     for t in t_list:
-        s = ms.cq_conditional_entropy_R_given_M(ms.heat_R(state, t))
+        s = ms.cq_conditional_entropy_R_given_M(ch.cq_classical_heat_flow(state, t))
         devs.append(abs(s - math.log(t) - 1.0))
     bound = math.log1p(sigma_sq / t_list[-1]) + 0.02
     margins = [devs[i] - devs[i + 1] for i in range(len(devs) - 1)]
@@ -340,9 +341,9 @@ def check_tightness_epi(a: float, b: float, k: float) -> CheckReport:
 
 def check_isoperimetric(instance, name: str, h0: float = 1e-2) -> CheckReport:
     """(1/n) J(X|M) exp S(X|M) >= e, with a 1e-2 relative slack, where X is
-    the noise R of a classical-quantum state, and A otherwise (the first mode
-    of a Gaussian or Fock state, or every label's state of a register)."""
-    if isinstance(instance, ch.CQState):
+    the noise R given as a GridPdf, and A otherwise (the first mode of a
+    Gaussian or Fock state, or every label's state of a register)."""
+    if isinstance(instance, ps.GridPdf):
         j = ms.fisher_R_given_M(instance, h0=h0)
         s = ms.cq_conditional_entropy_R_given_M(instance)
         diag = {}
@@ -384,12 +385,12 @@ def check_isoperimetric_ratio_monotone(nus) -> CheckReport:
 
 
 def check_fisher_isoperimetric(instance, name: str, h: float = 0.05, h0: float = 1e-2) -> CheckReport:
-    """d/dt [1/J(t)] >= 1 at t = 0 along the heat flow: on the noise R of a
-    classical-quantum state, and on A otherwise."""
+    """d/dt [1/J(t)] >= 1 at t = 0 along the heat flow: on the noise R given
+    as a GridPdf, and on A otherwise."""
 
     def inv_j(t):
-        if isinstance(instance, ch.CQState):
-            est = ms.fisher_R_given_M(ms.heat_R(instance, t) if t else instance, h0=h0)
+        if isinstance(instance, ps.GridPdf):
+            est = ms.fisher_R_given_M(ch.cq_classical_heat_flow(instance, t) if t else instance, h0=h0)
         else:
             est = ms.fisher_A_given_M(ms.heat_flow_A(instance, [t])[0] if t else instance, h0=h0)
         return 1.0 / est.value, est.uncertainty / est.value ** 2
@@ -434,7 +435,8 @@ def check_concavity_entropy_power(instance, t_grid, name: str) -> CheckReport:
 
 
 def check_debruijn_regularity(state, t_list, name: str) -> CheckReport:
-    """Delta(t) must be nonnegative, nondecreasing, and midpoint-concave."""
+    """Delta(t) of the noise R (a GridPdf or a RegisterState) must be
+    nonnegative, nondecreasing, and midpoint-concave."""
     deltas = [ms.integral_fisher_R_given_M(state, t) for t in t_list]
     slack = 1e-6
     margins = [deltas[0] + slack]
@@ -718,7 +720,7 @@ def default_suite(seed: int = 7):
         [(0.0, 0.0), (0.3, 0.2)])))
 
     add("scaling[independent]", lambda: [check_scaling(
-        ch.CQState(ps.gaussian_pdf(1.0), fk.vacuum(4)), [5.0, 20.0, 50.0], 1.0, "gauss-1")])
+        ps.gaussian_pdf(1.0), [5.0, 20.0, 50.0], 1.0, "gauss-1")])
     add("scaling[register]", lambda: [check_scaling(
         ch.RegisterState([0.5, 0.5], [fk.vacuum(8), fk.vacuum(8)],
                          _noises([0.5, 1.5], [(0.4, 0.0), (-0.6, 0.8)], 0.1)),
@@ -730,8 +732,7 @@ def default_suite(seed: int = 7):
     add("isoperimetric-ratio-monotone", lambda: [check_isoperimetric_ratio_monotone([2.0, 5.0, 10.0])])
 
     def iso_classical():
-        rep = check_isoperimetric(ch.CQState(ps.gaussian_pdf(0.8, spacing=0.0125), fk.vacuum(4)),
-                                  "classical-gauss-0.8")
+        rep = check_isoperimetric(ps.gaussian_pdf(0.8, spacing=0.0125), "classical-gauss-0.8")
         return [rep, check_isoperimetric_saturation(rep)]
 
     add("isoperimetric[classical]", iso_classical)
@@ -741,7 +742,7 @@ def default_suite(seed: int = 7):
     add("fisher-isoperimetric[thermal]", lambda: [check_fisher_isoperimetric(
         ga.thermal_state(1.5), "thermal-nu-2")])
     add("fisher-isoperimetric[classical]", lambda: [check_fisher_isoperimetric(
-        ch.CQState(ps.gaussian_pdf(0.8, spacing=0.0125), fk.vacuum(4)), "classical-gauss-0.8")])
+        ps.gaussian_pdf(0.8, spacing=0.0125), "classical-gauss-0.8")])
 
     t_grid = [round(0.05 * i, 10) for i in range(11)]
     add("concavity[gauss-thermal]", lambda: [check_concavity_entropy_power(
@@ -757,7 +758,7 @@ def default_suite(seed: int = 7):
     add("debruijn-regularity[register]", lambda: [check_debruijn_regularity(
         _corpus_register_epi().pair(), reg_t, "register")])
     add("debruijn-regularity[independent]", lambda: [check_debruijn_regularity(
-        ch.CQState(ps.gaussian_pdf(0.7), fk.thermal(0.5, 24)), reg_t, "gauss-0.7")])
+        ps.gaussian_pdf(0.7), reg_t, "gauss-0.7")])
     add("debruijn-consistency", lambda: [check_debruijn_consistency(_corpus_register_epi().pair(), 0.5)])
 
     add("qou-decay[fock-1]", lambda: [check_qou_decay(

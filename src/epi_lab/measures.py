@@ -12,13 +12,7 @@ import numpy as np
 from scipy.special import xlogy
 
 from . import fock as fk
-from .channels import (
-    CQState,
-    RegisterState,
-    cq_classical_heat_flow,
-    quantum_heat_flow_fock_multi,
-    register_heat_flow_R,
-)
+from .channels import RegisterState, cq_classical_heat_flow, quantum_heat_flow_fock_multi
 from .errors import (
     ConvergenceError,
     DomainError,
@@ -27,7 +21,7 @@ from .errors import (
     QuadratureError,
 )
 from .gaussian import GaussianState, gaussian_conditional_entropy, gaussian_entropy, gaussian_heat_flow
-from .phase_space import resolving_spacing, shannon_entropy
+from .phase_space import GridPdf, resolving_spacing, shannon_entropy
 
 
 @dataclass
@@ -68,13 +62,13 @@ def _register_fields(reg: RegisterState):
 
 def cq_conditional_entropy_R_given_M(state) -> float:
     """Conditional entropy of the noise R given the memory M: S(R) for a
-    CQState, whose noise is independent of its quantum side, and the
-    label-conditioned entropy for a RegisterState."""
+    GridPdf, noise independent of A and M, and the label-conditioned entropy
+    for a RegisterState."""
     if isinstance(state, RegisterState):
         return _register_entropy_R_given_M(state)
-    if not isinstance(state, CQState):
+    if not isinstance(state, GridPdf):
         raise DomainError(f"unsupported state type {type(state).__name__}")
-    return shannon_entropy(state.grid)
+    return shannon_entropy(state)
 
 
 def _register_entropy_R_given_M(reg: RegisterState) -> float:
@@ -98,20 +92,15 @@ def register_conditional_entropy_A(reg: RegisterState) -> float:
     return float(sum(p * fk.von_neumann_entropy(s) for p, s in zip(reg.probs, reg.states)))
 
 
-def heat_R(state, t: float):
-    """Classical heat flow on the noise R of a register or classical-quantum state."""
-    if isinstance(state, RegisterState):
-        return register_heat_flow_R(state, t)
-    return cq_classical_heat_flow(state, t)
-
-
 def integral_fisher_R_given_M(state, t: float) -> float:
-    """Entropy gained by the classical variable under heat flow for time t."""
+    """Entropy gained by the noise R (a GridPdf or a RegisterState) under
+    classical heat flow for time t."""
     if t < 0:
         raise NegativeTimeError(f"requires t >= 0, got {t}")
     if t == 0:
         return 0.0
-    return cq_conditional_entropy_R_given_M(heat_R(state, t)) - cq_conditional_entropy_R_given_M(state)
+    heated = cq_classical_heat_flow(state, t)
+    return cq_conditional_entropy_R_given_M(heated) - cq_conditional_entropy_R_given_M(state)
 
 
 def entropy_A_given_M(state) -> float:
@@ -137,7 +126,7 @@ def heat_flow_A(state, t_list) -> list:
         return [gaussian_heat_flow(state, t, state.mode_labels[0]) for t in t_list]
     if isinstance(state, RegisterState):
         evolved = [quantum_heat_flow_fock_multi(s, t_list) for s in state.states]
-        return [RegisterState(state.probs, outs, state.pdfs, state.labels) for outs in zip(*evolved)]
+        return [RegisterState(state.probs, outs, state.pdfs) for outs in zip(*evolved)]
     if isinstance(state, fk.FockState):
         return quantum_heat_flow_fock_multi(state, t_list)
     raise DomainError(f"unsupported state type {type(state).__name__}")
@@ -163,18 +152,19 @@ def fisher_spacing(h0: float) -> float:
 
 
 def fisher_R_given_M(state, h0: float = 1e-2) -> FisherEstimate:
-    """Forward-difference derivative of S(R|M) along the classical heat flow.
+    """Forward-difference derivative of S(R|M) along the classical heat flow,
+    for noise R given as a GridPdf or a RegisterState.
 
     The grid must resolve the smallest step (see `fisher_spacing`), otherwise
     the sampled kernels bias the derivative.
     """
-    spacing = state.pdfs[0].spacing if isinstance(state, RegisterState) else state.grid.spacing
+    spacing = state.pdfs[0].spacing if isinstance(state, RegisterState) else state.spacing
     if spacing > fisher_spacing(h0) * (1 + 1e-12):
         raise QuadratureError(
             f"spacing {spacing:.4g} too coarse for Fisher step h0={h0}"
         )
     f0 = cq_conditional_entropy_R_given_M(state)
-    vals = [cq_conditional_entropy_R_given_M(heat_R(state, h)) for h in (h0, h0 / 2, h0 / 4)]
+    vals = [cq_conditional_entropy_R_given_M(cq_classical_heat_flow(state, h)) for h in (h0, h0 / 2, h0 / 4)]
     return _richardson(f0, vals, h0)
 
 

@@ -118,6 +118,8 @@ def gaussian_pdf(t: float, center=(0.0, 0.0), spacing: float = None, extent: flo
     sigma = math.sqrt(t)
     if spacing is None:
         spacing = resolving_spacing(t)
+    if not spacing > 0:
+        raise DomainError(f"gaussian_pdf requires spacing > 0, got {spacing}")
     if extent is None:
         extent = 8.5 * sigma
     if extent < 8.0 * sigma:

@@ -90,13 +90,31 @@ class TestExitCodes:
                      ["qou", "--state", "fock:1", "--t-list", ","],
                      ["scaling", "--state", "fock:1", "--noise", "gauss:0.5", "--t-list", ","],
                      ["capacity", "--noise", "gauss:0.5@1"],
-                     ["capacity", "--noise", "gauss:0.5@1,2,3"]):
+                     ["capacity", "--noise", "gauss:0.5@1,2,3"],
+                     # non-finite numbers
+                     ["epi", "--state", "tmsv:nan", "--cutoff", "20"],
+                     ["epi", "--state", "coherent:nan", "--cutoff", "20"],
+                     ["epi", "--state", "cat:inf", "--cutoff", "20"],
+                     ["epi", "--state", "fock:1", "--noise", "gauss:0.5@inf,0", "--cutoff", "20"],
+                     ["capacity", "--noise", "gauss:nan"],
+                     ["tightness", "--k-list", "inf"],
+                     ["tightness", "--a", "nan", "--k-list", "2,4"],
+                     ["scaling", "--state", "fock:1", "--noise", "gauss:0.5", "--t-list", "nan"],
+                     ["epi", "--grid-extent", "inf", "--cutoff", "20"],
+                     ["epi", "--grid-spacing", "nan", "--cutoff", "20"],
+                     ["capacity", "--E", "nan"]):
             code, _, err = run_cli(argv)
             assert code == 2 and "usage error" in err, argv
 
     def test_numeric_error_is_2(self):
         code, _, err = run_cli(["qou", "--state", "fock:1", "--mu", "1", "--lambda", "1.5"])
         assert code == 2 and "ParameterError" in err
+        for argv in (["epi", "--grid-spacing", "0", "--cutoff", "20"],
+                     ["capacity", "--noise", "gauss:0.5", "--grid-spacing", "0"],
+                     ["classical-epi", "--grid-spacing", "0"],
+                     ["scaling", "--state", "fock:1", "--noise", "gauss:0.5", "--t-list", "0"]):
+            code, _, err = run_cli(argv)
+            assert code == 2 and "DomainError" in err, argv
 
     def test_corrupt_noise_file_is_2(self, tmp_path):
         bad = tmp_path / "noise.grid"
@@ -120,6 +138,13 @@ class TestExitCodes:
         assert diag["J_A"] == pytest.approx(15.60, abs=0.01)
         assert diag["J_R"] == pytest.approx(2.0, abs=1e-3)
         assert rep["margin"] == pytest.approx(0.10, abs=0.01)
+
+    def test_scaling_defaults(self):
+        # the check reads only the noise, so it runs on every state spec
+        code, out, _ = run_cli(["scaling"])
+        assert code == 0
+        (rep,) = json.loads(out)["reports"]
+        assert rep["pass"] and rep["params"]["instance"] == "tmsv:0.66"
 
     def test_forced_failure_is_1(self):
         # the saturating family's gap grows from k=16 to k=2, so the

@@ -4,12 +4,11 @@ import math
 import numpy as np
 import pytest
 
-from epi_lab import channels as ch
 from epi_lab import fock as fk
 from epi_lab import gaussian as ga
 from epi_lab import harness as hn
 from epi_lab import phase_space as ps
-from epi_lab.errors import DomainError, UnsupportedFamilyError
+from epi_lab.errors import DomainError
 
 
 def gauss_noise(t):
@@ -74,16 +73,6 @@ class TestConditionalEpiChecks:
         reports = hn.check_conditional_epi(inst)
         assert all(r.passed for r in reports)
 
-    def test_unsupported(self):
-        # cell-dependent conditionals certify no conditional independence
-        f = ps.gaussian_pdf(0.5, spacing=0.25, extent=6.1)
-        inst = hn.Instance({"family": "F1", "instance": "cells"},
-                           lambda: [fk.coherent(0.2 * (x + 1j * y), 24) if x >= 0 else fk.vacuum(24)
-                                    for x, y in f.points()],
-                           lambda spacing=None: (f,))
-        with pytest.raises(UnsupportedFamilyError):
-            hn.check_conditional_epi(inst)
-
 
 class TestLinearEpi:
     def test_endpoints_use_zero_convention(self):
@@ -106,8 +95,7 @@ class TestLinearEpi:
 
 class TestScalingAndTightness:
     def test_scaling_independent_exact(self):
-        state = ch.CQState(ps.gaussian_pdf(1.0), fk.vacuum(4))
-        rep = hn.check_scaling(state, [5.0, 20.0], 1.0, "gauss-1")
+        rep = hn.check_scaling(ps.gaussian_pdf(1.0), [5.0, 20.0], 1.0, "gauss-1")
         assert rep.passed
         devs = rep.diagnostics["deviations"]
         assert devs[0] == pytest.approx(math.log(1 + 1 / 5.0), abs=1e-6)

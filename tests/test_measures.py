@@ -25,8 +25,7 @@ def small_register(spacing=0.1, d=24):
 class TestConditionalEntropyRM:
     def test_independent_product(self):
         f = ps.gaussian_pdf(0.7)
-        state = ch.CQState(f, fk.thermal(0.5, 20))
-        assert ms.cq_conditional_entropy_R_given_M(state) == pytest.approx(
+        assert ms.cq_conditional_entropy_R_given_M(f) == pytest.approx(
             ps.shannon_entropy(f), abs=1e-12
         )
 
@@ -56,7 +55,7 @@ class TestIntegralFisher:
 
     def test_independent_gaussian_closed_form(self):
         s = 0.6
-        state = ch.CQState(ps.gaussian_pdf(s, spacing=0.1), fk.vacuum(6))
+        state = ps.gaussian_pdf(s, spacing=0.1)
         for t in (0.3, 0.8):
             val = ms.integral_fisher_R_given_M(state, t)
             assert val == pytest.approx(math.log((s + t) / s), abs=1e-7)
@@ -73,8 +72,7 @@ class TestIntegralFisher:
 class TestFisherEstimates:
     def test_classical_gaussian(self):
         s = 0.8
-        state = ch.CQState(ps.gaussian_pdf(s, spacing=0.0125), fk.vacuum(4))
-        est = ms.fisher_R_given_M(state)
+        est = ms.fisher_R_given_M(ps.gaussian_pdf(s, spacing=0.0125))
         assert est.value == pytest.approx(1.0 / s, rel=1e-4)
         assert est.uncertainty <= 0.05 * est.value
 
@@ -109,15 +107,14 @@ class TestFisherEstimates:
         assert est.value == pytest.approx(expected, rel=1e-3)
 
     def test_coarse_grid_rejected(self):
-        state = ch.CQState(ps.gaussian_pdf(0.8, spacing=0.1), fk.vacuum(4))
         with pytest.raises(QuadratureError):
-            ms.fisher_R_given_M(state)
+            ms.fisher_R_given_M(ps.gaussian_pdf(0.8, spacing=0.1))
         # the limit is the grid that resolves the smallest step h0/4
         h0 = 0.16
         spacing = ms.fisher_spacing(h0)
         assert spacing == ps.resolving_spacing(h0 / 4)
-        ms.fisher_R_given_M(ch.CQState(ps.gaussian_pdf(0.8, spacing=spacing), fk.vacuum(4)), h0)
-        coarse = ch.CQState(ps.gaussian_pdf(0.8, spacing=1.01 * spacing), fk.vacuum(4))
+        ms.fisher_R_given_M(ps.gaussian_pdf(0.8, spacing=spacing), h0)
+        coarse = ps.gaussian_pdf(0.8, spacing=1.01 * spacing)
         with pytest.raises(QuadratureError):
             ms.fisher_R_given_M(coarse, h0)
 
