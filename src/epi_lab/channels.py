@@ -245,75 +245,95 @@ def qou_superoperator(d: int, t: float, mu: float, lam: float) -> np.ndarray:
 # classical memory registers
 
 
+def _register_probs(probs, n_labels: int) -> np.ndarray:
+    probs = np.asarray(probs, dtype=float)
+    if len(probs) != n_labels:
+        raise DomainError("one probability per register label required")
+    if probs.min() < 0 or abs(probs.sum() - 1.0) > 1e-6:
+        raise DomainError("probabilities must be nonnegative and sum to 1")
+    return probs
+
+
 @dataclass
 class RegisterState:
-    """Classical register M with one quantum state and one noise density per
-    label; represents sum_m p_m |m><m| x rho_m x f_m, which has vanishing
-    conditional mutual information between the quantum and classical parts
-    by construction. Noise independent of A and M is its GridPdf alone."""
+    """Input A given a classical register M: one quantum state per label;
+    represents sum_m p_m |m><m| x rho_m."""
 
     probs: np.ndarray
     states: tuple
-    pdfs: tuple = None
 
     def __post_init__(self):
-        self.probs = np.asarray(self.probs, dtype=float)
         self.states = tuple(self.states)
-        if len(self.probs) != len(self.states):
-            raise DomainError("one probability per state required")
-        if self.probs.min() < 0 or abs(self.probs.sum() - 1.0) > 1e-6:
-            raise DomainError("probabilities must be nonnegative and sum to 1")
-        dims = self.states[0].mode_dims
-        if any(s.mode_dims != dims for s in self.states):
+        self.probs = _register_probs(self.probs, len(self.states))
+        if any(s.mode_dims != self.mode_dims for s in self.states):
             raise DomainError("register states must share their dims")
-        if self.pdfs is not None:
-            self.pdfs = tuple(self.pdfs)
-            if len(self.pdfs) != len(self.states):
-                raise DomainError("one noise density per label required")
-            s0 = self.pdfs[0].spacing
-            for f in self.pdfs[1:]:
-                if abs(f.spacing - s0) > 1e-12:
-                    raise SpacingMismatchError("register densities must share spacing")
-                off = (np.asarray(f.origin) - np.asarray(self.pdfs[0].origin)) / s0
-                if np.abs(off - np.round(off)).max() > 1e-9:
-                    raise SpacingMismatchError("register density grids must share a lattice")
 
     @property
-    def n_labels(self) -> int:
-        return len(self.states)
+    def mode_dims(self) -> tuple:
+        return self.states[0].mode_dims
 
     def tail_mass(self) -> float:
         return max(s.tail_mass() for s in self.states)
 
 
-def register_heat_flow_R(reg: RegisterState, t: float) -> RegisterState:
+@dataclass
+class RegisterNoise:
+    """Noise R given a classical register M: one density per label on one grid
+    lattice, sum_m p_m |m><m| x f_m; with a RegisterState on the same register
+    A and R are independent given M. Independent noise is its GridPdf alone."""
+
+    probs: np.ndarray
+    pdfs: tuple
+
+    def __post_init__(self):
+        self.pdfs = tuple(self.pdfs)
+        self.probs = _register_probs(self.probs, len(self.pdfs))
+        s0, o0 = self.spacing, np.asarray(self.pdfs[0].origin)
+        for f in self.pdfs[1:]:
+            if abs(f.spacing - s0) > 1e-12:
+                raise SpacingMismatchError("register densities must share spacing")
+            off = (np.asarray(f.origin) - o0) / s0
+            if np.abs(off - np.round(off)).max() > 1e-9:
+                raise SpacingMismatchError("register density grids must share a lattice")
+
+    @property
+    def spacing(self) -> float:
+        return self.pdfs[0].spacing
+
+
+def register_heat_flow_R(reg: RegisterNoise, t: float) -> RegisterNoise:
     """Classical heat flow on every per-label noise density."""
-    if reg.pdfs is None:
-        raise DomainError("register has no classical densities")
-    return RegisterState(reg.probs, reg.states, tuple(classical_heat_flow(f, t) for f in reg.pdfs))
+    return RegisterNoise(reg.probs, tuple(classical_heat_flow(f, t) for f in reg.pdfs))
 
 
-def register_heat_flow_A(reg: RegisterState, t: float, **grid_kw) -> RegisterState:
+def register_heat_flow_A(reg: RegisterState, t: float) -> RegisterState:
     """Quantum heat flow on every per-label quantum state."""
-    return RegisterState(reg.probs, tuple(quantum_heat_flow_fock(s, t, **grid_kw) for s in reg.states),
-                         reg.pdfs)
+    return RegisterState(reg.probs, tuple(quantum_heat_flow_fock(s, t) for s in reg.states))
 
 
-def cq_classical_heat_flow(state, t: float):
+def cq_classical_heat_flow(noise, t: float):
     """Classical heat flow on the noise R: a GridPdf (noise independent of A
-    and M) or every label's density of a RegisterState."""
-    if isinstance(state, RegisterState):
-        return register_heat_flow_R(state, t)
-    return classical_heat_flow(state, t)
+    and M) or every label's density of a RegisterNoise."""
+    if isinstance(noise, RegisterNoise):
+        return register_heat_flow_R(noise, t)
+    return classical_heat_flow(noise, t)
 
 
-def extended_channel(state: RegisterState) -> RegisterState:
-    """Memory extension of the classical-noise channel on a register: the
-    per-label convolutions f_m * rho_m, as a RegisterState. Noise independent
-    of A and M needs no extension; it goes to `classical_noise_channel`."""
-    if not isinstance(state, RegisterState):
-        raise UnsupportedFamilyError(f"unsupported input of type {type(state).__name__}")
-    if state.pdfs is None:
-        raise DomainError("register carries no noise densities")
-    outs = tuple(classical_noise_channel(f, s) for f, s in zip(state.pdfs, state.states))
+def check_shared_register(noise: RegisterNoise, state: RegisterState):
+    """Noise and input must be a RegisterNoise and a RegisterState over one register."""
+    if not (isinstance(noise, RegisterNoise) and isinstance(state, RegisterState)):
+        raise UnsupportedFamilyError(f"unsupported pair {type(noise).__name__}, {type(state).__name__}")
+    if not np.array_equal(noise.probs, state.probs):
+        raise DomainError("noise and input registers have different label probabilities")
+
+
+def extended_channel(noise, state):
+    """Memory extension of the classical-noise channel, the output C with its
+    memory M: `classical_noise_channel` for a GridPdf acting on a FockState,
+    the per-label convolutions f_m * rho_m, as a RegisterState, for a
+    RegisterNoise acting on a RegisterState over the same register."""
+    if isinstance(noise, GridPdf) and isinstance(state, FockState):
+        return classical_noise_channel(noise, state)
+    check_shared_register(noise, state)
+    outs = tuple(classical_noise_channel(f, s) for f, s in zip(noise.pdfs, state.states))
     return RegisterState(state.probs, outs)

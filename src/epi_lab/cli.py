@@ -15,6 +15,7 @@ import sys
 
 import numpy as np
 
+from . import channels as ch
 from . import fock as fk
 from . import gaussian as ga
 from . import harness as hn
@@ -35,6 +36,17 @@ def _finite(text: str, kind=float):
         raise UsageError(f"expected a number, got {text!r}") from exc
     if not np.isfinite(value):
         raise UsageError(f"expected a finite number, got {text!r}")
+    return value
+
+
+def _int_in(text: str, lo: int, hi: float = np.inf) -> int:
+    """An integer in [lo, hi]; anything else is a usage error."""
+    try:
+        value = int(text)
+    except ValueError as exc:
+        raise UsageError(f"expected an integer, got {text!r}") from exc
+    if not lo <= value <= hi:
+        raise UsageError(f"expected an integer in [{lo}, {hi}], got {text!r}")
     return value
 
 
@@ -127,7 +139,7 @@ def parse_instance(state_spec: str, noise_spec: str, args) -> hn.Instance:
             ps_list = [ps_list[0], 1.0 - ps_list[0]]
         if len(ps_list) != len(parts):
             raise UsageError("register probabilities and state specs disagree in length")
-        states = [parse_state_spec(p, args.cutoff, args.seed)[0] for p in parts]
+        reg = ch.RegisterState(ps_list, [parse_state_spec(p, args.cutoff, args.seed)[0] for p in parts])
         noises = noise_spec.split("|")
         if len(noises) == 1:
             noises = noises * len(parts)
@@ -138,28 +150,24 @@ def parse_instance(state_spec: str, noise_spec: str, args) -> hn.Instance:
             ts = [_parse_gauss_args(n)[0] for n in noises if n.startswith("gauss:")]
             if ts:
                 spacing = ps.resolving_spacing(min(ts))
-        return hn.Instance(
-            {"family": "F2", "labels": len(parts), "instance": "register"}, lambda: states,
-            lambda s=None: tuple(parse_noise_spec(n, s or spacing, extent, snap=True) for n in noises),
-            probs=ps_list,
-        )
+        return hn.Instance({"family": "F2", "labels": len(parts), "instance": "register"}, lambda: reg,
+                           lambda s=None: ch.RegisterNoise(reg.probs, [
+                               parse_noise_spec(n, s or spacing, extent, snap=True) for n in noises]))
     r = _tmsv_r(state_spec)
     if r is not None:
-        family, fock, gs = "F1", lambda: fk.two_mode_squeezed_vacuum(r, args.cutoff), ga.tmsv_state(r)
+        family, a, gs = "F1", lambda: fk.two_mode_squeezed_vacuum(r, args.cutoff), ga.tmsv_state(r)
     else:
         st, gs = parse_state_spec(state_spec, args.cutoff, args.seed)
-        family, fock = "trivial-M", lambda: st
+        family, a = "trivial-M", lambda: st
 
     def noise(s=None):
-        return (parse_noise_spec(noise_spec, s or spacing, extent),)
+        return parse_noise_spec(noise_spec, s or spacing, extent)
 
     t = _parse_gauss_args(noise_spec)[0] if noise_spec.startswith("gauss:") else None
     if gs is None or t is None:
-        return hn.Instance({"family": family, "instance": "cq"}, fock, noise)
-    return hn.Instance(
-        {"family": family, "instance": state_spec, "t": t}, fock, noise, gaussian=lambda: gs,
-        noise_t=t, fock_diagnostics={"cutoff": args.cutoff} if family == "F1" else {},
-    )
+        return hn.Instance({"family": family, "instance": "cq"}, a, noise)
+    return hn.Instance({"family": family, "instance": state_spec, "t": t}, a, noise,
+                       gaussian=lambda: (gs, t))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -174,7 +182,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--state-b", default="vacuum", help="second input for bs-epi")
     p.add_argument("--noise", default="gauss:0.5", help="noise spec (see grammar)")
     p.add_argument("--noise-b", default="gauss:0.5", help="second noise for classical-epi")
-    p.add_argument("--cutoff", type=int, default=60, help="Fock cutoff per mode")
+    p.add_argument("--cutoff", type=lambda x: _int_in(x, 1, fk.MAX_CUTOFF), default=60,
+                   help=f"Fock cutoff per mode, in [1, {fk.MAX_CUTOFF}]")
     p.add_argument("--grid-spacing", type=_finite, default=None)
     p.add_argument("--grid-extent", type=_finite, default=None)
     p.add_argument("--t-list", default="0.5,1.0,2.0", help="comma-separated times")
@@ -185,7 +194,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", type=_finite, default=1.0, help="tightness target S(A|M)")
     p.add_argument("--b", type=_finite, default=1.0, help="tightness target S(R|M)")
     p.add_argument("--E", type=_finite, default=1.0, help="energy budget for capacity")
-    p.add_argument("--seed", type=int, default=7)
+    p.add_argument("--seed", type=lambda x: _int_in(x, 0), default=7, help="non-negative random seed")
     p.add_argument("--out", default=None, help="report output path")
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--config", default=None, help="flat key = value config file")
@@ -247,9 +256,10 @@ def run_command(args) -> list:
     if cmd == "stam":
         return hn.check_stam(parse_instance(args.state, args.noise, args))
     if cmd == "scaling":
-        inst = parse_instance(args.state, args.noise, args)
-        sigma = max(float(np.linalg.eigvalsh(ps.moments(f)[1]).max()) for f in inst.noise())
-        return [hn.check_scaling(inst.pair(), t_list, sigma, args.state)]
+        r = parse_instance(args.state, args.noise, args).r()
+        pdfs = r.pdfs if isinstance(r, ch.RegisterNoise) else (r,)
+        sigma = max(float(np.linalg.eigvalsh(ps.moments(f)[1]).max()) for f in pdfs)
+        return [hn.check_scaling(r, t_list, sigma, args.state)]
     if cmd == "tightness":
         k_list = _parse_floats(args.k_list)
         reports = [hn.check_tightness(args.a, args.b, k_list),
@@ -259,10 +269,7 @@ def run_command(args) -> list:
     if cmd in ("isoperimetric", "concavity"):
         # both check the input A: its Gaussian twin, else its Fock state, else the register
         inst = parse_instance(args.state, args.noise, args)
-        if inst.gaussian:
-            state = inst.gaussian()
-        else:
-            state = inst.fock() if inst.probs is None else inst.pair()
+        state = inst.gaussian()[0] if inst.gaussian else inst.a()
         if cmd == "isoperimetric":
             return [hn.check_isoperimetric(state, args.state)]
         grid = [round(0.05 * i, 10) for i in range(11)]
@@ -303,8 +310,11 @@ def write_reports(reports, args) -> str:
     else:
         text = hn.payload_to_json(payload)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise UsageError(f"cannot write report file {args.out!r}: {exc}") from exc
     else:
         sys.stdout.write(text)
     return text

@@ -19,12 +19,9 @@ from .errors import (
     DomainError,
     LabelError,
     NegativeEigenvalueError,
-    StateInvariantError,
     TailError,
 )
 
-HERMITICITY_TOL = 1e-10
-TRACE_TOL = 1e-8
 EIG_CLAMP = 1e-9
 TAIL_TOL = 1e-8
 MAX_CUTOFF = 128
@@ -105,16 +102,6 @@ class FockState:
 
     def trace(self) -> float:
         return float(np.real(np.trace(self.matrix)))
-
-    def validate(self, full: bool = False):
-        scale = max(1.0, float(np.abs(self.matrix).max()))
-        if np.abs(self.matrix - self.matrix.conj().T).max() > HERMITICITY_TOL * scale:
-            raise StateInvariantError("matrix is not Hermitian within tolerance")
-        if abs(self.trace() - 1.0) > TRACE_TOL:
-            raise StateInvariantError(f"trace {self.trace()} is not 1 within {TRACE_TOL}")
-        if full:
-            if eigenvalues(self).min() < -EIG_CLAMP:
-                raise NegativeEigenvalueError("state has an eigenvalue below -1e-9")
 
     def check_tail(self, tol: float = TAIL_TOL):
         tm = self.tail_mass()
@@ -251,6 +238,8 @@ def two_mode_squeezed_vacuum(r: float, d: int, labels=("A", "M")) -> FockState:
     """Pure two-mode squeezed state with Schmidt weights (1-q) q^n, q = tanh(r)^2."""
     if r < 0:
         raise DomainError("squeezing parameter must be nonnegative")
+    if not 1 <= d <= MAX_CUTOFF:  # checked before the (d*d)^2 outer product is allocated
+        raise DomainError(f"mode cutoffs must be in [1, {MAX_CUTOFF}]")
     lam = math.tanh(r)
     amps = lam ** np.arange(d)
     psi = np.zeros((d, d))

@@ -204,7 +204,7 @@ def tightness_state(k: float) -> GaussianState:
     return GaussianState(np.zeros(4), tightness_covariance(k), ("A", "M"))
 
 
-def tightness_family(k: float, a: float, b: float, spacing: float = None, extent: float = None):
+def tightness_family(k: float, a: float, b: float):
     """Saturating family for the conditional entropy power inequality.
 
     Returns (rho_AM, f, rho_CM): the two-mode state heat-flowed by exp(a-1)
@@ -217,7 +217,7 @@ def tightness_family(k: float, a: float, b: float, spacing: float = None, extent
         raise DomainError(f"tightness family requires k >= 1, got {k}")
     ta, tb = math.exp(a - 1.0), math.exp(b - 1.0)
     rho_am = gaussian_heat_flow(tightness_state(k), ta, "A")
-    f = gaussian_pdf(tb, spacing=spacing, extent=extent)
+    f = gaussian_pdf(tb)
     rho_cm = gaussian_heat_flow(rho_am, tb, "A")
     return rho_am, f, rho_cm
 

@@ -106,23 +106,19 @@ class Instance:
     given M: the object of the conditional EPI, its linear form and the
     conditional Stam inequality.
 
-    The Fock side is built on demand. `fock()` returns the state, whose
-    second mode (if any) is M, or with `probs` set the per-label states of a
-    classical register M. `noise(spacing)` returns the noise densities, one
-    per label or one shared by the state; `spacing=None` keeps the grid of the
-    noise spec. `gaussian()` builds the matched Gaussian input and `noise_t`
-    is its isotropic noise variance; both are None without a Gaussian twin.
-    `params` identify the instance in reports, and `fock_diagnostics` is added
-    to the diagnostics of its Fock path.
+    Both sides are built on demand. `a()` returns A with its memory: a
+    FockState whose second mode (if any) is M, or a RegisterState whose
+    labels are M. `r(spacing)` returns R with the same memory: the GridPdf of
+    noise independent of A and M, or a RegisterNoise over the register of
+    `a()`; `spacing=None` keeps the grid of the noise spec. `gaussian()`, None
+    without a Gaussian twin, returns the matched Gaussian input and its
+    isotropic noise variance. `params` identify the instance in reports.
     """
 
     params: dict
-    fock: Callable
-    noise: Callable
-    probs: tuple = None
+    a: Callable
+    r: Callable
     gaussian: Callable = None
-    noise_t: float = None
-    fock_diagnostics: dict = field(default_factory=dict)
 
     @property
     def name(self) -> str:
@@ -131,29 +127,15 @@ class Instance:
     def paths(self) -> tuple:
         return ("gaussian", "fock") if self.gaussian else ("fock",)
 
-    def pair(self, spacing: float = None):
-        """The noise R with its memory: a register, or the GridPdf of noise
-        independent of A and M."""
-        noise = self.noise(spacing)
-        if self.probs is None:
-            return noise[0]
-        return ch.RegisterState(self.probs, self.fock(), noise)
-
     def _channel(self, path):
         """(A with its memory, its channel output, S(R|M), diagnostics)."""
         if path == "gaussian":
-            a = self.gaussian()
-            return a, ms.heat_flow_A(a, [self.noise_t])[0], 1.0 + math.log(self.noise_t), {}
-        pair = self.pair()
-        if self.probs is None:
-            a = self.fock()
-            out = ch.classical_noise_channel(pair, a)
-            tail = max(a.tail_mass(), out.tail_mass())
-        else:
-            a, out = pair, ch.extended_channel(pair)
-            tail = out.tail_mass()
-        s_r = ms.cq_conditional_entropy_R_given_M(pair)
-        return a, out, s_r, {"tail_mass": tail, **self.fock_diagnostics}
+            a, t = self.gaussian()
+            return a, ms.heat_flow_A(a, [t])[0], 1.0 + math.log(t), {}
+        a, r = self.a(), self.r()
+        out = ch.extended_channel(r, a)
+        diag = {"tail_mass": max(a.tail_mass(), out.tail_mass()), "cutoff": a.mode_dims[0]}
+        return a, out, ms.cq_conditional_entropy_R_given_M(r), diag
 
     def entropies(self, path: str):
         """(S(A|M), S(R|M), S(C|M), diagnostics) on one path."""
@@ -164,7 +146,7 @@ class Instance:
         """(J(A|M), J(R|M), J(C|M), diagnostics) on one path; J(R|M) runs on
         a noise grid fine enough for the Fisher step."""
         a, out, _, diag = self._channel(path)
-        r = self.pair(ms.fisher_spacing(h0))
+        r = self.r(ms.fisher_spacing(h0))
         return ms.fisher_A_given_M(a, h0), ms.fisher_R_given_M(r, h0), ms.fisher_A_given_M(out, h0), diag
 
 
@@ -276,7 +258,7 @@ def stam_matched_equality_report(stam_report: CheckReport) -> CheckReport:
 def check_scaling(state, t_list, sigma_sq: float, name: str) -> CheckReport:
     """|S(R|M)(t) - log t - 1| must fall below log(1 + sigma^2/t) + 0.02 at the
     largest time and decrease along t_list; `state` is the noise R, a GridPdf
-    or a RegisterState."""
+    or a RegisterNoise."""
     if not all(t > 0 for t in t_list):
         raise DomainError(f"scaling needs times t > 0, got {list(t_list)}")
     devs = []
@@ -435,7 +417,7 @@ def check_concavity_entropy_power(instance, t_grid, name: str) -> CheckReport:
 
 
 def check_debruijn_regularity(state, t_list, name: str) -> CheckReport:
-    """Delta(t) of the noise R (a GridPdf or a RegisterState) must be
+    """Delta(t) of the noise R (a GridPdf or a RegisterNoise) must be
     nonnegative, nondecreasing, and midpoint-concave."""
     deltas = [ms.integral_fisher_R_given_M(state, t) for t in t_list]
     slack = 1e-6
@@ -452,7 +434,7 @@ def check_debruijn_regularity(state, t_list, name: str) -> CheckReport:
     )
 
 
-def check_debruijn_consistency(reg: ch.RegisterState, t: float) -> CheckReport:
+def check_debruijn_consistency(reg: ch.RegisterNoise, t: float) -> CheckReport:
     """The chain-rule entropy difference must match the mutual-information
     form evaluated label by label."""
     lhs = ms.integral_fisher_R_given_M(reg, t)
@@ -644,19 +626,21 @@ def check_convolution_oracle(t: float, cutoff: int = 60) -> CheckReport:
 # the built-in suite
 
 
-def _noises(noise_ts, centers, spacing):
-    return tuple(ps.gaussian_pdf(t, center=c, spacing=spacing) for t, c in zip(noise_ts, centers))
+def _register_noise(probs, variances, centers, spacing=None) -> ch.RegisterNoise:
+    """Gaussian per-label noise on a shared grid of spacing 0.1 by default."""
+    return ch.RegisterNoise(probs, [ps.gaussian_pdf(t, center=c, spacing=spacing or 0.1)
+                                    for t, c in zip(variances, centers)])
 
 
-def _register(label, probs, states, noise_ts, centers) -> Instance:
-    """Register instance whose noise grids default to spacing 0.1; `states`
-    builds the per-label states."""
-    return Instance({"family": "F2", "labels": len(probs), "instance": label}, states,
-                    lambda spacing=None: _noises(noise_ts, centers, spacing or 0.1), probs=probs)
+def _register(label, probs, states, variances, centers) -> Instance:
+    """Register instance; `states` builds the per-label states."""
+    return Instance({"family": "F2", "labels": len(probs), "instance": label},
+                    lambda: ch.RegisterState(probs, states()),
+                    lambda spacing=None: _register_noise(probs, variances, centers, spacing))
 
 
 def _gauss_noise(t):
-    return lambda spacing=None: (ps.gaussian_pdf(t, spacing=spacing),)
+    return lambda spacing=None: ps.gaussian_pdf(t, spacing=spacing)
 
 
 def _f1(t: float) -> Instance:
@@ -664,14 +648,14 @@ def _f1(t: float) -> Instance:
     independent of both."""
     return Instance({"family": "F1", "instance": "tmsv-0.66", "t": t},
                     lambda: fk.two_mode_squeezed_vacuum(0.66, 40), _gauss_noise(t),
-                    gaussian=lambda: ga.tmsv_state(0.66), noise_t=t, fock_diagnostics={"cutoff": 40})
+                    gaussian=lambda: (ga.tmsv_state(0.66), t))
 
 
 def _thermal(name: str, n: float, t: float) -> Instance:
     """One-mode thermal input without memory: the conditional statements
     reduce to their unconditioned forms."""
     return Instance({"family": "trivial-M", "instance": name, "t": t}, lambda: fk.thermal(n, 60),
-                    _gauss_noise(t), gaussian=lambda: ga.thermal_state(n), noise_t=t)
+                    _gauss_noise(t), gaussian=lambda: (ga.thermal_state(n), t))
 
 
 def _corpus_register_epi(label: str = "register") -> Instance:
@@ -722,8 +706,7 @@ def default_suite(seed: int = 7):
     add("scaling[independent]", lambda: [check_scaling(
         ps.gaussian_pdf(1.0), [5.0, 20.0, 50.0], 1.0, "gauss-1")])
     add("scaling[register]", lambda: [check_scaling(
-        ch.RegisterState([0.5, 0.5], [fk.vacuum(8), fk.vacuum(8)],
-                         _noises([0.5, 1.5], [(0.4, 0.0), (-0.6, 0.8)], 0.1)),
+        _register_noise([0.5, 0.5], [0.5, 1.5], [(0.4, 0.0), (-0.6, 0.8)]),
         [5.0, 20.0, 50.0], 1.5, "register-mixture")])
 
     for nu in (2.0, 5.0, 10.0):
@@ -751,15 +734,15 @@ def default_suite(seed: int = 7):
         ga.tmsv_state(0.66), t_grid, "gauss-tmsv")])
     add("concavity[fock-vacuum]", lambda: [check_concavity_entropy_power(
         fk.vacuum(40), t_grid, "fock-vacuum")])
-    add("concavity[register]", lambda: [check_concavity_entropy_power(ch.RegisterState(
-        [0.4, 0.6], [fk.fock(1, 48), fk.cat(2.0, 48)]), t_grid, "register")])
+    add("concavity[register]", lambda: [check_concavity_entropy_power(
+        _corpus_register_epi().a(), t_grid, "register")])
 
     reg_t = [round(0.1 * i, 10) for i in range(1, 21)]
     add("debruijn-regularity[register]", lambda: [check_debruijn_regularity(
-        _corpus_register_epi().pair(), reg_t, "register")])
+        _corpus_register_epi().r(), reg_t, "register")])
     add("debruijn-regularity[independent]", lambda: [check_debruijn_regularity(
         ps.gaussian_pdf(0.7), reg_t, "gauss-0.7")])
-    add("debruijn-consistency", lambda: [check_debruijn_consistency(_corpus_register_epi().pair(), 0.5)])
+    add("debruijn-consistency", lambda: [check_debruijn_consistency(_corpus_register_epi().r(), 0.5)])
 
     add("qou-decay[fock-1]", lambda: [check_qou_decay(
         fk.fock(1, 30), 1.0, 0.5, [0.5, 1.0, 2.0])])

@@ -12,7 +12,8 @@ import numpy as np
 from scipy.special import xlogy
 
 from . import fock as fk
-from .channels import RegisterState, cq_classical_heat_flow, quantum_heat_flow_fock_multi
+from .channels import (RegisterNoise, RegisterState, check_shared_register, cq_classical_heat_flow,
+                       quantum_heat_flow_fock_multi)
 from .errors import (
     ConvergenceError,
     DomainError,
@@ -41,37 +42,35 @@ def _entropy_of_probs(p: np.ndarray) -> float:
     return float(-xlogy(p, p).sum())
 
 
-def _register_fields(reg: RegisterState):
+def _register_fields(reg: RegisterNoise):
     """Per-label densities embedded on one common lattice.
 
     Returns (fields, cell_weight) with fields of shape (n_labels, L, L).
     """
-    if reg.pdfs is None:
-        raise DomainError("register carries no classical densities")
-    s = reg.pdfs[0].spacing
+    s = reg.spacing
     orgs = np.array([f.origin for f in reg.pdfs])
     offs = np.round((orgs - orgs.min(axis=0)) / s).astype(int)
     sizes = np.array([f.size for f in reg.pdfs])
     L = int((offs + sizes[:, None]).max())
-    fields = np.zeros((reg.n_labels, L, L))
+    fields = np.zeros((len(reg.pdfs), L, L))
     for m, f in enumerate(reg.pdfs):
         i0, j0 = offs[m]
         fields[m, i0 : i0 + f.size, j0 : j0 + f.size] = f.values
     return fields, s ** 2 / (2.0 * math.pi)
 
 
-def cq_conditional_entropy_R_given_M(state) -> float:
+def cq_conditional_entropy_R_given_M(noise) -> float:
     """Conditional entropy of the noise R given the memory M: S(R) for a
     GridPdf, noise independent of A and M, and the label-conditioned entropy
-    for a RegisterState."""
-    if isinstance(state, RegisterState):
-        return _register_entropy_R_given_M(state)
-    if not isinstance(state, GridPdf):
-        raise DomainError(f"unsupported state type {type(state).__name__}")
-    return shannon_entropy(state)
+    for a RegisterNoise."""
+    if isinstance(noise, RegisterNoise):
+        return _register_entropy_R_given_M(noise)
+    if not isinstance(noise, GridPdf):
+        raise DomainError(f"unsupported noise type {type(noise).__name__}")
+    return shannon_entropy(noise)
 
 
-def _register_entropy_R_given_M(reg: RegisterState) -> float:
+def _register_entropy_R_given_M(reg: RegisterNoise) -> float:
     fields, cell_w = _register_fields(reg)
     weighted = reg.probs[:, None, None] * fields
     mix = weighted.sum(axis=0)
@@ -92,15 +91,15 @@ def register_conditional_entropy_A(reg: RegisterState) -> float:
     return float(sum(p * fk.von_neumann_entropy(s) for p, s in zip(reg.probs, reg.states)))
 
 
-def integral_fisher_R_given_M(state, t: float) -> float:
-    """Entropy gained by the noise R (a GridPdf or a RegisterState) under
+def integral_fisher_R_given_M(noise, t: float) -> float:
+    """Entropy gained by the noise R (a GridPdf or a RegisterNoise) under
     classical heat flow for time t."""
     if t < 0:
         raise NegativeTimeError(f"requires t >= 0, got {t}")
     if t == 0:
         return 0.0
-    heated = cq_classical_heat_flow(state, t)
-    return cq_conditional_entropy_R_given_M(heated) - cq_conditional_entropy_R_given_M(state)
+    heated = cq_classical_heat_flow(noise, t)
+    return cq_conditional_entropy_R_given_M(heated) - cq_conditional_entropy_R_given_M(noise)
 
 
 def entropy_A_given_M(state) -> float:
@@ -126,7 +125,7 @@ def heat_flow_A(state, t_list) -> list:
         return [gaussian_heat_flow(state, t, state.mode_labels[0]) for t in t_list]
     if isinstance(state, RegisterState):
         evolved = [quantum_heat_flow_fock_multi(s, t_list) for s in state.states]
-        return [RegisterState(state.probs, outs, state.pdfs) for outs in zip(*evolved)]
+        return [RegisterState(state.probs, outs) for outs in zip(*evolved)]
     if isinstance(state, fk.FockState):
         return quantum_heat_flow_fock_multi(state, t_list)
     raise DomainError(f"unsupported state type {type(state).__name__}")
@@ -151,20 +150,19 @@ def fisher_spacing(h0: float) -> float:
     return resolving_spacing(h0 / 4)
 
 
-def fisher_R_given_M(state, h0: float = 1e-2) -> FisherEstimate:
+def fisher_R_given_M(noise, h0: float = 1e-2) -> FisherEstimate:
     """Forward-difference derivative of S(R|M) along the classical heat flow,
-    for noise R given as a GridPdf or a RegisterState.
+    for noise R given as a GridPdf or a RegisterNoise.
 
     The grid must resolve the smallest step (see `fisher_spacing`), otherwise
     the sampled kernels bias the derivative.
     """
-    spacing = state.pdfs[0].spacing if isinstance(state, RegisterState) else state.spacing
-    if spacing > fisher_spacing(h0) * (1 + 1e-12):
+    if noise.spacing > fisher_spacing(h0) * (1 + 1e-12):
         raise QuadratureError(
-            f"spacing {spacing:.4g} too coarse for Fisher step h0={h0}"
+            f"spacing {noise.spacing:.4g} too coarse for Fisher step h0={h0}"
         )
-    f0 = cq_conditional_entropy_R_given_M(state)
-    vals = [cq_conditional_entropy_R_given_M(cq_classical_heat_flow(state, h)) for h in (h0, h0 / 2, h0 / 4)]
+    f0 = cq_conditional_entropy_R_given_M(noise)
+    vals = [cq_conditional_entropy_R_given_M(cq_classical_heat_flow(noise, h)) for h in (h0, h0 / 2, h0 / 4)]
     return _richardson(f0, vals, h0)
 
 
@@ -174,35 +172,37 @@ def fisher_A_given_M(rho, h0: float = 1e-2) -> FisherEstimate:
     return _richardson(entropy_A_given_M(rho), vals, h0)
 
 
-def conditional_mutual_information(reg: RegisterState, memory: str = "register") -> float:
-    """I(A:R|M) for register families, or I(A:R) after discarding the register.
+def conditional_mutual_information(state: RegisterState, noise: RegisterNoise, memory="register") -> float:
+    """I(A:R|M) for an input and a noise over one register, or I(A:R) after
+    discarding the register.
 
     memory="register" conditions on the labels (zero by construction, but all
     three entropies are evaluated numerically); memory="trivial" marginalizes
     the labels, where correlated pairs give a strictly positive value.
     """
-    fields, cell_w = _register_fields(reg)
+    check_shared_register(noise, state)
+    fields, cell_w = _register_fields(noise)
     if memory == "register":
-        s_a_given_m = register_conditional_entropy_A(reg)
-        s_r_given_m = cq_conditional_entropy_R_given_M(reg)
+        s_a_given_m = register_conditional_entropy_A(state)
+        s_r_given_m = cq_conditional_entropy_R_given_M(noise)
         s_ar_given_m = 0.0
-        for p, st, f, field in zip(reg.probs, reg.states, reg.pdfs, fields):
+        for p, st, f, field in zip(state.probs, state.states, noise.pdfs, fields):
             mass = field.sum() * cell_w
             s_ar_given_m += p * (shannon_entropy(f) + fk.von_neumann_entropy(st) * mass)
         return s_a_given_m + s_r_given_m - s_ar_given_m
     if memory != "trivial":
         raise DomainError("memory must be 'register' or 'trivial'")
-    weighted = reg.probs[:, None, None] * fields
+    weighted = state.probs[:, None, None] * fields
     mix = weighted.sum(axis=0)
     s_r = float(-xlogy(mix, mix).sum() * cell_w)
-    mats = np.stack([s.matrix for s in reg.states])
+    mats = np.stack([s.matrix for s in state.states])
     s_a = fk.von_neumann_entropy(
-        fk.FockState(reg.states[0].mode_dims, np.tensordot(reg.probs, mats, axes=1),
-                     reg.states[0].mode_labels)
+        fk.FockState(state.mode_dims, np.tensordot(state.probs, mats, axes=1),
+                     state.states[0].mode_labels)
     )
     # S(A|R): per-cell posterior states, entropies batched over cells
     L = mix.shape[0]
-    flat_w = weighted.reshape(reg.n_labels, L * L)
+    flat_w = weighted.reshape(len(state.states), L * L)
     mix_flat = mix.reshape(L * L)
     live = mix_flat > 1e-300
     post = np.einsum("mc,mij->cij", flat_w[:, live] / mix_flat[live], mats)

@@ -8,7 +8,7 @@ spacing^2 / (2 pi). Entropies use natural logarithms.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.signal import fftconvolve
@@ -33,7 +33,6 @@ class GridPdf:
     origin: tuple
     spacing: float
     values: np.ndarray
-    diagnostics: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.origin = (float(self.origin[0]), float(self.origin[1]))
@@ -90,9 +89,7 @@ class GridPdf:
         m = self.mass()
         if m <= 0:
             raise DomainError("cannot normalize a zero density")
-        out = GridPdf(self.origin, self.spacing, self.values / m)
-        out.diagnostics["mass_drift"] = m - 1.0
-        return out
+        return GridPdf(self.origin, self.spacing, self.values / m)
 
     def displaced(self, eta) -> "GridPdf":
         """Shift of the density by eta; grid values are untouched."""

@@ -11,6 +11,7 @@ from epi_lab.errors import (
     DomainError,
     ParameterError,
     QuadratureError,
+    SpacingMismatchError,
     TailError,
     UnsupportedFamilyError,
 )
@@ -133,15 +134,29 @@ class TestExtendedChannel:
     def test_single_label_register_reduces(self):
         rho = fk.fock(1, 30)
         f = ps.gaussian_pdf(0.3)
-        reg = ch.RegisterState([1.0], [rho], [f])
-        out = ch.extended_channel(reg)
+        out = ch.extended_channel(ch.RegisterNoise([1.0], [f]), ch.RegisterState([1.0], [rho]))
         direct = ch.classical_noise_channel(f, rho)
         assert fk.trace_norm_distance(out.states[0], direct) <= 1e-12
+        # independent noise goes straight to the classical-noise channel
+        assert fk.trace_norm_distance(ch.extended_channel(f, rho), direct) == 0.0
 
     def test_rejects_uncertified_family(self):
         # a bare quantum state carries no noise, so there is nothing to extend
         with pytest.raises(UnsupportedFamilyError):
-            ch.extended_channel(fk.two_mode_squeezed_vacuum(0.4, 20))
+            ch.extended_channel(fk.two_mode_squeezed_vacuum(0.4, 20), fk.vacuum(8))
+
+    def test_rejects_mismatched_pair(self):
+        f, rho = ps.gaussian_pdf(0.3), fk.fock(1, 30)
+        with pytest.raises(UnsupportedFamilyError):
+            ch.extended_channel(f, ch.RegisterState([1.0], [rho]))
+        with pytest.raises(UnsupportedFamilyError):
+            ch.extended_channel(ch.RegisterNoise([1.0], [f]), rho)
+
+    def test_rejects_unequal_probs(self):
+        f, rho = ps.gaussian_pdf(0.3), fk.fock(1, 30)
+        noise = ch.RegisterNoise([0.5, 0.5], [f, f])
+        with pytest.raises(DomainError):
+            ch.extended_channel(noise, ch.RegisterState([0.4, 0.6], [rho, rho]))
 
 
 class TestBeamSplitter:
@@ -227,16 +242,23 @@ class TestCQStateMachinery:
         with pytest.raises(DomainError):
             ch.RegisterState([0.7, 0.7], [fk.vacuum(8), fk.vacuum(8)])
         with pytest.raises(DomainError):
-            ch.RegisterState([1.0], [fk.vacuum(8)], [])
+            ch.RegisterNoise([1.0], [])
+
+    def test_register_noise_shares_one_lattice(self):
+        f = ps.gaussian_pdf(0.4, spacing=0.1)
+        with pytest.raises(SpacingMismatchError):
+            ch.RegisterNoise([0.5, 0.5], [f, ps.gaussian_pdf(0.4, spacing=0.05)])
+        with pytest.raises(SpacingMismatchError):
+            ch.RegisterNoise([0.5, 0.5], [f, f.displaced((0.05, 0.0))])
+        # a whole-cell shift stays on the lattice
+        assert ch.RegisterNoise([0.5, 0.5], [f, f.displaced((0.3, -0.2))]).spacing == 0.1
 
     def test_register_heat_flows(self):
-        reg = ch.RegisterState(
-            [0.5, 0.5],
-            [fk.fock(1, 24), fk.vacuum(24)],
-            [ps.gaussian_pdf(0.4, spacing=0.1), ps.gaussian_pdf(0.6, spacing=0.1)],
-        )
-        heated_r = ch.register_heat_flow_R(reg, 0.5)
+        noise = ch.RegisterNoise(
+            [0.5, 0.5], [ps.gaussian_pdf(0.4, spacing=0.1), ps.gaussian_pdf(0.6, spacing=0.1)])
+        heated_r = ch.register_heat_flow_R(noise, 0.5)
         assert ps.moments(heated_r.pdfs[0])[1][0, 0] == pytest.approx(0.9, abs=1e-6)
+        reg = ch.RegisterState([0.5, 0.5], [fk.fock(1, 24), fk.vacuum(24)])
         heated_a = ch.register_heat_flow_A(reg, 0.2)
         assert fk.mean_energy(heated_a.states[1]) == pytest.approx(0.2, abs=1e-6)
 

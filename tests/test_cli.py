@@ -41,9 +41,11 @@ class TestParsing:
 
     def test_register_spec(self):
         args = cli.parse_config(["epi", "--cutoff", "24"])
-        reg = cli.parse_instance("register:p=0.3,fock:1|vacuum", "gauss:0.3|gauss:0.5", args).pair()
+        inst = cli.parse_instance("register:p=0.3,fock:1|vacuum", "gauss:0.3|gauss:0.5", args)
+        reg = inst.a()
         assert list(reg.probs) == pytest.approx([0.3, 0.7])
         assert reg.states[0].mode_dims == (24,)
+        assert list(inst.r().probs) == list(reg.probs)
 
     def test_register_bad_probs(self):
         args = cli.parse_config(["epi"])
@@ -80,7 +82,8 @@ class TestExitCodes:
         payload = json.loads(out)
         assert payload["reports"][0]["check_name"] == "capacity-bound"
 
-    def test_usage_error_is_2(self):
+    def test_usage_error_is_2(self, tmp_path):
+        (tmp_path / "plain").write_text("")
         for argv in (["epi", "--state", "wigglium:2"],
                      ["epi", "--noise", "gauss:lots"],
                      ["stam", "--noise", "gauss:"],
@@ -102,7 +105,14 @@ class TestExitCodes:
                      ["scaling", "--state", "fock:1", "--noise", "gauss:0.5", "--t-list", "nan"],
                      ["epi", "--grid-extent", "inf", "--cutoff", "20"],
                      ["epi", "--grid-spacing", "nan", "--cutoff", "20"],
-                     ["capacity", "--E", "nan"]):
+                     ["capacity", "--E", "nan"],
+                     # integers out of range, checked before anything is built
+                     ["epi", "--cutoff", "-3"],
+                     ["epi", "--cutoff", "0"],
+                     ["epi", "--cutoff", "129"],
+                     ["suite", "--seed", "-1"],
+                     # a report path that cannot be written
+                     ["capacity", "--out", str(tmp_path / "plain" / "x.json")]):
             code, _, err = run_cli(argv)
             assert code == 2 and "usage error" in err, argv
 

@@ -62,6 +62,12 @@ class TestConstructors:
             -ga.g_function(n_avg), abs=1e-7
         )
 
+    def test_tmsv_cutoff_checked_first(self):
+        # rejected before the (d*d)^2 outer product is allocated
+        for d in (-3, 0, fk.MAX_CUTOFF + 1):
+            with pytest.raises(DomainError):
+                fk.two_mode_squeezed_vacuum(0.5, d)
+
     def test_tmsv_covariance(self):
         st = fk.two_mode_squeezed_vacuum(0.6, 30)
         mean, cov = fk.moments_of_state(st)

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from epi_lab import channels as ch
 from epi_lab import fock as fk
 from epi_lab import gaussian as ga
 from epi_lab import harness as hn
@@ -12,24 +13,24 @@ from epi_lab.errors import DomainError
 
 
 def gauss_noise(t):
-    return lambda spacing=None: (ps.gaussian_pdf(t, spacing=spacing),)
+    return lambda spacing=None: ps.gaussian_pdf(t, spacing=spacing)
 
 
 def small_f1():
     return hn.Instance(
         {"family": "F1", "instance": "tmsv-small", "t": 0.3},
         lambda: fk.two_mode_squeezed_vacuum(0.4, 24), gauss_noise(0.3),
-        gaussian=lambda: ga.tmsv_state(0.4), noise_t=0.3,
+        gaussian=lambda: (ga.tmsv_state(0.4), 0.3),
     )
 
 
 def small_register():
     return hn.Instance(
         {"family": "F2", "labels": 2, "instance": "small"},
-        lambda: [fk.fock(1, 30), fk.thermal(0.4, 30)],
-        lambda spacing=None: (ps.gaussian_pdf(0.3, spacing=spacing or 0.1),
-                              ps.gaussian_pdf(0.5, center=(0.4, -0.2), spacing=spacing or 0.1)),
-        probs=[0.5, 0.5],
+        lambda: ch.RegisterState([0.5, 0.5], [fk.fock(1, 30), fk.thermal(0.4, 30)]),
+        lambda spacing=None: ch.RegisterNoise(
+            [0.5, 0.5], [ps.gaussian_pdf(0.3, spacing=spacing or 0.1),
+                         ps.gaussian_pdf(0.5, center=(0.4, -0.2), spacing=spacing or 0.1)]),
     )
 
 
@@ -66,10 +67,18 @@ class TestConditionalEpiChecks:
         assert rep.passed
         assert rep.diagnostics["tail_mass"] <= 1e-8
 
+    def test_fock_path_records_cutoff(self):
+        one_mode = hn.Instance({"family": "trivial-M", "instance": "cq"},
+                               lambda: fk.thermal(0.8, 40), gauss_noise(0.4))
+        for inst, cutoff in ((one_mode, 40), (small_register(), 30)):
+            (rep,) = hn.check_conditional_epi(inst)
+            assert rep.params["path"] == "fock"
+            assert rep.diagnostics["cutoff"] == cutoff
+
     def test_trivial_memory(self):
         inst = hn.Instance({"family": "trivial-M", "instance": "thermal", "t": 0.4},
                            lambda: fk.thermal(0.8, 40), gauss_noise(0.4),
-                           gaussian=lambda: ga.thermal_state(0.8), noise_t=0.4)
+                           gaussian=lambda: (ga.thermal_state(0.8), 0.4))
         reports = hn.check_conditional_epi(inst)
         assert all(r.passed for r in reports)
 

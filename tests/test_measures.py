@@ -11,10 +11,15 @@ from epi_lab import phase_space as ps
 from epi_lab.errors import DomainError, NegativeTimeError, QuadratureError
 
 
-def small_register(spacing=0.1, d=24):
-    return ch.RegisterState(
+def small_register(d=24):
+    """The input A of the small register pair, one state per label."""
+    return ch.RegisterState([0.4, 0.6], [fk.fock(1, d), fk.thermal(0.5, d)])
+
+
+def small_noise(spacing=0.1):
+    """The noise R of the small register pair, one density per label."""
+    return ch.RegisterNoise(
         [0.4, 0.6],
-        [fk.fock(1, d), fk.thermal(0.5, d)],
         [
             ps.gaussian_pdf(0.5, center=(0.5, 0.0), spacing=spacing),
             ps.gaussian_pdf(1.2, center=(-0.4, 0.3), spacing=spacing),
@@ -30,13 +35,13 @@ class TestConditionalEntropyRM:
         )
 
     def test_register_matches_per_label_form(self):
-        reg = small_register()
+        reg = small_noise()
         lhs = ms.cq_conditional_entropy_R_given_M(reg)
         rhs = sum(p * ps.shannon_entropy(f) for p, f in zip(reg.probs, reg.pdfs))
         assert lhs == pytest.approx(rhs, abs=1e-10)
 
     def test_heat_flow_raises_value(self):
-        reg = small_register()
+        reg = small_noise()
         base = ms.cq_conditional_entropy_R_given_M(reg)
         prev = base
         for t in (0.2, 0.5, 1.0):
@@ -47,11 +52,11 @@ class TestConditionalEntropyRM:
 
 class TestIntegralFisher:
     def test_zero_time(self):
-        assert ms.integral_fisher_R_given_M(small_register(), 0.0) == 0.0
+        assert ms.integral_fisher_R_given_M(small_noise(), 0.0) == 0.0
 
     def test_negative_time(self):
         with pytest.raises(NegativeTimeError):
-            ms.integral_fisher_R_given_M(small_register(), -0.5)
+            ms.integral_fisher_R_given_M(small_noise(), -0.5)
 
     def test_independent_gaussian_closed_form(self):
         s = 0.6
@@ -61,7 +66,7 @@ class TestIntegralFisher:
             assert val == pytest.approx(math.log((s + t) / s), abs=1e-7)
 
     def test_monotone_and_concave(self):
-        reg = small_register()
+        reg = small_noise()
         ts = [0.25 * i for i in range(1, 9)]
         deltas = [ms.integral_fisher_R_given_M(reg, t) for t in ts]
         assert all(b >= a - 1e-9 for a, b in zip(deltas, deltas[1:]))
@@ -101,7 +106,7 @@ class TestFisherEstimates:
         assert abs(est1.value - est2.value) <= 2 * max(est1.uncertainty, est2.uncertainty)
 
     def test_register_fisher(self):
-        reg = small_register(spacing=0.0125, d=30)
+        reg = small_noise(spacing=0.0125)
         est = ms.fisher_R_given_M(reg)
         expected = 0.4 / 0.5 + 0.6 / 1.2
         assert est.value == pytest.approx(expected, rel=1e-3)
@@ -157,25 +162,30 @@ class TestEntropyAndHeatFlowA:
 
 class TestConditionalMutualInformation:
     def test_register_is_zero(self):
-        assert ms.conditional_mutual_information(small_register()) == pytest.approx(0.0, abs=1e-8)
+        val = ms.conditional_mutual_information(small_register(), small_noise())
+        assert val == pytest.approx(0.0, abs=1e-8)
 
     def test_marginalized_register_is_positive(self):
-        val = ms.conditional_mutual_information(small_register(), memory="trivial")
+        val = ms.conditional_mutual_information(small_register(), small_noise(), memory="trivial")
         assert val > 0.01
 
     def test_identical_labels_uncorrelated(self):
         f = ps.gaussian_pdf(0.5, spacing=0.1)
-        reg = ch.RegisterState(
-            [0.5, 0.5], [fk.fock(1, 16), fk.fock(1, 16)], [f, f]
-        )
-        assert ms.conditional_mutual_information(reg, memory="trivial") == pytest.approx(
+        reg = ch.RegisterState([0.5, 0.5], [fk.fock(1, 16), fk.fock(1, 16)])
+        noise = ch.RegisterNoise([0.5, 0.5], [f, f])
+        assert ms.conditional_mutual_information(reg, noise, memory="trivial") == pytest.approx(
             0.0, abs=1e-9
         )
+
+    def test_registers_must_match(self):
+        other = ch.RegisterNoise([0.5, 0.5], small_noise().pdfs)
+        with pytest.raises(DomainError):
+            ms.conditional_mutual_information(small_register(), other)
 
 
 class TestDeBruijnConsistency:
     def test_dual_route(self):
-        reg = small_register()
+        reg = small_noise()
         for t in (0.3, 0.9):
             lhs = ms.integral_fisher_R_given_M(reg, t)
             rhs = sum(
