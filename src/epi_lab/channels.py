@@ -2,8 +2,10 @@
 extension, quantum heat flow, beam splitters, and the one-mode damping
 (quantum Ornstein-Uhlenbeck) semigroup.
 
-Quadrature sums accumulate over grid cells in fixed chunk order, so repeated
-runs on the same machine are bit-reproducible.
+Gaussian noise runs in closed form (`gaussian_noise_channel`); the
+displacement quadrature serves densities with no Gaussian form and the
+oracle tests. Quadrature sums accumulate over grid cells in fixed chunk
+order, so repeated runs on the same machine are bit-reproducible.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import expm
+from scipy.special import gammaln
 
 from . import fock as fk
 from .errors import (
@@ -30,9 +33,15 @@ from .phase_space import GridPdf, classical_heat_flow, gaussian_pdf, moments, re
 
 CHUNK = 1024
 TRACE_DRIFT_LIMIT = 1e-4
+# levels of the noisy state computed above the cutoff before a shifted noise
+# displaces it to its center, which pulls some of them below the cutoff (16
+# and 32 levels give the same output; 8 are off by up to 2.4e-15)
+CENTER_PAD = 16
 
 
 def _check_quadrature(f: GridPdf):
+    """Validate the density f, then require its grid spacing to resolve it."""
+    f.validate()
     _, cov = moments(f)
     t_eq = float(np.linalg.eigvalsh(cov).max())
     limit = resolving_spacing(t_eq)
@@ -108,7 +117,6 @@ def _noise_outputs(grids, rho: FockState, target: str = None) -> list:
     first) for each density f in `grids`; the densities share one grid
     (origin, spacing, side), so one displacement batch serves them all."""
     for f in grids:
-        f.validate()
         _check_quadrature(f)
     points = grids[0].points()
     weight_sets = [f.values.ravel() * f.cell_weight for f in grids]
@@ -164,6 +172,78 @@ def quantum_heat_flow_fock_multi(
     grids = [gaussian_pdf(t, spacing=spacing, extent=extent) for t in positive]
     outs = iter(_noise_outputs(grids, rho, target))
     return [next(outs) if t > 0 else rho.copy() for t in t_list]
+
+
+def _diagonal_map(d: int, k: int, t: float) -> np.ndarray:
+    """Matrix of the Gaussian noise of variance t on the k-th diagonal of a
+    d x d matrix: entry [i, j] takes input element (j + k, j) to output
+    element (i + k, i), and equally (j, j + k) to (i, i + k).
+
+    The noise is pure loss of transmissivity 1/G followed by the
+    quantum-limited amplifier of gain G = 1 + t. Loss only lowers the photon
+    number and the amplifier only raises it, so below the cutoff the map is
+    exact for the truncated input.
+    """
+    n = d - k
+    lf = gammaln(np.arange(1.0, d + 1.0))  # log m!
+    h = 0.5 * (lf[k:] + lf[:n])  # (log (i + k)! + log i!) / 2
+    i, j = np.ogrid[:n, :n]
+    s = np.abs(i - j)
+    lg, lx = math.log1p(t), math.log(t) - math.log1p(t)
+    # loss, j >= i: sqrt(C(j + k, s) C(j, s)) G^-(i + k/2) (t/G)^s
+    loss = np.where(j >= i, np.exp(h[j] - h[i] - lf[s] - (i + k / 2) * lg + s * lx), 0.0)
+    # amplifier, j <= i: sqrt(C(i + k, s) C(i, s)) G^-(1 + j + k/2) (t/G)^s
+    amp = np.where(j <= i, np.exp(h[i] - h[j] - lf[s] - (1 + j + k / 2) * lg + s * lx), 0.0)
+    return amp @ loss
+
+
+def gaussian_noise_channel(rho: FockState, t: float, center=(0.0, 0.0), target: str = None) -> FockState:
+    """Isotropic Gaussian noise of per-axis variance t centered at `center`
+    on the `target` mode (default: the first), in closed form.
+
+    Each diagonal of the target mode is one small matrix (`_diagonal_map`)
+    times the same input diagonal; the other mode, if any, rides along as a
+    batch. A nonzero center displaces the noisy state, computed CENTER_PAD
+    levels above the cutoff, and projects it back. t = 0 without a center
+    returns a copy; the output goes through the same trace-drift and tail
+    checks as the quadrature channel.
+    """
+    if t < 0:
+        raise NegativeTimeError(f"heat flow requires t >= 0, got {t}")
+    shifted = bool(center[0] or center[1])
+    if t == 0 and not shifted:
+        return rho.copy()
+    if target is None:
+        target = rho.mode_labels[0]
+    k, n = rho.mode_index(target), rho.n_modes
+    d = rho.mode_dims[k]
+    pad = CENTER_PAD if shifted else 0
+    widths = [(0, 0)] * (2 * n)
+    widths[k] = widths[n + k] = (0, pad)
+    x = np.moveaxis(np.pad(rho.tensor(), widths), (k, n + k), (0, 1))  # target (row, col) first
+    if t > 0:
+        out = np.zeros_like(x)
+        for q in range(d + pad):
+            M = _diagonal_map(d + pad, q, t)
+            i = np.arange(d + pad - q)
+            out[i + q, i] = np.tensordot(M, x[i + q, i], axes=1)
+            out[i, i + q] = np.tensordot(M, x[i, i + q], axes=1)
+        x = out
+    x = np.moveaxis(x, (0, 1), (k, n + k))
+    if shifted:
+        D = displacement_batch(np.asarray(center, dtype=float).reshape(1, 2), d + pad)[0]
+        x = fk.conjugate_mode(D[:d], x, k)
+    return _finish(x.reshape(rho.dim, rho.dim), rho.mode_dims, rho.mode_labels)
+
+
+def _noise_channel(f: GridPdf, rho: FockState) -> FockState:
+    """The channel of the density f on rho: in closed form when f is tagged
+    Gaussian, else by quadrature. Both validate f and its grid, which still
+    gives S(R|M)."""
+    if f.gaussian is None:
+        return classical_noise_channel(f, rho)
+    _check_quadrature(f)
+    return gaussian_noise_channel(rho, *f.gaussian)
 
 
 # ---------------------------------------------------------------------------
@@ -329,11 +409,19 @@ def check_shared_register(noise: RegisterNoise, state: RegisterState):
 
 def extended_channel(noise, state):
     """Memory extension of the classical-noise channel, the output C with its
-    memory M: `classical_noise_channel` for a GridPdf acting on a FockState,
-    the per-label convolutions f_m * rho_m, as a RegisterState, for a
-    RegisterNoise acting on a RegisterState over the same register."""
+    memory M: the channel of a GridPdf acting on a FockState, or the per-label
+    channels f_m * rho_m, as a RegisterState, of a RegisterNoise acting on a
+    RegisterState over the same register. A density tagged Gaussian (from
+    `gaussian_pdf`) runs `gaussian_noise_channel`, any other density
+    `classical_noise_channel`; `channel_path` names the outcome."""
     if isinstance(noise, GridPdf) and isinstance(state, FockState):
-        return classical_noise_channel(noise, state)
+        return _noise_channel(noise, state)
     check_shared_register(noise, state)
-    outs = tuple(classical_noise_channel(f, s) for f, s in zip(noise.pdfs, state.states))
-    return RegisterState(state.probs, outs)
+    return RegisterState(state.probs, tuple(_noise_channel(f, s) for f, s in zip(noise.pdfs, state.states)))
+
+
+def channel_path(noise) -> str:
+    """"exact" when `extended_channel` applies every density of the noise in
+    closed form, else "quadrature"."""
+    pdfs = noise.pdfs if isinstance(noise, RegisterNoise) else (noise,)
+    return "exact" if all(f.gaussian for f in pdfs) else "quadrature"

@@ -25,6 +25,9 @@ from .errors import (
 EIG_CLAMP = 1e-9
 TAIL_TOL = 1e-8
 MAX_CUTOFF = 128
+# largest dense density matrix a constructor allocates: 1 GiB of complex
+# entries, two-mode cutoffs up to 90
+MAX_DENSE_BYTES = 2 ** 30
 SQRT2 = math.sqrt(2.0)
 
 
@@ -174,7 +177,16 @@ def spectral_path(rho: FockState) -> dict:
 # constructors
 
 
+def _check_dense(dims):
+    """Refuse, before allocating it, a dense matrix above MAX_DENSE_BYTES."""
+    dim = int(np.prod(dims))
+    if 16 * dim * dim > MAX_DENSE_BYTES:
+        raise DomainError(f"a dense state on mode cutoffs {tuple(dims)} needs "
+                          f"{16 * dim * dim / 2 ** 30:.2f} GiB, over the {MAX_DENSE_BYTES} byte cap")
+
+
 def _pure(psi: np.ndarray, dims, labels=None) -> FockState:
+    _check_dense(dims)
     psi = psi / np.linalg.norm(psi)
     return FockState(dims, np.outer(psi, psi.conj()), labels)
 
@@ -329,22 +341,22 @@ def displacement_operator_expm(xi, d: int) -> np.ndarray:
     return expm(alpha * a.T.conj().astype(complex) - np.conj(alpha) * a.astype(complex))
 
 
+def conjugate_mode(D: np.ndarray, t: np.ndarray, k: int) -> np.ndarray:
+    """D X D^dag on mode k of a state tensor `t` (one (row, col) axis pair per
+    mode, rows first), as two tensordots; D may be rectangular, which changes
+    that mode's cutoff from D.shape[1] to D.shape[0]."""
+    n = t.ndim // 2
+    t = np.moveaxis(np.tensordot(D, t, axes=(1, k)), 0, k)
+    return np.moveaxis(np.tensordot(t, D.conj(), axes=(n + k, 1)), -1, n + k)
+
+
 def displace_state(rho: FockState, xi, target: str = None) -> FockState:
     """Unitary displacement of one mode of the state."""
     if target is None:
         target = rho.mode_labels[0]
     k = rho.mode_index(target)
     D = displacement_batch(np.asarray(xi, dtype=float).reshape(1, 2), rho.mode_dims[k])[0]
-    if rho.n_modes == 1:
-        mat = D @ rho.matrix @ D.conj().T
-    else:
-        d0, d1 = rho.mode_dims
-        t = rho.tensor()
-        if k == 0:
-            t = np.einsum("xa,ambn,yb->xmyn", D, t, D.conj())
-        else:
-            t = np.einsum("xm,ambn,yn->axby", D, t, D.conj())
-        mat = t.reshape(rho.dim, rho.dim)
+    mat = conjugate_mode(D, rho.tensor(), k).reshape(rho.dim, rho.dim)
     return FockState(rho.mode_dims, _hermitize(mat), rho.mode_labels)
 
 
@@ -470,6 +482,7 @@ def tensor_product(rho: FockState, sigma: FockState, labels=None) -> FockState:
         labels = (rho.mode_labels[0], sigma.mode_labels[0])
         if labels[0] == labels[1]:
             labels = ("A", "B")
+    _check_dense((rho.mode_dims[0], sigma.mode_dims[0]))
     return FockState(
         (rho.mode_dims[0], sigma.mode_dims[0]), np.kron(rho.matrix, sigma.matrix), labels
     )

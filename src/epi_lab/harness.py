@@ -134,7 +134,8 @@ class Instance:
             return a, ms.heat_flow_A(a, [t])[0], 1.0 + math.log(t), {}
         a, r = self.a(), self.r()
         out = ch.extended_channel(r, a)
-        diag = {"tail_mass": max(a.tail_mass(), out.tail_mass()), "cutoff": a.mode_dims[0]}
+        diag = {"tail_mass": max(a.tail_mass(), out.tail_mass()), "cutoff": a.mode_dims[0],
+                "channel": ch.channel_path(r)}
         return a, out, ms.cq_conditional_entropy_R_given_M(r), diag
 
     def entropies(self, path: str):
@@ -611,14 +612,14 @@ def check_convolution_oracle(t: float, cutoff: int = 60) -> CheckReport:
     """vacuum * f_{Z,t} must reproduce the thermal entropy g(t) within 1e-4."""
     start = time.perf_counter()
     f = ps.gaussian_pdf(t)
-    out = ch.classical_noise_channel(f, fk.vacuum(cutoff))
+    out = ch.extended_channel(f, fk.vacuum(cutoff))
     s = fk.von_neumann_entropy(out)
     dev = abs(s - ga.g_function(t))
     elapsed = (time.perf_counter() - start) * 1000.0
     return make_report(
         "conv-vacuum-entropy", {"t": t, "cutoff": cutoff}, s, ga.g_function(t), 1e-4 - dev, 0.0,
         {"tail_mass": out.tail_mass(), "grid": f.size, "spacing": f.spacing,
-         "trace_drift": out.trace_drift, "channel_ms": elapsed},
+         "trace_drift": out.trace_drift, "channel": ch.channel_path(f), "channel_ms": elapsed},
     )
 
 

@@ -13,7 +13,7 @@ from scipy.special import xlogy
 
 from . import fock as fk
 from .channels import (RegisterNoise, RegisterState, check_shared_register, cq_classical_heat_flow,
-                       quantum_heat_flow_fock_multi)
+                       gaussian_noise_channel)
 from .errors import (
     ConvergenceError,
     DomainError,
@@ -120,14 +120,16 @@ def entropy_A_given_M(state) -> float:
 
 def heat_flow_A(state, t_list) -> list:
     """The state after quantum heat flow on A (the first mode, or every
-    label's state of a register) for each time in t_list."""
+    label's state of a register) for each time in t_list: in closed form for
+    a Gaussian state, by the exact `gaussian_noise_channel`, once per time,
+    for a Fock state. t = 0 is the identity; t < 0 raises NegativeTimeError."""
     if isinstance(state, GaussianState):
         return [gaussian_heat_flow(state, t, state.mode_labels[0]) for t in t_list]
     if isinstance(state, RegisterState):
-        evolved = [quantum_heat_flow_fock_multi(s, t_list) for s in state.states]
+        evolved = [heat_flow_A(s, t_list) for s in state.states]
         return [RegisterState(state.probs, outs) for outs in zip(*evolved)]
     if isinstance(state, fk.FockState):
-        return quantum_heat_flow_fock_multi(state, t_list)
+        return [gaussian_noise_channel(state, t) for t in t_list]
     raise DomainError(f"unsupported state type {type(state).__name__}")
 
 

@@ -27,12 +27,15 @@ class GridPdf:
     """Nonnegative density sampled at the cell centers of a square grid.
 
     origin is the coordinate of the (0, 0) cell center; values[i, j] samples
-    the density at origin + spacing * (i, j).
+    the density at origin + spacing * (i, j). `gaussian` is (t, center) when
+    the values sample the isotropic Gaussian of per-axis variance t centered
+    there (set by `gaussian_pdf` only), else None.
     """
 
     origin: tuple
     spacing: float
     values: np.ndarray
+    gaussian: tuple = None
 
     def __post_init__(self):
         self.origin = (float(self.origin[0]), float(self.origin[1]))
@@ -89,11 +92,16 @@ class GridPdf:
         m = self.mass()
         if m <= 0:
             raise DomainError("cannot normalize a zero density")
-        return GridPdf(self.origin, self.spacing, self.values / m)
+        return GridPdf(self.origin, self.spacing, self.values / m, self.gaussian)
 
     def displaced(self, eta) -> "GridPdf":
         """Shift of the density by eta; grid values are untouched."""
-        return GridPdf((self.origin[0] + eta[0], self.origin[1] + eta[1]), self.spacing, self.values)
+        origin = (self.origin[0] + eta[0], self.origin[1] + eta[1])
+        gaussian = None
+        if self.gaussian:
+            t, (cx, cy) = self.gaussian
+            gaussian = (t, (cx + eta[0], cy + eta[1]))
+        return GridPdf(origin, self.spacing, self.values, gaussian)
 
 
 def resolving_spacing(t: float) -> float:
@@ -128,8 +136,9 @@ def gaussian_pdf(t: float, center=(0.0, 0.0), spacing: float = None, extent: flo
     xs = spacing * (np.arange(L) - half)
     rsq = xs[:, None] ** 2 + xs[None, :] ** 2
     vals = np.exp(-rsq / (2.0 * t)) / t
+    center = (float(center[0]), float(center[1]))
     origin = (center[0] - half * spacing, center[1] - half * spacing)
-    return GridPdf(origin, spacing, vals).normalized()
+    return GridPdf(origin, spacing, vals, (float(t), center)).normalized()
 
 
 def delta_pdf(spacing: float, center=(0.0, 0.0), pad: int = 2) -> GridPdf:

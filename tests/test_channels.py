@@ -9,6 +9,8 @@ from epi_lab import gaussian as ga
 from epi_lab import phase_space as ps
 from epi_lab.errors import (
     DomainError,
+    DriftError,
+    NegativeTimeError,
     ParameterError,
     QuadratureError,
     SpacingMismatchError,
@@ -130,6 +132,66 @@ class TestHeatFlowFock:
         assert np.abs(mean).max() <= 1e-6
 
 
+ORACLE_STATES = {
+    "vacuum": lambda: fk.vacuum(60),
+    "fock1": lambda: fk.fock(1, 48),
+    "cat2": lambda: fk.cat(2.0, 48),
+    "thermal": lambda: fk.thermal(0.8, 48),
+}
+# every state at every time unshifted, plus shifted cases whose output still
+# fits below the cutoff
+ORACLE_CASES = [(name, t, (0.0, 0.0)) for name in ORACLE_STATES for t in (0.0025, 0.01, 0.2, 0.5, 1.0)] + [
+    ("vacuum", 1.0, (2.5, 1.0)), ("fock1", 0.5, (2.5, 1.0)), ("fock1", 0.0025, (0.5, 0.0)),
+    ("cat2", 0.5, (-1.0, 2.0)), ("thermal", 1.0, (0.5, 0.0)), ("thermal", 0.01, (2.5, 1.0))]
+
+
+class TestGaussianNoiseChannel:
+    """The exact core against the displacement quadrature, its oracle."""
+
+    @pytest.mark.parametrize("name,t,center", ORACLE_CASES)
+    def test_matches_quadrature(self, name, t, center):
+        rho = ORACLE_STATES[name]()
+        exact = ch.gaussian_noise_channel(rho, t, center)
+        quad = ch.classical_noise_channel(ps.gaussian_pdf(t, center=center), rho)
+        assert np.abs(exact.matrix - quad.matrix).max() <= 1e-12
+
+    @pytest.mark.parametrize("t,center", [(0.2, (0.0, 0.0)), (0.3, (0.5, -0.4))])
+    @pytest.mark.parametrize("target", ["A", "M"])
+    def test_two_mode_matches_quadrature(self, target, t, center):
+        tm = fk.two_mode_squeezed_vacuum(0.66, 40)
+        exact = ch.gaussian_noise_channel(tm, t, center, target)
+        quad = ch.classical_noise_channel(ps.gaussian_pdf(t, center=center), tm, target)
+        assert np.abs(exact.matrix - quad.matrix).max() <= 1e-12
+
+    def test_register_matches_quadrature(self):
+        reg = ch.RegisterState([0.4, 0.6], [fk.fock(1, 48), fk.cat(2.0, 48)])
+        noise = ch.RegisterNoise([0.4, 0.6], [ps.gaussian_pdf(t, center=c, spacing=0.1)
+                                              for t, c in ((0.3, (0.5, 0.0)), (0.7, (-0.4, 0.3)))])
+        out = ch.extended_channel(noise, reg)
+        assert ch.channel_path(noise) == "exact"
+        for f, s, o in zip(noise.pdfs, reg.states, out.states):
+            assert np.abs(o.matrix - ch.classical_noise_channel(f, s).matrix).max() <= 1e-12
+
+    def test_time_zero_and_negative(self):
+        rho = fk.thermal(0.5, 20)
+        assert np.array_equal(ch.gaussian_noise_channel(rho, 0.0).matrix, rho.matrix)
+        with pytest.raises(NegativeTimeError):
+            ch.gaussian_noise_channel(rho, -0.1)
+
+    def test_guards_match_quadrature(self):
+        with pytest.raises(TailError):
+            ch.gaussian_noise_channel(fk.vacuum(25), 1.0)
+        with pytest.raises(DriftError):
+            ch.gaussian_noise_channel(fk.vacuum(6), 1.0)
+
+    def test_untagged_density_takes_quadrature(self):
+        f = ps.gaussian_pdf(0.3)
+        assert ch.channel_path(f) == "exact"
+        assert ch.channel_path(ps.classical_heat_flow(f, 0.1)) == "quadrature"
+        mixed = ch.RegisterNoise([0.5, 0.5], [f, ps.GridPdf(f.origin, f.spacing, f.values)])
+        assert ch.channel_path(mixed) == "quadrature"
+
+
 class TestExtendedChannel:
     def test_single_label_register_reduces(self):
         rho = fk.fock(1, 30)
@@ -137,8 +199,13 @@ class TestExtendedChannel:
         out = ch.extended_channel(ch.RegisterNoise([1.0], [f]), ch.RegisterState([1.0], [rho]))
         direct = ch.classical_noise_channel(f, rho)
         assert fk.trace_norm_distance(out.states[0], direct) <= 1e-12
-        # independent noise goes straight to the classical-noise channel
-        assert fk.trace_norm_distance(ch.extended_channel(f, rho), direct) == 0.0
+        # independent noise goes straight to its channel: the exact one for a
+        # Gaussian-tagged density, the quadrature for the same grid untagged
+        exact = ch.gaussian_noise_channel(rho, 0.3)
+        assert fk.trace_norm_distance(ch.extended_channel(f, rho), exact) == 0.0
+        assert fk.trace_norm_distance(out.states[0], exact) == 0.0
+        untagged = ps.GridPdf(f.origin, f.spacing, f.values)
+        assert fk.trace_norm_distance(ch.extended_channel(untagged, rho), direct) == 0.0
 
     def test_rejects_uncertified_family(self):
         # a bare quantum state carries no noise, so there is nothing to extend

@@ -126,6 +126,11 @@ class TestExitCodes:
             code, _, err = run_cli(argv)
             assert code == 2 and "DomainError" in err, argv
 
+    def test_dense_state_over_the_cap_is_2(self):
+        # a cutoff-91 two-mode state would take 1.1 GB; refused before it is built
+        code, _, err = run_cli(["epi", "--cutoff", "91"])
+        assert code == 2 and "DomainError" in err and "cap" in err
+
     def test_corrupt_noise_file_is_2(self, tmp_path):
         bad = tmp_path / "noise.grid"
         bad.write_text("gridpdf 1\norigin 0 0\nspacing 0.1\nsize 2\n1 2\n")

@@ -62,6 +62,13 @@ class TestConstructors:
             -ga.g_function(n_avg), abs=1e-7
         )
 
+    def test_dense_size_capped_before_allocation(self):
+        assert 16 * 90 ** 4 <= fk.MAX_DENSE_BYTES < 16 * 91 ** 4
+        with pytest.raises(DomainError):
+            fk.two_mode_squeezed_vacuum(0.66, 91)
+        with pytest.raises(DomainError):
+            fk.tensor_product(fk.vacuum(100), fk.vacuum(100))
+
     def test_tmsv_cutoff_checked_first(self):
         # rejected before the (d*d)^2 outer product is allocated
         for d in (-3, 0, fk.MAX_CUTOFF + 1):
@@ -132,6 +139,22 @@ class TestDisplacement:
         out = fk.displace_state(st, (0.6, -0.2), target="M")
         mean, _ = fk.moments_of_state(out)
         assert mean == pytest.approx([0.0, 0.0, 0.6, -0.2], abs=1e-8)
+
+    @pytest.mark.parametrize("target", ["A", "M"])
+    def test_two_mode_matches_einsum(self, target):
+        st = fk.tensor_product(fk.random_mixed(3, 16, seed=5), fk.cat(1.1, 16), labels=("A", "M"))
+        xi = (0.6, -0.2)
+        D = fk.displacement_operator(xi, 16)
+        spec = "xa,ambn,yb->xmyn" if target == "A" else "xm,ambn,yn->axby"
+        ref = np.einsum(spec, D, st.tensor(), D.conj()).reshape(st.dim, st.dim)
+        out = fk.displace_state(st, xi, target=target)
+        assert np.abs(out.matrix - 0.5 * (ref + ref.conj().T)).max() <= 1e-15
+
+    def test_rectangular_conjugation_projects(self):
+        st = fk.coherent(0.5, 30)
+        D = fk.displacement_operator((0.4, 0.3), 30)
+        out = fk.conjugate_mode(D[:20], st.tensor(), 0)
+        assert np.abs(out - (D @ st.matrix @ D.conj().T)[:20, :20]).max() <= 1e-15
 
 
 class TestSpectralFunctionals:

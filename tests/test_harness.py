@@ -8,6 +8,7 @@ from epi_lab import channels as ch
 from epi_lab import fock as fk
 from epi_lab import gaussian as ga
 from epi_lab import harness as hn
+from epi_lab import measures as ms
 from epi_lab import phase_space as ps
 from epi_lab.errors import DomainError
 
@@ -81,6 +82,36 @@ class TestConditionalEpiChecks:
                            gaussian=lambda: (ga.thermal_state(0.8), 0.4))
         reports = hn.check_conditional_epi(inst)
         assert all(r.passed for r in reports)
+
+
+class TestExactChannelRouting:
+    def test_gaussian_noise_runs_no_quadrature(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the displacement quadrature ran")
+
+        monkeypatch.setattr(ch, "_noise_outputs", refuse)
+        for inst in (small_f1(), small_register()):
+            reports = hn.check_conditional_epi(inst)
+            assert all(r.passed for r in reports)
+            (fock_rep,) = [r for r in reports if r.params.get("path") == "fock"]
+            assert fock_rep.diagnostics["channel"] == "exact"
+        (stam,) = hn.check_stam(small_register())
+        assert stam.diagnostics["channel"] == "exact"
+        (out,) = ms.heat_flow_A(fk.thermal(0.8, 60), [0.2])
+        assert fk.von_neumann_entropy(out) == pytest.approx(ga.g_function(1.0), abs=1e-8)
+
+    def test_file_noise_runs_quadrature(self, tmp_path):
+        f = ps.gaussian_pdf(0.3)
+        path = tmp_path / "noise.gridpdf"
+        ps.save_gridpdf(f, path)
+        inst = hn.Instance({"family": "trivial-M", "instance": "cq"}, lambda: fk.thermal(0.8, 30),
+                           lambda spacing=None: ps.load_gridpdf(path))
+        (rep,) = hn.check_conditional_epi(inst)
+        assert rep.diagnostics["channel"] == "quadrature"
+
+    def test_convolution_oracle_records_the_channel(self):
+        rep = hn.check_convolution_oracle(0.2, cutoff=30)
+        assert rep.passed and rep.diagnostics["channel"] == "exact"
 
 
 class TestLinearEpi:

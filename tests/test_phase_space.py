@@ -58,6 +58,23 @@ class TestEntropyAndMoments:
         m = (3.0) ** 2 / (2 * math.pi)
         assert ps.shannon_entropy(f) == pytest.approx(math.log(m), rel=1e-9)
 
+    def test_gaussian_tag(self):
+        f = ps.gaussian_pdf(0.6, center=(0.3, -0.2))
+        assert f.gaussian == (0.6, (0.3, -0.2))
+        assert f.normalized().gaussian == f.gaussian
+        t, (cx, cy) = f.displaced((0.35, -1.07)).gaussian
+        assert (t, cx, cy) == (0.6, 0.3 + 0.35, -0.2 - 1.07)
+        assert ps.delta_pdf(0.1).gaussian is None
+
+    def test_derived_densities_drop_the_tag(self, tmp_path):
+        f = ps.gaussian_pdf(0.6)
+        assert ps.classical_heat_flow(f, 0.2).gaussian is None
+        assert ps.classical_heat_flow(f, 0.0).gaussian is None
+        assert ps.classical_convolution(f, ps.gaussian_pdf(0.3, spacing=f.spacing)).gaussian is None
+        path = tmp_path / "f.gridpdf"
+        ps.save_gridpdf(f, path)
+        assert ps.load_gridpdf(path).gaussian is None
+
     def test_delta_entropy(self):
         f = ps.delta_pdf(0.1)
         assert ps.shannon_entropy(f) == pytest.approx(math.log(0.1 ** 2 / (2 * math.pi)))
