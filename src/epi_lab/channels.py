@@ -24,7 +24,6 @@ from .errors import (
     NegativeTimeError,
     ParameterError,
     QuadratureError,
-    SpacingMismatchError,
     UnsupportedFamilyError,
 )
 from .fock import FockState, displacement_batch, thermal, thermal_cutoff
@@ -358,9 +357,10 @@ class RegisterState:
 
 @dataclass
 class RegisterNoise:
-    """Noise R given a classical register M: one density per label on one grid
-    lattice, sum_m p_m |m><m| x f_m; with a RegisterState on the same register
-    A and R are independent given M. Independent noise is its GridPdf alone."""
+    """Noise R given a classical register M: one density per label, each on
+    its own grid, sum_m p_m |m><m| x f_m; with a RegisterState on the same
+    register A and R are independent given M. Independent noise is its
+    GridPdf alone."""
 
     probs: np.ndarray
     pdfs: tuple
@@ -368,17 +368,11 @@ class RegisterNoise:
     def __post_init__(self):
         self.pdfs = tuple(self.pdfs)
         self.probs = _register_probs(self.probs, len(self.pdfs))
-        s0, o0 = self.spacing, np.asarray(self.pdfs[0].origin)
-        for f in self.pdfs[1:]:
-            if abs(f.spacing - s0) > 1e-12:
-                raise SpacingMismatchError("register densities must share spacing")
-            off = (np.asarray(f.origin) - o0) / s0
-            if np.abs(off - np.round(off)).max() > 1e-9:
-                raise SpacingMismatchError("register density grids must share a lattice")
 
     @property
     def spacing(self) -> float:
-        return self.pdfs[0].spacing
+        """The coarsest label spacing."""
+        return max(f.spacing for f in self.pdfs)
 
 
 def register_heat_flow_R(reg: RegisterNoise, t: float) -> RegisterNoise:

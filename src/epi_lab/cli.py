@@ -94,13 +94,10 @@ def _parse_gauss_args(spec: str):
     return t, cxy
 
 
-def parse_noise_spec(spec: str, spacing=None, extent=None, snap=False) -> ps.GridPdf:
+def parse_noise_spec(spec: str, spacing=None, extent=None) -> ps.GridPdf:
     kind = spec.partition(":")[0]
     if kind == "gauss":
         t, cxy = _parse_gauss_args(spec)
-        if snap and spacing:
-            # register labels must share one grid lattice
-            cxy = tuple(round(c / spacing) * spacing for c in cxy)
         return ps.gaussian_pdf(t, center=cxy, spacing=spacing, extent=extent)
     if kind == "file":
         path = spec.partition(":")[2]
@@ -145,14 +142,9 @@ def parse_instance(state_spec: str, noise_spec: str, args) -> hn.Instance:
             noises = noises * len(parts)
         if len(noises) != len(parts):
             raise UsageError("need one noise entry per register label")
-        if spacing is None:
-            # shared lattice across the labels: resolve the narrowest noise
-            ts = [_parse_gauss_args(n)[0] for n in noises if n.startswith("gauss:")]
-            if ts:
-                spacing = ps.resolving_spacing(min(ts))
         return hn.Instance({"family": "F2", "labels": len(parts), "instance": "register"}, lambda: reg,
                            lambda s=None: ch.RegisterNoise(reg.probs, [
-                               parse_noise_spec(n, s or spacing, extent, snap=True) for n in noises]))
+                               parse_noise_spec(n, s or spacing, extent) for n in noises]))
     r = _tmsv_r(state_spec)
     if r is not None:
         family, a, gs = "F1", lambda: fk.two_mode_squeezed_vacuum(r, args.cutoff), ga.tmsv_state(r)

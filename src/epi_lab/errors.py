@@ -38,7 +38,7 @@ class GridTooSmallError(EpiLabError):
 
 
 class SpacingMismatchError(EpiLabError):
-    """Grids with incompatible spacings or misaligned lattices."""
+    """Densities convolved on grids of different spacings."""
 
 
 class TailError(EpiLabError):
@@ -63,10 +63,6 @@ class QuadratureError(EpiLabError):
 
 class DriftError(EpiLabError):
     """Channel output trace drifted beyond the abort threshold."""
-
-
-class InfiniteEntropyError(EpiLabError):
-    """A constituent entropy of a conditional quantity is not finite."""
 
 
 class ConvergenceError(EpiLabError):

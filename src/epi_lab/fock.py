@@ -43,10 +43,6 @@ def quadrature_ops(d: int):
     return q, p
 
 
-def number_op(d: int) -> np.ndarray:
-    return np.diag(np.arange(float(d)))
-
-
 @dataclass
 class FockState:
     """Density operator on one or two truncated bosonic modes; `trace_drift`
@@ -414,27 +410,18 @@ def conditional_entropy(rho: FockState, target: str, memory: str) -> float:
     return von_neumann_entropy(rho) - von_neumann_entropy(partial_trace(rho, memory))
 
 
-def mode_operator(rho_dims, op_1mode: np.ndarray, mode: int) -> np.ndarray:
-    """Embed a one-mode operator at position `mode` of the tensor product."""
-    if len(rho_dims) == 1:
-        return op_1mode
-    d0, d1 = rho_dims
-    if mode == 0:
-        return np.kron(op_1mode, np.eye(d1))
-    return np.kron(np.eye(d0), op_1mode)
-
-
 def expectation(rho: FockState, op: np.ndarray) -> float:
     return float(np.real(np.einsum("ij,ji->", op, rho.matrix)))
 
 
 def mean_energy(rho: FockState, mode: str = None) -> float:
-    """tr[H rho] for one mode with H = (Q^2 + P^2)/2 - 1/2, i.e. the photon number."""
+    """tr[H rho] for one mode with H = (Q^2 + P^2)/2 - 1/2, i.e. the photon
+    number, read from the diagonal of that mode's marginal."""
     if mode is None:
         mode = rho.mode_labels[0]
-    k = rho.mode_index(mode)
-    n_full = mode_operator(rho.mode_dims, number_op(rho.mode_dims[k]), k)
-    return expectation(rho, n_full)
+    rho.mode_index(mode)
+    marginal = partial_trace(rho, mode) if rho.n_modes == 2 else rho
+    return float(np.arange(marginal.dim) @ np.real(np.diag(marginal.matrix)))
 
 
 def moments_of_state(rho: FockState):

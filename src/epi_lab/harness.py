@@ -436,8 +436,9 @@ def check_debruijn_regularity(state, t_list, name: str) -> CheckReport:
 
 
 def check_debruijn_consistency(reg: ch.RegisterNoise, t: float) -> CheckReport:
-    """The chain-rule entropy difference must match the mutual-information
-    form evaluated label by label."""
+    """The entropy gain of S(R|M) must match the label-averaged gains of the
+    per-label densities; S(R|M) is itself that label average, so the gap is
+    bookkeeping only (tests/test_measures.py holds the chain-rule oracle)."""
     lhs = ms.integral_fisher_R_given_M(reg, t)
     rhs = sum(
         p * (ps.shannon_entropy(ps.classical_heat_flow(f, t)) - ps.shannon_entropy(f))
@@ -628,7 +629,7 @@ def check_convolution_oracle(t: float, cutoff: int = 60) -> CheckReport:
 
 
 def _register_noise(probs, variances, centers, spacing=None) -> ch.RegisterNoise:
-    """Gaussian per-label noise on a shared grid of spacing 0.1 by default."""
+    """Gaussian per-label noise, each label on a grid of spacing 0.1 by default."""
     return ch.RegisterNoise(probs, [ps.gaussian_pdf(t, center=c, spacing=spacing or 0.1)
                                     for t, c in zip(variances, centers)])
 

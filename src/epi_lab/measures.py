@@ -8,19 +8,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-from scipy.special import xlogy
-
 from . import fock as fk
 from .channels import (RegisterNoise, RegisterState, check_shared_register, cq_classical_heat_flow,
                        gaussian_noise_channel)
-from .errors import (
-    ConvergenceError,
-    DomainError,
-    InfiniteEntropyError,
-    NegativeTimeError,
-    QuadratureError,
-)
+from .errors import ConvergenceError, DomainError, NegativeTimeError, QuadratureError
 from .gaussian import GaussianState, gaussian_conditional_entropy, gaussian_entropy, gaussian_heat_flow
 from .phase_space import GridPdf, resolving_spacing, shannon_entropy
 
@@ -38,52 +29,15 @@ class FisherEstimate:
         self.uncertainty = abs(float(self.uncertainty))
 
 
-def _entropy_of_probs(p: np.ndarray) -> float:
-    return float(-xlogy(p, p).sum())
-
-
-def _register_fields(reg: RegisterNoise):
-    """Per-label densities embedded on one common lattice.
-
-    Returns (fields, cell_weight) with fields of shape (n_labels, L, L).
-    """
-    s = reg.spacing
-    orgs = np.array([f.origin for f in reg.pdfs])
-    offs = np.round((orgs - orgs.min(axis=0)) / s).astype(int)
-    sizes = np.array([f.size for f in reg.pdfs])
-    L = int((offs + sizes[:, None]).max())
-    fields = np.zeros((len(reg.pdfs), L, L))
-    for m, f in enumerate(reg.pdfs):
-        i0, j0 = offs[m]
-        fields[m, i0 : i0 + f.size, j0 : j0 + f.size] = f.values
-    return fields, s ** 2 / (2.0 * math.pi)
-
-
 def cq_conditional_entropy_R_given_M(noise) -> float:
     """Conditional entropy of the noise R given the memory M: S(R) for a
-    GridPdf, noise independent of A and M, and the label-conditioned entropy
-    for a RegisterNoise."""
+    GridPdf, noise independent of A and M, and for a RegisterNoise the
+    label average sum_m p_m S(f_m), each label on its own grid."""
     if isinstance(noise, RegisterNoise):
-        return _register_entropy_R_given_M(noise)
+        return float(sum(p * shannon_entropy(f) for p, f in zip(noise.probs, noise.pdfs)))
     if not isinstance(noise, GridPdf):
         raise DomainError(f"unsupported noise type {type(noise).__name__}")
     return shannon_entropy(noise)
-
-
-def _register_entropy_R_given_M(reg: RegisterNoise) -> float:
-    fields, cell_w = _register_fields(reg)
-    weighted = reg.probs[:, None, None] * fields
-    mix = weighted.sum(axis=0)
-    s_r = float(-xlogy(mix, mix).sum() * cell_w)
-    # posterior label entropy per cell, averaged against the mixture
-    joint_term = float(xlogy(weighted, weighted).sum() * cell_w)
-    mix_term = float(xlogy(mix, mix).sum() * cell_w)
-    s_m_given_r = mix_term - joint_term
-    s_m = _entropy_of_probs(reg.probs)
-    total = s_m_given_r + s_r - s_m
-    if not math.isfinite(total):
-        raise InfiniteEntropyError("a constituent entropy is not finite")
-    return total
 
 
 def register_conditional_entropy_A(reg: RegisterState) -> float:
@@ -174,46 +128,11 @@ def fisher_A_given_M(rho, h0: float = 1e-2) -> FisherEstimate:
     return _richardson(entropy_A_given_M(rho), vals, h0)
 
 
-def conditional_mutual_information(state: RegisterState, noise: RegisterNoise, memory="register") -> float:
-    """I(A:R|M) for an input and a noise over one register, or I(A:R) after
-    discarding the register.
-
-    memory="register" conditions on the labels (zero by construction, but all
-    three entropies are evaluated numerically); memory="trivial" marginalizes
-    the labels, where correlated pairs give a strictly positive value.
-    """
+def conditional_mutual_information(state: RegisterState, noise: RegisterNoise) -> float:
+    """I(A:R|M) for an input and a noise over one register: zero by
+    construction, but S(A|M), S(R|M) and S(AR|M) are each evaluated
+    numerically, the last label by label from S(f_m) and S(rho_m)."""
     check_shared_register(noise, state)
-    fields, cell_w = _register_fields(noise)
-    if memory == "register":
-        s_a_given_m = register_conditional_entropy_A(state)
-        s_r_given_m = cq_conditional_entropy_R_given_M(noise)
-        s_ar_given_m = 0.0
-        for p, st, f, field in zip(state.probs, state.states, noise.pdfs, fields):
-            mass = field.sum() * cell_w
-            s_ar_given_m += p * (shannon_entropy(f) + fk.von_neumann_entropy(st) * mass)
-        return s_a_given_m + s_r_given_m - s_ar_given_m
-    if memory != "trivial":
-        raise DomainError("memory must be 'register' or 'trivial'")
-    weighted = state.probs[:, None, None] * fields
-    mix = weighted.sum(axis=0)
-    s_r = float(-xlogy(mix, mix).sum() * cell_w)
-    mats = np.stack([s.matrix for s in state.states])
-    s_a = fk.von_neumann_entropy(
-        fk.FockState(state.mode_dims, np.tensordot(state.probs, mats, axes=1),
-                     state.states[0].mode_labels)
-    )
-    # S(A|R): per-cell posterior states, entropies batched over cells
-    L = mix.shape[0]
-    flat_w = weighted.reshape(len(state.states), L * L)
-    mix_flat = mix.reshape(L * L)
-    live = mix_flat > 1e-300
-    post = np.einsum("mc,mij->cij", flat_w[:, live] / mix_flat[live], mats)
-    s_cells = np.zeros(live.sum())
-    B = 4096
-    for lo in range(0, post.shape[0], B):
-        w = np.linalg.eigvalsh(post[lo : lo + B])
-        w = np.clip(w, 0.0, None)
-        s_cells[lo : lo + B] = -xlogy(w, w).sum(axis=1)
-    s_a_given_r = float((mix_flat[live] * s_cells).sum() * cell_w)
-    s_ar = s_r + s_a_given_r
-    return s_a + s_r - s_ar
+    s_ar_given_m = sum(p * (shannon_entropy(f) + fk.von_neumann_entropy(st) * f.mass())
+                       for p, st, f in zip(state.probs, state.states, noise.pdfs))
+    return register_conditional_entropy_A(state) + cq_conditional_entropy_R_given_M(noise) - s_ar_given_m

@@ -6,6 +6,7 @@ import pytest
 from epi_lab import channels as ch
 from epi_lab import fock as fk
 from epi_lab import gaussian as ga
+from epi_lab import measures as ms
 from epi_lab import phase_space as ps
 from epi_lab.errors import (
     DomainError,
@@ -13,7 +14,6 @@ from epi_lab.errors import (
     NegativeTimeError,
     ParameterError,
     QuadratureError,
-    SpacingMismatchError,
     TailError,
     UnsupportedFamilyError,
 )
@@ -311,14 +311,14 @@ class TestCQStateMachinery:
         with pytest.raises(DomainError):
             ch.RegisterNoise([1.0], [])
 
-    def test_register_noise_shares_one_lattice(self):
+    def test_register_noise_labels_keep_their_own_grids(self):
+        # mixed spacings and an off-lattice center: each label is on its own grid
         f = ps.gaussian_pdf(0.4, spacing=0.1)
-        with pytest.raises(SpacingMismatchError):
-            ch.RegisterNoise([0.5, 0.5], [f, ps.gaussian_pdf(0.4, spacing=0.05)])
-        with pytest.raises(SpacingMismatchError):
-            ch.RegisterNoise([0.5, 0.5], [f, f.displaced((0.05, 0.0))])
-        # a whole-cell shift stays on the lattice
-        assert ch.RegisterNoise([0.5, 0.5], [f, f.displaced((0.3, -0.2))]).spacing == 0.1
+        pdfs = [f, ps.gaussian_pdf(0.6, spacing=0.05), f.displaced((0.05, 0.0))]
+        noise = ch.RegisterNoise([0.2, 0.3, 0.5], pdfs)
+        assert noise.spacing == 0.1
+        expected = sum(p * ps.shannon_entropy(g) for p, g in zip([0.2, 0.3, 0.5], pdfs))
+        assert ms.cq_conditional_entropy_R_given_M(noise) == pytest.approx(expected, abs=1e-14)
 
     def test_register_heat_flows(self):
         noise = ch.RegisterNoise(

@@ -47,6 +47,18 @@ class TestParsing:
         assert reg.states[0].mode_dims == (24,)
         assert list(inst.r().probs) == list(reg.probs)
 
+    def test_register_noise_keeps_its_centers_and_grids(self):
+        args = cli.parse_config(["epi", "--cutoff", "24"])
+        inst = cli.parse_instance("register:p=0.5,fock:1|vacuum", "gauss:0.3@0.37,0.11|gauss:0.8", args)
+        first, second = inst.r().pdfs
+        assert first.gaussian == (0.3, (0.37, 0.11))
+        assert ps.moments(first)[0] == pytest.approx([0.37, 0.11], abs=1e-9)
+        # each label on its own default grid; --grid-spacing sets all of them
+        assert (first.spacing, second.spacing) == (ps.resolving_spacing(0.3), ps.resolving_spacing(0.8))
+        args = cli.parse_config(["epi", "--cutoff", "24", "--grid-spacing", "0.05"])
+        inst = cli.parse_instance("register:p=0.5,fock:1|vacuum", "gauss:0.3@0.37,0.11|gauss:0.8", args)
+        assert [f.spacing for f in inst.r().pdfs] == [0.05, 0.05]
+
     def test_register_bad_probs(self):
         args = cli.parse_config(["epi"])
         with pytest.raises(UsageError):
@@ -136,6 +148,13 @@ class TestExitCodes:
         bad.write_text("gridpdf 1\norigin 0 0\nspacing 0.1\nsize 2\n1 2\n")
         code, _, err = run_cli(["epi", "--state", "thermal:1.0", "--noise", f"file:{bad}"])
         assert code == 2
+
+    def test_register_mixes_file_and_gauss_labels(self, tmp_path):
+        path = tmp_path / "noise.grid"
+        ps.save_gridpdf(ps.gaussian_pdf(0.5, spacing=0.1), path)
+        code, _, err = run_cli(["epi", "--state", "register:p=0.5,fock:1|vacuum",
+                                "--noise", f"gauss:0.3@0.37,0.11|file:{path}", "--cutoff", "32"])
+        assert code == 0, err
 
     def test_linear_epi_on_one_mode_gaussian_input(self):
         code, out, _ = run_cli(["linear-epi", "--state", "thermal:1.0", "--noise", "gauss:0.5",

@@ -46,6 +46,13 @@ class TestConstructors:
         assert mean == pytest.approx([math.sqrt(2) * 1.0, math.sqrt(2) * 0.5], abs=1e-10)
         assert np.allclose(cov, 0.5 * np.eye(2), atol=1e-10)
 
+    def test_two_mode_mean_energy_per_mode(self):
+        st = fk.tensor_product(fk.fock(2, 8), fk.vacuum(6), labels=("A", "M"))
+        assert (fk.mean_energy(st), fk.mean_energy(st, "M")) == (2.0, 0.0)
+        tm = fk.two_mode_squeezed_vacuum(0.5, 40)
+        for mode in ("A", "M"):
+            assert fk.mean_energy(tm, mode) == pytest.approx(math.sinh(0.5) ** 2, abs=1e-10)
+
     def test_cat_is_pure_even(self):
         st = fk.cat(2.0, 40)
         assert fk.von_neumann_entropy(st) == pytest.approx(0.0, abs=1e-10)
