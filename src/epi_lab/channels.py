@@ -369,11 +369,6 @@ class RegisterNoise:
         self.pdfs = tuple(self.pdfs)
         self.probs = _register_probs(self.probs, len(self.pdfs))
 
-    @property
-    def spacing(self) -> float:
-        """The coarsest label spacing."""
-        return max(f.spacing for f in self.pdfs)
-
 
 def register_heat_flow_R(reg: RegisterNoise, t: float) -> RegisterNoise:
     """Classical heat flow on every per-label noise density."""

@@ -94,11 +94,11 @@ def _parse_gauss_args(spec: str):
     return t, cxy
 
 
-def parse_noise_spec(spec: str, spacing=None, extent=None) -> ps.GridPdf:
+def parse_noise_spec(spec: str, spacing=None) -> ps.GridPdf:
     kind = spec.partition(":")[0]
     if kind == "gauss":
         t, cxy = _parse_gauss_args(spec)
-        return ps.gaussian_pdf(t, center=cxy, spacing=spacing, extent=extent)
+        return ps.gaussian_pdf(t, center=cxy, spacing=spacing)
     if kind == "file":
         path = spec.partition(":")[2]
         try:
@@ -123,7 +123,7 @@ def _tmsv_r(spec: str):
 
 def parse_instance(state_spec: str, noise_spec: str, args) -> hn.Instance:
     """Assemble the check instance named by --state/--noise."""
-    spacing, extent = args.grid_spacing, args.grid_extent
+    spacing = args.grid_spacing
     if state_spec.startswith("register:"):
         body = state_spec[len("register:") :]
         head, _, specs = body.partition(",")
@@ -143,8 +143,7 @@ def parse_instance(state_spec: str, noise_spec: str, args) -> hn.Instance:
         if len(noises) != len(parts):
             raise UsageError("need one noise entry per register label")
         return hn.Instance({"family": "F2", "labels": len(parts), "instance": "register"}, lambda: reg,
-                           lambda s=None: ch.RegisterNoise(reg.probs, [
-                               parse_noise_spec(n, s or spacing, extent) for n in noises]))
+                           lambda: ch.RegisterNoise(reg.probs, [parse_noise_spec(n, spacing) for n in noises]))
     r = _tmsv_r(state_spec)
     if r is not None:
         family, a, gs = "F1", lambda: fk.two_mode_squeezed_vacuum(r, args.cutoff), ga.tmsv_state(r)
@@ -152,8 +151,8 @@ def parse_instance(state_spec: str, noise_spec: str, args) -> hn.Instance:
         st, gs = parse_state_spec(state_spec, args.cutoff, args.seed)
         family, a = "trivial-M", lambda: st
 
-    def noise(s=None):
-        return parse_noise_spec(noise_spec, s or spacing, extent)
+    def noise():
+        return parse_noise_spec(noise_spec, spacing)
 
     t = _parse_gauss_args(noise_spec)[0] if noise_spec.startswith("gauss:") else None
     if gs is None or t is None:
@@ -177,7 +176,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cutoff", type=lambda x: _int_in(x, 1, fk.MAX_CUTOFF), default=60,
                    help=f"Fock cutoff per mode, in [1, {fk.MAX_CUTOFF}]")
     p.add_argument("--grid-spacing", type=_finite, default=None)
-    p.add_argument("--grid-extent", type=_finite, default=None)
     p.add_argument("--t-list", default="0.5,1.0,2.0", help="comma-separated times")
     p.add_argument("--k-list", default="2,4,8,16", help="comma-separated family sizes")
     p.add_argument("--lambda", dest="lam", default="0.5",
@@ -267,7 +265,7 @@ def run_command(args) -> list:
         grid = [round(0.05 * i, 10) for i in range(11)]
         return [hn.check_concavity_entropy_power(state, grid, args.state)]
     if cmd == "capacity":
-        f = parse_noise_spec(args.noise, args.grid_spacing, args.grid_extent)
+        f = parse_noise_spec(args.noise, args.grid_spacing)
         val = hn.capacity_bound(args.E, f)
         rep = hn.make_report(
             "capacity-bound", {"E": args.E, "noise": args.noise}, val, 0.0, val, 0.0,
@@ -289,8 +287,8 @@ def run_command(args) -> list:
         st_b, _ = parse_state_spec(args.state_b, args.cutoff, args.seed)
         return [hn.check_beam_splitter_epi(st_a, st_b, lam, f"{args.state}|{args.state_b}")]
     if cmd == "classical-epi":
-        g = parse_noise_spec(args.noise, args.grid_spacing, args.grid_extent)
-        f = parse_noise_spec(args.noise_b, g.spacing, args.grid_extent)
+        g = parse_noise_spec(args.noise, args.grid_spacing)
+        f = parse_noise_spec(args.noise_b, g.spacing)
         return [hn.check_classical_epi(g, f, f"{args.noise}|{args.noise_b}")]
     raise UsageError(f"unknown command {cmd!r}")
 

@@ -102,10 +102,10 @@ class FockState:
     def trace(self) -> float:
         return float(np.real(np.trace(self.matrix)))
 
-    def check_tail(self, tol: float = TAIL_TOL):
+    def check_tail(self):
         tm = self.tail_mass()
-        if tm > tol:
-            raise TailError(f"top Fock level holds population {tm:.3e} > {tol}")
+        if tm > TAIL_TOL:
+            raise TailError(f"top Fock level holds population {tm:.3e} > {TAIL_TOL}")
 
     def copy(self) -> "FockState":
         return replace(self, matrix=self.matrix.copy())
@@ -283,10 +283,6 @@ def random_mixed(rank: int, d: int, seed: int, label: str = "A", support: int = 
 # displacement operators
 
 
-def xi_to_alpha(xi) -> complex:
-    return complex(xi[0], xi[1]) / SQRT2
-
-
 def displacement_batch(xis: np.ndarray, d: int) -> np.ndarray:
     """Displacement matrices for a batch of phase-space points.
 
@@ -321,22 +317,6 @@ def displacement_batch(xis: np.ndarray, d: int) -> np.ndarray:
     return out
 
 
-def displacement_operator(xi, d: int) -> np.ndarray:
-    """Single displacement matrix for the phase-space shift xi."""
-    if d < 2:
-        raise DomainError("cutoff must be at least 2")
-    return displacement_batch(np.asarray(xi, dtype=float).reshape(1, 2), d)[0]
-
-
-def displacement_operator_expm(xi, d: int) -> np.ndarray:
-    """Matrix-exponential construction, kept as an independent test oracle."""
-    from scipy.linalg import expm
-
-    a = annihilation(d)
-    alpha = xi_to_alpha(xi)
-    return expm(alpha * a.T.conj().astype(complex) - np.conj(alpha) * a.astype(complex))
-
-
 def conjugate_mode(D: np.ndarray, t: np.ndarray, k: int) -> np.ndarray:
     """D X D^dag on mode k of a state tensor `t` (one (row, col) axis pair per
     mode, rows first), as two tensordots; D may be rectangular, which changes
@@ -344,16 +324,6 @@ def conjugate_mode(D: np.ndarray, t: np.ndarray, k: int) -> np.ndarray:
     n = t.ndim // 2
     t = np.moveaxis(np.tensordot(D, t, axes=(1, k)), 0, k)
     return np.moveaxis(np.tensordot(t, D.conj(), axes=(n + k, 1)), -1, n + k)
-
-
-def displace_state(rho: FockState, xi, target: str = None) -> FockState:
-    """Unitary displacement of one mode of the state."""
-    if target is None:
-        target = rho.mode_labels[0]
-    k = rho.mode_index(target)
-    D = displacement_batch(np.asarray(xi, dtype=float).reshape(1, 2), rho.mode_dims[k])[0]
-    mat = conjugate_mode(D, rho.tensor(), k).reshape(rho.dim, rho.dim)
-    return FockState(rho.mode_dims, _hermitize(mat), rho.mode_labels)
 
 
 # ---------------------------------------------------------------------------
@@ -371,14 +341,15 @@ def von_neumann_entropy(rho: FockState) -> float:
     return float(-xlogy(w, w).sum())
 
 
-def relative_entropy(rho: FockState, sigma: FockState, null_tol: float = 1e-12) -> float:
-    """tr[rho (log rho - log sigma)]; +inf if rho weighs sigma's null space."""
+def relative_entropy(rho: FockState, sigma: FockState) -> float:
+    """tr[rho (log rho - log sigma)]; +inf if rho weighs sigma's null space,
+    the eigenvalues of sigma below 1e-12."""
     if rho.mode_dims != sigma.mode_dims:
         raise DimensionMismatchError(
             f"dims {rho.mode_dims} vs {sigma.mode_dims} do not match"
         )
     ws, vs = np.linalg.eigh(sigma.matrix)
-    null = ws < null_tol
+    null = ws < 1e-12
     rho_in_sigma_basis = vs.conj().T @ rho.matrix @ vs
     diag = np.real(np.diagonal(rho_in_sigma_basis))
     if null.any() and diag[null].sum() >= 1e-10:
@@ -412,16 +383,6 @@ def conditional_entropy(rho: FockState, target: str, memory: str) -> float:
 
 def expectation(rho: FockState, op: np.ndarray) -> float:
     return float(np.real(np.einsum("ij,ji->", op, rho.matrix)))
-
-
-def mean_energy(rho: FockState, mode: str = None) -> float:
-    """tr[H rho] for one mode with H = (Q^2 + P^2)/2 - 1/2, i.e. the photon
-    number, read from the diagonal of that mode's marginal."""
-    if mode is None:
-        mode = rho.mode_labels[0]
-    rho.mode_index(mode)
-    marginal = partial_trace(rho, mode) if rho.n_modes == 2 else rho
-    return float(np.arange(marginal.dim) @ np.real(np.diag(marginal.matrix)))
 
 
 def moments_of_state(rho: FockState):
@@ -475,10 +436,11 @@ def tensor_product(rho: FockState, sigma: FockState, labels=None) -> FockState:
     )
 
 
-def thermal_cutoff(N: float, tol: float = TAIL_TOL, margin: int = 2) -> int:
-    """Smallest cutoff whose thermal top-level population is below tol."""
+def thermal_cutoff(N: float) -> int:
+    """Smallest cutoff whose thermal top-level population is below TAIL_TOL,
+    plus two levels."""
     if N <= 0:
-        return 2 + margin
+        return 4
     q = N / (N + 1.0)
-    d = 1 + int(math.ceil(math.log(tol / (1.0 - q)) / math.log(q)))
-    return max(d, 2) + margin
+    d = 1 + int(math.ceil(math.log(TAIL_TOL / (1.0 - q)) / math.log(q)))
+    return max(d, 2) + 2

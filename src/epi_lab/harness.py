@@ -108,11 +108,11 @@ class Instance:
 
     Both sides are built on demand. `a()` returns A with its memory: a
     FockState whose second mode (if any) is M, or a RegisterState whose
-    labels are M. `r(spacing)` returns R with the same memory: the GridPdf of
-    noise independent of A and M, or a RegisterNoise over the register of
-    `a()`; `spacing=None` keeps the grid of the noise spec. `gaussian()`, None
-    without a Gaussian twin, returns the matched Gaussian input and its
-    isotropic noise variance. `params` identify the instance in reports.
+    labels are M. `r()` returns R with the same memory: the GridPdf of noise
+    independent of A and M, or a RegisterNoise over the register of `a()`.
+    `gaussian()`, None without a Gaussian twin, returns the matched Gaussian
+    input and its isotropic noise variance. `params` identify the instance in
+    reports.
     """
 
     params: dict
@@ -143,12 +143,12 @@ class Instance:
         a, out, s_r, diag = self._channel(path)
         return ms.entropy_A_given_M(a), s_r, ms.entropy_A_given_M(out), diag
 
-    def fishers(self, path: str, h0: float = 1e-2):
-        """(J(A|M), J(R|M), J(C|M), diagnostics) on one path; J(R|M) runs on
-        a noise grid fine enough for the Fisher step."""
+    def fishers(self, path: str):
+        """(J(A|M), J(R|M), J(C|M), diagnostics) on one path; J(R|M) comes
+        first, so noise the Fisher ladder refuses fails before the channel runs."""
+        j_r = ms.fisher_R_given_M(self.r())
         a, out, _, diag = self._channel(path)
-        r = self.r(ms.fisher_spacing(h0))
-        return ms.fisher_A_given_M(a, h0), ms.fisher_R_given_M(r, h0), ms.fisher_A_given_M(out, h0), diag
+        return ms.fisher_A_given_M(a), j_r, ms.fisher_A_given_M(out), diag
 
 
 PATH_TOL = {"gaussian": GAUSS_TOL, "fock": FOCK_TOL}
@@ -216,7 +216,7 @@ def check_linear_epi(instance: Instance, lam) -> CheckReport:
 # Stam inequality
 
 
-def check_stam(instance: Instance, h0: float = 1e-2) -> list:
+def check_stam(instance: Instance) -> list:
     """Reciprocal-form Stam inequality 1/J(C|M) >= 1/J(A|M) + 1/J(R|M).
 
     Fisher informations come from the forward-difference derivative of the
@@ -224,7 +224,7 @@ def check_stam(instance: Instance, h0: float = 1e-2) -> list:
     instance has one; the tolerance budgets both the relative slack and three
     times the propagated estimate uncertainties.
     """
-    j_a, j_r, j_c, diag = instance.fishers(instance.paths()[0], h0)
+    j_a, j_r, j_c, diag = instance.fishers(instance.paths()[0])
     lhs = 1.0 / j_c.value
     rhs = 1.0 / j_a.value + 1.0 / j_r.value
     sigma = (
@@ -322,16 +322,16 @@ def check_tightness_epi(a: float, b: float, k: float) -> CheckReport:
 # isoperimetric inequalities
 
 
-def check_isoperimetric(instance, name: str, h0: float = 1e-2) -> CheckReport:
+def check_isoperimetric(instance, name: str) -> CheckReport:
     """(1/n) J(X|M) exp S(X|M) >= e, with a 1e-2 relative slack, where X is
     the noise R given as a GridPdf, and A otherwise (the first mode of a
     Gaussian or Fock state, or every label's state of a register)."""
     if isinstance(instance, ps.GridPdf):
-        j = ms.fisher_R_given_M(instance, h0=h0)
+        j = ms.fisher_R_given_M(instance)
         s = ms.cq_conditional_entropy_R_given_M(instance)
         diag = {}
     else:
-        j = ms.fisher_A_given_M(instance, h0=h0)
+        j = ms.fisher_A_given_M(instance)
         s = ms.entropy_A_given_M(instance)
         diag = {} if isinstance(instance, ga.GaussianState) else {"tail_mass": instance.tail_mass()}
     lhs = j.value * math.exp(s)
@@ -367,17 +367,19 @@ def check_isoperimetric_ratio_monotone(nus) -> CheckReport:
     )
 
 
-def check_fisher_isoperimetric(instance, name: str, h: float = 0.05, h0: float = 1e-2) -> CheckReport:
-    """d/dt [1/J(t)] >= 1 at t = 0 along the heat flow: on the noise R given
-    as a GridPdf, and on A otherwise."""
+def check_fisher_isoperimetric(instance, name: str) -> CheckReport:
+    """d/dt [1/J(t)] >= 1 at t = 0 along the heat flow, from forward
+    differences at steps h = 0.05 and h/2: on the noise R given as a GridPdf,
+    and on A otherwise."""
 
     def inv_j(t):
         if isinstance(instance, ps.GridPdf):
-            est = ms.fisher_R_given_M(ch.cq_classical_heat_flow(instance, t) if t else instance, h0=h0)
+            est = ms.fisher_R_given_M(ch.cq_classical_heat_flow(instance, t) if t else instance)
         else:
-            est = ms.fisher_A_given_M(ms.heat_flow_A(instance, [t])[0] if t else instance, h0=h0)
+            est = ms.fisher_A_given_M(ms.heat_flow_A(instance, [t])[0] if t else instance)
         return 1.0 / est.value, est.uncertainty / est.value ** 2
 
+    h = 0.05
     f0, u0 = inv_j(0.0)
     f1, u1 = inv_j(h)
     f2, u2 = inv_j(h / 2)
@@ -532,8 +534,10 @@ def check_qou_semigroup(state: fk.FockState, mu: float, lam: float, s: float, t:
     )
 
 
-def check_qou_gaussian_fock_agreement(r: float, t: float, mu: float, lam: float, cutoff: int = 20) -> CheckReport:
-    """Two-mode damping evolution: Fock moments must track the Gaussian rule."""
+def check_qou_gaussian_fock_agreement(r: float, t: float, mu: float, lam: float) -> CheckReport:
+    """Two-mode damping evolution at cutoff 20: Fock moments must track the
+    Gaussian rule."""
+    cutoff = 20
     tm = fk.two_mode_squeezed_vacuum(r, cutoff)
     out = ch.qou_channel_fock(tm, t, mu, lam, target="A")
     mean_f, cov_f = fk.moments_of_state(out)
@@ -628,9 +632,9 @@ def check_convolution_oracle(t: float, cutoff: int = 60) -> CheckReport:
 # the built-in suite
 
 
-def _register_noise(probs, variances, centers, spacing=None) -> ch.RegisterNoise:
-    """Gaussian per-label noise, each label on a grid of spacing 0.1 by default."""
-    return ch.RegisterNoise(probs, [ps.gaussian_pdf(t, center=c, spacing=spacing or 0.1)
+def _register_noise(probs, variances, centers) -> ch.RegisterNoise:
+    """Gaussian per-label noise, each label on a grid of spacing 0.1."""
+    return ch.RegisterNoise(probs, [ps.gaussian_pdf(t, center=c, spacing=0.1)
                                     for t, c in zip(variances, centers)])
 
 
@@ -638,18 +642,14 @@ def _register(label, probs, states, variances, centers) -> Instance:
     """Register instance; `states` builds the per-label states."""
     return Instance({"family": "F2", "labels": len(probs), "instance": label},
                     lambda: ch.RegisterState(probs, states()),
-                    lambda spacing=None: _register_noise(probs, variances, centers, spacing))
-
-
-def _gauss_noise(t):
-    return lambda spacing=None: ps.gaussian_pdf(t, spacing=spacing)
+                    lambda: _register_noise(probs, variances, centers))
 
 
 def _f1(t: float) -> Instance:
     """Memory family 1: a two-mode squeezed pair (A, M) with noise
     independent of both."""
     return Instance({"family": "F1", "instance": "tmsv-0.66", "t": t},
-                    lambda: fk.two_mode_squeezed_vacuum(0.66, 40), _gauss_noise(t),
+                    lambda: fk.two_mode_squeezed_vacuum(0.66, 40), lambda: ps.gaussian_pdf(t),
                     gaussian=lambda: (ga.tmsv_state(0.66), t))
 
 
@@ -657,7 +657,7 @@ def _thermal(name: str, n: float, t: float) -> Instance:
     """One-mode thermal input without memory: the conditional statements
     reduce to their unconditioned forms."""
     return Instance({"family": "trivial-M", "instance": name, "t": t}, lambda: fk.thermal(n, 60),
-                    _gauss_noise(t), gaussian=lambda: (ga.thermal_state(n), t))
+                    lambda: ps.gaussian_pdf(t), gaussian=lambda: (ga.thermal_state(n), t))
 
 
 def _corpus_register_epi(label: str = "register") -> Instance:

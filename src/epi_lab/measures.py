@@ -13,7 +13,7 @@ from .channels import (RegisterNoise, RegisterState, check_shared_register, cq_c
                        gaussian_noise_channel)
 from .errors import ConvergenceError, DomainError, NegativeTimeError, QuadratureError
 from .gaussian import GaussianState, gaussian_conditional_entropy, gaussian_entropy, gaussian_heat_flow
-from .phase_space import GridPdf, resolving_spacing, shannon_entropy
+from .phase_space import GridPdf, gaussian_pdf, resolving_spacing, shannon_entropy
 
 
 @dataclass
@@ -101,22 +101,26 @@ def _richardson(f0: float, values, h0: float) -> FisherEstimate:
     return est
 
 
-def fisher_spacing(h0: float) -> float:
-    """Coarsest noise grid that resolves the smallest Fisher step h0/4."""
-    return resolving_spacing(h0 / 4)
+def _fisher_grid(f: GridPdf, h0: float) -> GridPdf:
+    """f on a grid that resolves the smallest Fisher step h0/4, where sampled
+    kernels would otherwise bias the derivative: f itself when its grid is that
+    fine, resampled there when it is Gaussian; any other density is refused."""
+    spacing = resolving_spacing(h0 / 4)
+    if f.spacing <= spacing * (1 + 1e-12):
+        return f
+    if f.gaussian is None:
+        raise QuadratureError(f"spacing {f.spacing:.4g} too coarse for Fisher step h0={h0}")
+    return gaussian_pdf(*f.gaussian, spacing=spacing)
 
 
 def fisher_R_given_M(noise, h0: float = 1e-2) -> FisherEstimate:
     """Forward-difference derivative of S(R|M) along the classical heat flow,
-    for noise R given as a GridPdf or a RegisterNoise.
-
-    The grid must resolve the smallest step (see `fisher_spacing`), otherwise
-    the sampled kernels bias the derivative.
-    """
-    if noise.spacing > fisher_spacing(h0) * (1 + 1e-12):
-        raise QuadratureError(
-            f"spacing {noise.spacing:.4g} too coarse for Fisher step h0={h0}"
-        )
+    for noise R given as a GridPdf or a RegisterNoise, each density on the
+    grid `_fisher_grid` picks for it."""
+    if isinstance(noise, RegisterNoise):
+        noise = RegisterNoise(noise.probs, [_fisher_grid(f, h0) for f in noise.pdfs])
+    else:
+        noise = _fisher_grid(noise, h0)
     f0 = cq_conditional_entropy_R_given_M(noise)
     vals = [cq_conditional_entropy_R_given_M(cq_classical_heat_flow(noise, h)) for h in (h0, h0 / 2, h0 / 4)]
     return _richardson(f0, vals, h0)

@@ -94,15 +94,6 @@ class GridPdf:
             raise DomainError("cannot normalize a zero density")
         return GridPdf(self.origin, self.spacing, self.values / m, self.gaussian)
 
-    def displaced(self, eta) -> "GridPdf":
-        """Shift of the density by eta; grid values are untouched."""
-        origin = (self.origin[0] + eta[0], self.origin[1] + eta[1])
-        gaussian = None
-        if self.gaussian:
-            t, (cx, cy) = self.gaussian
-            gaussian = (t, (cx + eta[0], cy + eta[1]))
-        return GridPdf(origin, self.spacing, self.values, gaussian)
-
 
 def resolving_spacing(t: float) -> float:
     """Coarsest grid spacing that resolves a Gaussian of variance t: a quarter

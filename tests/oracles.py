@@ -1,0 +1,55 @@
+"""Reference helpers that only the tests use: single displacement operators
+(closed form and matrix exponential), displaced Fock states and densities,
+and the per-mode photon number. They stay independent oracles for the
+program's channels and moments.
+"""
+
+import math
+
+import numpy as np
+from scipy.linalg import expm
+
+from epi_lab import fock as fk
+from epi_lab import phase_space as ps
+
+
+def xi_to_alpha(xi) -> complex:
+    return complex(xi[0], xi[1]) / math.sqrt(2.0)
+
+
+def displacement_operator(xi, d: int) -> np.ndarray:
+    """Single displacement matrix for the phase-space shift xi."""
+    return fk.displacement_batch(np.asarray(xi, dtype=float).reshape(1, 2), d)[0]
+
+
+def displacement_operator_expm(xi, d: int) -> np.ndarray:
+    """Matrix-exponential construction of the same operator."""
+    a = fk.annihilation(d).astype(complex)
+    alpha = xi_to_alpha(xi)
+    return expm(alpha * a.T.conj() - np.conj(alpha) * a)
+
+
+def displace_state(rho: fk.FockState, xi, target: str = None) -> fk.FockState:
+    """Unitary displacement of one mode of the state."""
+    k = rho.mode_index(target or rho.mode_labels[0])
+    D = displacement_operator(xi, rho.mode_dims[k])
+    mat = fk.conjugate_mode(D, rho.tensor(), k).reshape(rho.dim, rho.dim)
+    return fk.FockState(rho.mode_dims, 0.5 * (mat + mat.conj().T), rho.mode_labels)
+
+
+def mean_energy(rho: fk.FockState, mode: str = None) -> float:
+    """Photon number of one mode, read from the diagonal of its marginal."""
+    mode = mode or rho.mode_labels[0]
+    rho.mode_index(mode)
+    marginal = fk.partial_trace(rho, mode) if rho.n_modes == 2 else rho
+    return float(np.arange(marginal.dim) @ np.real(np.diag(marginal.matrix)))
+
+
+def displaced(f: ps.GridPdf, eta) -> ps.GridPdf:
+    """Shift of the density by eta; grid values and the Gaussian tag move along."""
+    origin = (f.origin[0] + eta[0], f.origin[1] + eta[1])
+    gaussian = None
+    if f.gaussian:
+        t, (cx, cy) = f.gaussian
+        gaussian = (t, (cx + eta[0], cy + eta[1]))
+    return ps.GridPdf(origin, f.spacing, f.values, gaussian)

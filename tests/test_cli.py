@@ -5,6 +5,7 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
+from epi_lab import channels as ch
 from epi_lab import cli
 from epi_lab import gaussian as ga
 from epi_lab import phase_space as ps
@@ -115,7 +116,6 @@ class TestExitCodes:
                      ["tightness", "--k-list", "inf"],
                      ["tightness", "--a", "nan", "--k-list", "2,4"],
                      ["scaling", "--state", "fock:1", "--noise", "gauss:0.5", "--t-list", "nan"],
-                     ["epi", "--grid-extent", "inf", "--cutoff", "20"],
                      ["epi", "--grid-spacing", "nan", "--cutoff", "20"],
                      ["capacity", "--E", "nan"],
                      # integers out of range, checked before anything is built
@@ -127,6 +127,24 @@ class TestExitCodes:
                      ["capacity", "--out", str(tmp_path / "plain" / "x.json")]):
             code, _, err = run_cli(argv)
             assert code == 2 and "usage error" in err, argv
+
+    def test_grid_extent_is_not_a_flag(self):
+        # a Gaussian grid reaches 8 sigma by itself; there is no extent to set
+        code, _, err = run_cli(["epi", "--grid-extent", "inf", "--cutoff", "20"])
+        assert code == 2 and "unrecognized arguments: --grid-extent" in err
+
+    def test_stam_refuses_coarse_file_noise_before_the_channel(self, tmp_path, monkeypatch):
+        # a file density cannot be resampled for the Fisher step, and J(R|M)
+        # runs first, so the quadrature channel never starts
+        path = tmp_path / "noise.grid"
+        ps.save_gridpdf(ps.gaussian_pdf(0.4, spacing=0.1), path)
+
+        def no_channel(*args, **kwargs):
+            raise AssertionError("the quadrature channel ran")
+
+        monkeypatch.setattr(ch, "_noise_outputs", no_channel)
+        code, _, err = run_cli(["stam", "--state", "thermal:0.5", "--noise", f"file:{path}"])
+        assert code == 2 and "QuadratureError" in err
 
     def test_numeric_error_is_2(self):
         code, _, err = run_cli(["qou", "--state", "fock:1", "--mu", "1", "--lambda", "1.5"])

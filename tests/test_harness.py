@@ -14,7 +14,7 @@ from epi_lab.errors import DomainError
 
 
 def gauss_noise(t):
-    return lambda spacing=None: ps.gaussian_pdf(t, spacing=spacing)
+    return lambda: ps.gaussian_pdf(t)
 
 
 def small_f1():
@@ -29,9 +29,9 @@ def small_register():
     return hn.Instance(
         {"family": "F2", "labels": 2, "instance": "small"},
         lambda: ch.RegisterState([0.5, 0.5], [fk.fock(1, 30), fk.thermal(0.4, 30)]),
-        lambda spacing=None: ch.RegisterNoise(
-            [0.5, 0.5], [ps.gaussian_pdf(0.3, spacing=spacing or 0.1),
-                         ps.gaussian_pdf(0.5, center=(0.4, -0.2), spacing=spacing or 0.1)]),
+        lambda: ch.RegisterNoise(
+            [0.5, 0.5], [ps.gaussian_pdf(0.3, spacing=0.1),
+                         ps.gaussian_pdf(0.5, center=(0.4, -0.2), spacing=0.1)]),
     )
 
 
@@ -105,7 +105,7 @@ class TestExactChannelRouting:
         path = tmp_path / "noise.gridpdf"
         ps.save_gridpdf(f, path)
         inst = hn.Instance({"family": "trivial-M", "instance": "cq"}, lambda: fk.thermal(0.8, 30),
-                           lambda spacing=None: ps.load_gridpdf(path))
+                           lambda: ps.load_gridpdf(path))
         (rep,) = hn.check_conditional_epi(inst)
         assert rep.diagnostics["channel"] == "quadrature"
 

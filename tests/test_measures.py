@@ -28,6 +28,11 @@ def small_noise(spacing=0.1):
     )
 
 
+def untagged(f):
+    """The same grid without its Gaussian tag, as a `file:` density arrives."""
+    return ps.GridPdf(f.origin, f.spacing, f.values)
+
+
 class TestConditionalEntropyRM:
     def test_independent_product(self):
         f = ps.gaussian_pdf(0.7)
@@ -39,8 +44,8 @@ class TestConditionalEntropyRM:
         # the chain rule S(M|R) + S(R) - S(M) on the labels' common 0.1
         # lattice, with the label posterior of every cell, against the
         # program's label average
-        reg = small_noise()
-        s = reg.spacing
+        s = 0.1
+        reg = small_noise(s)
         origins = np.array([f.origin for f in reg.pdfs])
         offsets = (origins - origins.min(axis=0)) / s
         assert np.abs(offsets - np.round(offsets)).max() < 1e-9
@@ -131,23 +136,33 @@ class TestFisherEstimates:
         assert est.value == pytest.approx(expected, rel=1e-3)
 
     def test_register_with_one_coarse_label_rejected(self):
+        # an untagged density (as from a file) cannot be resampled
         fine = ps.gaussian_pdf(0.5, spacing=0.0125)
-        reg = ch.RegisterNoise([0.4, 0.6], [fine, ps.gaussian_pdf(1.2, spacing=0.1)])
-        assert reg.spacing == 0.1
+        reg = ch.RegisterNoise([0.4, 0.6], [fine, untagged(ps.gaussian_pdf(1.2, spacing=0.1))])
         with pytest.raises(QuadratureError):
             ms.fisher_R_given_M(reg)
 
     def test_coarse_grid_rejected(self):
         with pytest.raises(QuadratureError):
-            ms.fisher_R_given_M(ps.gaussian_pdf(0.8, spacing=0.1))
+            ms.fisher_R_given_M(untagged(ps.gaussian_pdf(0.8, spacing=0.1)))
         # the limit is the grid that resolves the smallest step h0/4
         h0 = 0.16
-        spacing = ms.fisher_spacing(h0)
-        assert spacing == ps.resolving_spacing(h0 / 4)
-        ms.fisher_R_given_M(ps.gaussian_pdf(0.8, spacing=spacing), h0)
-        coarse = ps.gaussian_pdf(0.8, spacing=1.01 * spacing)
+        spacing = ps.resolving_spacing(h0 / 4)
+        ms.fisher_R_given_M(untagged(ps.gaussian_pdf(0.8, spacing=spacing)), h0)
+        coarse = untagged(ps.gaussian_pdf(0.8, spacing=1.01 * spacing))
         with pytest.raises(QuadratureError):
             ms.fisher_R_given_M(coarse, h0)
+
+    def test_coarse_gaussian_is_resampled(self):
+        # a tagged Gaussian, alone or as one label, is rebuilt on the grid
+        # that resolves h0/4: the same J as the density built there
+        fine = ps.resolving_spacing(1e-2 / 4)
+        coarse, built = (ps.gaussian_pdf(0.8, center=(0.3, -0.1), spacing=s) for s in (0.1, fine))
+        assert ms.fisher_R_given_M(coarse) == ms.fisher_R_given_M(built)
+        label = ps.gaussian_pdf(0.5, spacing=fine)
+        coarse = ch.RegisterNoise([0.4, 0.6], [label, ps.gaussian_pdf(1.2, (0.2, 0.1), spacing=0.1)])
+        built = ch.RegisterNoise([0.4, 0.6], [label, ps.gaussian_pdf(1.2, (0.2, 0.1), spacing=fine)])
+        assert ms.fisher_R_given_M(coarse) == ms.fisher_R_given_M(built)
 
     def test_unsupported_type(self):
         with pytest.raises(DomainError):
