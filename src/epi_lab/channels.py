@@ -1,6 +1,6 @@
 """Executable channels: the classical-noise convolution, its memory
-extension, quantum heat flow, beam splitters, and the one-mode damping
-(quantum Ornstein-Uhlenbeck) semigroup.
+extension over a classical register, the heat flow on every side type, beam
+splitters, and the one-mode damping (quantum Ornstein-Uhlenbeck) semigroup.
 
 Gaussian noise runs in closed form (`gaussian_noise_channel`); the
 displacement quadrature serves densities with no Gaussian form and the
@@ -27,7 +27,7 @@ from .errors import (
     UnsupportedFamilyError,
 )
 from .fock import FockState, displacement_batch, thermal, thermal_cutoff
-from .gaussian import _check_qou_params, qou_mean_photon
+from .gaussian import GaussianState, _check_qou_params, gaussian_heat_flow, qou_mean_photon
 from .phase_space import GridPdf, classical_heat_flow, gaussian_pdf, moments, resolving_spacing
 
 CHUNK = 1024
@@ -321,76 +321,72 @@ def qou_superoperator(d: int, t: float, mu: float, lam: float) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# classical memory registers
-
-
-def _register_probs(probs, n_labels: int) -> np.ndarray:
-    probs = np.asarray(probs, dtype=float)
-    if len(probs) != n_labels:
-        raise DomainError("one probability per register label required")
-    if probs.min() < 0 or abs(probs.sum() - 1.0) > 1e-6:
-        raise DomainError("probabilities must be nonnegative and sum to 1")
-    return probs
+# classical memory registers and the heat flow on every side
 
 
 @dataclass
-class RegisterState:
-    """Input A given a classical register M: one quantum state per label;
-    represents sum_m p_m |m><m| x rho_m."""
+class Register:
+    """A side X given a classical register M, sum_m p_m |m><m| x X_m: one
+    part per label, all FockStates on the same dims (the input A) or all
+    GridPdfs, each on its own grid (the noise R). An A and an R register with
+    the same probabilities are independent given M."""
 
     probs: np.ndarray
-    states: tuple
+    parts: tuple
 
     def __post_init__(self):
-        self.states = tuple(self.states)
-        self.probs = _register_probs(self.probs, len(self.states))
-        if any(s.mode_dims != self.mode_dims for s in self.states):
+        self.parts = tuple(self.parts)
+        self.probs = np.asarray(self.probs, dtype=float)
+        if not self.parts or len(self.probs) != len(self.parts):
+            raise DomainError("one probability per register label required")
+        if self.probs.min() < 0 or abs(self.probs.sum() - 1.0) > 1e-6:
+            raise DomainError("probabilities must be nonnegative and sum to 1")
+        if not any(all(isinstance(x, kind) for x in self.parts) for kind in (FockState, GridPdf)):
+            names = sorted({type(x).__name__ for x in self.parts})
+            raise UnsupportedFamilyError(f"register parts must be all FockStates or all GridPdfs, got {names}")
+        if isinstance(self.parts[0], FockState) and any(s.mode_dims != self.mode_dims for s in self.parts):
             raise DomainError("register states must share their dims")
+
+    @classmethod
+    def of(cls, x) -> "Register":
+        """x itself if it is a Register, else x as the one label of probability 1."""
+        return x if isinstance(x, cls) else cls([1.0], [x])
 
     @property
     def mode_dims(self) -> tuple:
-        return self.states[0].mode_dims
+        return self.parts[0].mode_dims
 
     def tail_mass(self) -> float:
-        return max(s.tail_mass() for s in self.states)
+        return max(s.tail_mass() for s in self.parts)
 
 
-@dataclass
-class RegisterNoise:
-    """Noise R given a classical register M: one density per label, each on
-    its own grid, sum_m p_m |m><m| x f_m; with a RegisterState on the same
-    register A and R are independent given M. Independent noise is its
-    GridPdf alone."""
-
-    probs: np.ndarray
-    pdfs: tuple
-
-    def __post_init__(self):
-        self.pdfs = tuple(self.pdfs)
-        self.probs = _register_probs(self.probs, len(self.pdfs))
-
-
-def register_heat_flow_R(reg: RegisterNoise, t: float) -> RegisterNoise:
-    """Classical heat flow on every per-label noise density."""
-    return RegisterNoise(reg.probs, tuple(classical_heat_flow(f, t) for f in reg.pdfs))
+def heat_flow(x, t: float):
+    """X after the heat flow for time t, the isotropic Gaussian noise of
+    per-axis variance t, on any side: in closed form on the first mode of a
+    GaussianState, by `gaussian_noise_channel` on the first mode of a
+    FockState, by `classical_heat_flow` on a GridPdf, and label by label on
+    a Register. t = 0 is the identity; t < 0 raises NegativeTimeError."""
+    if isinstance(x, Register):
+        return Register(x.probs, [heat_flow(part, t) for part in x.parts])
+    if isinstance(x, GaussianState):
+        return gaussian_heat_flow(x, t, x.mode_labels[0])
+    if isinstance(x, FockState):
+        return gaussian_noise_channel(x, t)
+    if isinstance(x, GridPdf):
+        return classical_heat_flow(x, t)
+    raise DomainError(f"unsupported side type {type(x).__name__}")
 
 
-def register_heat_flow_A(reg: RegisterState, t: float) -> RegisterState:
-    """Quantum heat flow on every per-label quantum state."""
-    return RegisterState(reg.probs, tuple(quantum_heat_flow_fock(s, t) for s in reg.states))
+# perfbench/tracing.py wraps these names; the program calls `heat_flow`
+def register_heat_flow_R(reg: Register, t: float) -> Register: return heat_flow(reg, t)
+def register_heat_flow_A(reg: Register, t: float) -> Register: return heat_flow(reg, t)
+def cq_classical_heat_flow(noise, t: float): return heat_flow(noise, t)
 
 
-def cq_classical_heat_flow(noise, t: float):
-    """Classical heat flow on the noise R: a GridPdf (noise independent of A
-    and M) or every label's density of a RegisterNoise."""
-    if isinstance(noise, RegisterNoise):
-        return register_heat_flow_R(noise, t)
-    return classical_heat_flow(noise, t)
-
-
-def check_shared_register(noise: RegisterNoise, state: RegisterState):
-    """Noise and input must be a RegisterNoise and a RegisterState over one register."""
-    if not (isinstance(noise, RegisterNoise) and isinstance(state, RegisterState)):
+def check_shared_register(noise: Register, state: Register):
+    """Noise and input must be the R and the A side of one register."""
+    sides = (noise, GridPdf), (state, FockState)
+    if not all(isinstance(x, Register) and isinstance(x.parts[0], kind) for x, kind in sides):
         raise UnsupportedFamilyError(f"unsupported pair {type(noise).__name__}, {type(state).__name__}")
     if not np.array_equal(noise.probs, state.probs):
         raise DomainError("noise and input registers have different label probabilities")
@@ -399,18 +395,17 @@ def check_shared_register(noise: RegisterNoise, state: RegisterState):
 def extended_channel(noise, state):
     """Memory extension of the classical-noise channel, the output C with its
     memory M: the channel of a GridPdf acting on a FockState, or the per-label
-    channels f_m * rho_m, as a RegisterState, of a RegisterNoise acting on a
-    RegisterState over the same register. A density tagged Gaussian (from
+    channels f_m * rho_m, as an A register, of an R register acting on the A
+    register with the same labels. A density tagged Gaussian (from
     `gaussian_pdf`) runs `gaussian_noise_channel`, any other density
     `classical_noise_channel`; `channel_path` names the outcome."""
     if isinstance(noise, GridPdf) and isinstance(state, FockState):
         return _noise_channel(noise, state)
     check_shared_register(noise, state)
-    return RegisterState(state.probs, tuple(_noise_channel(f, s) for f, s in zip(noise.pdfs, state.states)))
+    return Register(state.probs, [_noise_channel(f, s) for f, s in zip(noise.parts, state.parts)])
 
 
 def channel_path(noise) -> str:
     """"exact" when `extended_channel` applies every density of the noise in
     closed form, else "quadrature"."""
-    pdfs = noise.pdfs if isinstance(noise, RegisterNoise) else (noise,)
-    return "exact" if all(f.gaussian for f in pdfs) else "quadrature"
+    return "exact" if all(f.gaussian for f in Register.of(noise).parts) else "quadrature"

@@ -121,9 +121,9 @@ def _tmsv_r(spec: str):
         raise UsageError(f"bad state spec {spec!r}: {exc}") from exc
 
 
-def parse_instance(state_spec: str, noise_spec: str, args) -> hn.Instance:
-    """Assemble the check instance named by --state/--noise."""
-    spacing = args.grid_spacing
+def _parse_input(state_spec: str, args):
+    """The input A with its memory named by --state: (instance params, a
+    thunk that builds it, its Gaussian twin or None)."""
     if state_spec.startswith("register:"):
         body = state_spec[len("register:") :]
         head, _, specs = body.partition(",")
@@ -136,29 +136,36 @@ def parse_instance(state_spec: str, noise_spec: str, args) -> hn.Instance:
             ps_list = [ps_list[0], 1.0 - ps_list[0]]
         if len(ps_list) != len(parts):
             raise UsageError("register probabilities and state specs disagree in length")
-        reg = ch.RegisterState(ps_list, [parse_state_spec(p, args.cutoff, args.seed)[0] for p in parts])
-        noises = noise_spec.split("|")
-        if len(noises) == 1:
-            noises = noises * len(parts)
-        if len(noises) != len(parts):
-            raise UsageError("need one noise entry per register label")
-        return hn.Instance({"family": "F2", "labels": len(parts), "instance": "register"}, lambda: reg,
-                           lambda: ch.RegisterNoise(reg.probs, [parse_noise_spec(n, spacing) for n in noises]))
+        reg = ch.Register(ps_list, [parse_state_spec(p, args.cutoff, args.seed)[0] for p in parts])
+        return {"family": "F2", "labels": len(parts), "instance": "register"}, lambda: reg, None
     r = _tmsv_r(state_spec)
     if r is not None:
-        family, a, gs = "F1", lambda: fk.two_mode_squeezed_vacuum(r, args.cutoff), ga.tmsv_state(r)
-    else:
-        st, gs = parse_state_spec(state_spec, args.cutoff, args.seed)
-        family, a = "trivial-M", lambda: st
+        return {"family": "F1"}, lambda: fk.two_mode_squeezed_vacuum(r, args.cutoff), ga.tmsv_state(r)
+    st, gs = parse_state_spec(state_spec, args.cutoff, args.seed)
+    return {"family": "trivial-M"}, lambda: st, gs
+
+
+def parse_instance(state_spec: str, noise_spec: str, args) -> hn.Instance:
+    """Assemble the check instance named by --state/--noise."""
+    params, a, gs = _parse_input(state_spec, args)
+    spacing = args.grid_spacing
+    labels = params.get("labels")
+    if labels:
+        noises = noise_spec.split("|")
+        if len(noises) == 1:
+            noises = noises * labels
+        if len(noises) != labels:
+            raise UsageError("need one noise entry per register label")
+        return hn.Instance(params, a,
+                           lambda: ch.Register(a().probs, [parse_noise_spec(n, spacing) for n in noises]))
 
     def noise():
         return parse_noise_spec(noise_spec, spacing)
 
     t = _parse_gauss_args(noise_spec)[0] if noise_spec.startswith("gauss:") else None
     if gs is None or t is None:
-        return hn.Instance({"family": family, "instance": "cq"}, a, noise)
-    return hn.Instance({"family": family, "instance": state_spec, "t": t}, a, noise,
-                       gaussian=lambda: (gs, t))
+        return hn.Instance({**params, "instance": "cq"}, a, noise)
+    return hn.Instance({**params, "instance": state_spec, "t": t}, a, noise, gaussian=lambda: (gs, t))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -247,8 +254,7 @@ def run_command(args) -> list:
         return hn.check_stam(parse_instance(args.state, args.noise, args))
     if cmd == "scaling":
         r = parse_instance(args.state, args.noise, args).r()
-        pdfs = r.pdfs if isinstance(r, ch.RegisterNoise) else (r,)
-        sigma = max(float(np.linalg.eigvalsh(ps.moments(f)[1]).max()) for f in pdfs)
+        sigma = max(float(np.linalg.eigvalsh(ps.moments(f)[1]).max()) for f in ch.Register.of(r).parts)
         return [hn.check_scaling(r, t_list, sigma, args.state)]
     if cmd == "tightness":
         k_list = _parse_floats(args.k_list)
@@ -257,9 +263,9 @@ def run_command(args) -> list:
         reports += [hn.check_tightness_epi(args.a, args.b, k) for k in k_list]
         return reports
     if cmd in ("isoperimetric", "concavity"):
-        # both check the input A: its Gaussian twin, else its Fock state, else the register
-        inst = parse_instance(args.state, args.noise, args)
-        state = inst.gaussian()[0] if inst.gaussian else inst.a()
+        # both check the input A alone: its Gaussian twin, else its Fock state or register
+        _, a, gs = _parse_input(args.state, args)
+        state = a() if gs is None else gs
         if cmd == "isoperimetric":
             return [hn.check_isoperimetric(state, args.state)]
         grid = [round(0.05 * i, 10) for i in range(11)]

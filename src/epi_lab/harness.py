@@ -106,13 +106,13 @@ class Instance:
     given M: the object of the conditional EPI, its linear form and the
     conditional Stam inequality.
 
-    Both sides are built on demand. `a()` returns A with its memory: a
-    FockState whose second mode (if any) is M, or a RegisterState whose
-    labels are M. `r()` returns R with the same memory: the GridPdf of noise
-    independent of A and M, or a RegisterNoise over the register of `a()`.
-    `gaussian()`, None without a Gaussian twin, returns the matched Gaussian
-    input and its isotropic noise variance. `params` identify the instance in
-    reports.
+    Both sides are built on demand, and the measures of `measures` take
+    either. `a()` returns A with its memory: a FockState whose second mode
+    (if any) is M, or a `Register` of FockStates whose labels are M. `r()`
+    returns R with the same memory: the GridPdf of noise independent of A and
+    M, or a `Register` of GridPdfs over the labels of `a()`. `gaussian()`,
+    None without a Gaussian twin, returns the matched Gaussian input and its
+    isotropic noise variance. `params` identify the instance in reports.
     """
 
     params: dict
@@ -131,24 +131,24 @@ class Instance:
         """(A with its memory, its channel output, S(R|M), diagnostics)."""
         if path == "gaussian":
             a, t = self.gaussian()
-            return a, ms.heat_flow_A(a, [t])[0], 1.0 + math.log(t), {}
+            return a, ms.heat_flow(a, t), 1.0 + math.log(t), {}
         a, r = self.a(), self.r()
         out = ch.extended_channel(r, a)
         diag = {"tail_mass": max(a.tail_mass(), out.tail_mass()), "cutoff": a.mode_dims[0],
                 "channel": ch.channel_path(r)}
-        return a, out, ms.cq_conditional_entropy_R_given_M(r), diag
+        return a, out, ms.entropy(r), diag
 
     def entropies(self, path: str):
         """(S(A|M), S(R|M), S(C|M), diagnostics) on one path."""
         a, out, s_r, diag = self._channel(path)
-        return ms.entropy_A_given_M(a), s_r, ms.entropy_A_given_M(out), diag
+        return ms.entropy(a), s_r, ms.entropy(out), diag
 
     def fishers(self, path: str):
         """(J(A|M), J(R|M), J(C|M), diagnostics) on one path; J(R|M) comes
         first, so noise the Fisher ladder refuses fails before the channel runs."""
-        j_r = ms.fisher_R_given_M(self.r())
+        j_r = ms.fisher(self.r())
         a, out, _, diag = self._channel(path)
-        return ms.fisher_A_given_M(a), j_r, ms.fisher_A_given_M(out), diag
+        return ms.fisher(a), j_r, ms.fisher(out), diag
 
 
 PATH_TOL = {"gaussian": GAUSS_TOL, "fock": FOCK_TOL}
@@ -259,12 +259,12 @@ def stam_matched_equality_report(stam_report: CheckReport) -> CheckReport:
 def check_scaling(state, t_list, sigma_sq: float, name: str) -> CheckReport:
     """|S(R|M)(t) - log t - 1| must fall below log(1 + sigma^2/t) + 0.02 at the
     largest time and decrease along t_list; `state` is the noise R, a GridPdf
-    or a RegisterNoise."""
+    or a Register of GridPdfs."""
     if not all(t > 0 for t in t_list):
         raise DomainError(f"scaling needs times t > 0, got {list(t_list)}")
     devs = []
     for t in t_list:
-        s = ms.cq_conditional_entropy_R_given_M(ch.cq_classical_heat_flow(state, t))
+        s = ms.entropy(ms.heat_flow(state, t))
         devs.append(abs(s - math.log(t) - 1.0))
     bound = math.log1p(sigma_sq / t_list[-1]) + 0.02
     margins = [devs[i] - devs[i + 1] for i in range(len(devs) - 1)]
@@ -322,21 +322,19 @@ def check_tightness_epi(a: float, b: float, k: float) -> CheckReport:
 # isoperimetric inequalities
 
 
+def _tail(x) -> dict:
+    """The tail_mass diagnostic of a side with a Fock cutoff; {} without one."""
+    tail = ms.tail_mass(x)
+    return {} if tail is None else {"tail_mass": tail}
+
+
 def check_isoperimetric(instance, name: str) -> CheckReport:
-    """(1/n) J(X|M) exp S(X|M) >= e, with a 1e-2 relative slack, where X is
-    the noise R given as a GridPdf, and A otherwise (the first mode of a
-    Gaussian or Fock state, or every label's state of a register)."""
-    if isinstance(instance, ps.GridPdf):
-        j = ms.fisher_R_given_M(instance)
-        s = ms.cq_conditional_entropy_R_given_M(instance)
-        diag = {}
-    else:
-        j = ms.fisher_A_given_M(instance)
-        s = ms.entropy_A_given_M(instance)
-        diag = {} if isinstance(instance, ga.GaussianState) else {"tail_mass": instance.tail_mass()}
+    """(1/n) J(X|M) exp S(X|M) >= e, with a 1e-2 relative slack, for any side
+    X with its memory M."""
+    j, s = ms.fisher(instance), ms.entropy(instance)
     lhs = j.value * math.exp(s)
-    diag.update({"J": j.value, "S": s, "fisher_uncertainty": j.uncertainty,
-                 "ratio_to_e": lhs / math.e})
+    diag = {**_tail(instance), "J": j.value, "S": s, "fisher_uncertainty": j.uncertainty,
+            "ratio_to_e": lhs / math.e}
     return make_report(
         "isoperimetric", {"instance": name}, lhs, math.e, lhs - math.e, 1e-2 * math.e, diag
     )
@@ -356,7 +354,7 @@ def check_isoperimetric_ratio_monotone(nus) -> CheckReport:
     """For thermal states the ratio J exp(S) / e decreases towards 1."""
     ratios = []
     for nu in nus:
-        j = ms.fisher_A_given_M(ga.thermal_state(nu - 0.5))
+        j = ms.fisher(ga.thermal_state(nu - 0.5))
         s = ga.g_function(nu - 0.5)
         ratios.append(j.value * math.exp(s) / math.e)
     margins = [ratios[i] - ratios[i + 1] for i in range(len(ratios) - 1)]
@@ -368,15 +366,11 @@ def check_isoperimetric_ratio_monotone(nus) -> CheckReport:
 
 
 def check_fisher_isoperimetric(instance, name: str) -> CheckReport:
-    """d/dt [1/J(t)] >= 1 at t = 0 along the heat flow, from forward
-    differences at steps h = 0.05 and h/2: on the noise R given as a GridPdf,
-    and on A otherwise."""
+    """d/dt [1/J(X|M)] >= 1 at t = 0 along the heat flow, from forward
+    differences at steps h = 0.05 and h/2, for any side X."""
 
     def inv_j(t):
-        if isinstance(instance, ps.GridPdf):
-            est = ms.fisher_R_given_M(ch.cq_classical_heat_flow(instance, t) if t else instance)
-        else:
-            est = ms.fisher_A_given_M(ms.heat_flow_A(instance, [t])[0] if t else instance)
+        est = ms.fisher(ms.heat_flow(instance, t) if t else instance)
         return 1.0 / est.value, est.uncertainty / est.value ** 2
 
     h = 0.05
@@ -399,19 +393,18 @@ def check_fisher_isoperimetric(instance, name: str) -> CheckReport:
 
 
 def check_concavity_entropy_power(instance, t_grid, name: str) -> CheckReport:
-    """Second difference quotient of exp S(A|M)(t) must stay below 1e-3."""
+    """Second difference quotient of exp S(X|M)(t) must stay below 1e-3."""
     t_grid = list(t_grid)
     h = t_grid[1] - t_grid[0]
-    outs = ms.heat_flow_A(instance, t_grid)
-    powers = [math.exp(ms.entropy_A_given_M(o)) for o in outs]
-    diag = {} if isinstance(instance, ga.GaussianState) else {"tail_mass": outs[-1].tail_mass()}
+    outs = [ms.heat_flow(instance, t) for t in t_grid]
+    powers = [math.exp(ms.entropy(o)) for o in outs]
     quotients = [
         (powers[i + 1] - 2 * powers[i] + powers[i - 1]) / h ** 2 for i in range(1, len(powers) - 1)
     ]
     worst = max(quotients)
-    diag.update({"powers": powers, "h": h})
     return make_report(
-        "concavity", {"instance": name, "t_grid": t_grid}, worst, 0.0, -worst, 1e-3, diag
+        "concavity", {"instance": name, "t_grid": t_grid}, worst, 0.0, -worst, 1e-3,
+        {**_tail(outs[-1]), "powers": powers, "h": h},
     )
 
 
@@ -420,9 +413,9 @@ def check_concavity_entropy_power(instance, t_grid, name: str) -> CheckReport:
 
 
 def check_debruijn_regularity(state, t_list, name: str) -> CheckReport:
-    """Delta(t) of the noise R (a GridPdf or a RegisterNoise) must be
-    nonnegative, nondecreasing, and midpoint-concave."""
-    deltas = [ms.integral_fisher_R_given_M(state, t) for t in t_list]
+    """Delta(t), the entropy gain of the noise R (a GridPdf or a Register of
+    GridPdfs), must be nonnegative, nondecreasing, and midpoint-concave."""
+    deltas = [ms.entropy_gain(state, t) for t in t_list]
     slack = 1e-6
     margins = [deltas[0] + slack]
     margins += [deltas[i + 1] - deltas[i] + slack for i in range(len(deltas) - 1)]
@@ -437,15 +430,12 @@ def check_debruijn_regularity(state, t_list, name: str) -> CheckReport:
     )
 
 
-def check_debruijn_consistency(reg: ch.RegisterNoise, t: float) -> CheckReport:
+def check_debruijn_consistency(reg: ch.Register, t: float) -> CheckReport:
     """The entropy gain of S(R|M) must match the label-averaged gains of the
     per-label densities; S(R|M) is itself that label average, so the gap is
     bookkeeping only (tests/test_measures.py holds the chain-rule oracle)."""
-    lhs = ms.integral_fisher_R_given_M(reg, t)
-    rhs = sum(
-        p * (ps.shannon_entropy(ps.classical_heat_flow(f, t)) - ps.shannon_entropy(f))
-        for p, f in zip(reg.probs, reg.pdfs)
-    )
+    lhs = ms.entropy_gain(reg, t)
+    rhs = sum(p * ms.entropy_gain(f, t) for p, f in zip(reg.probs, reg.parts))
     gap = abs(lhs - rhs)
     return make_report(
         "debruijn-consistency", {"t": t}, lhs, rhs, 1e-4 - gap, 0.0, {"gap": gap}
@@ -632,16 +622,16 @@ def check_convolution_oracle(t: float, cutoff: int = 60) -> CheckReport:
 # the built-in suite
 
 
-def _register_noise(probs, variances, centers) -> ch.RegisterNoise:
+def _register_noise(probs, variances, centers) -> ch.Register:
     """Gaussian per-label noise, each label on a grid of spacing 0.1."""
-    return ch.RegisterNoise(probs, [ps.gaussian_pdf(t, center=c, spacing=0.1)
-                                    for t, c in zip(variances, centers)])
+    return ch.Register(probs, [ps.gaussian_pdf(t, center=c, spacing=0.1)
+                               for t, c in zip(variances, centers)])
 
 
 def _register(label, probs, states, variances, centers) -> Instance:
     """Register instance; `states` builds the per-label states."""
     return Instance({"family": "F2", "labels": len(probs), "instance": label},
-                    lambda: ch.RegisterState(probs, states()),
+                    lambda: ch.Register(probs, states()),
                     lambda: _register_noise(probs, variances, centers))
 
 

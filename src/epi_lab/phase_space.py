@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import fftconvolve
+from scipy.fft import irfftn, next_fast_len, rfftn
 from scipy.special import xlogy
 
 from .errors import DomainError, GridTooSmallError, NegativeTimeError, SpacingMismatchError
@@ -191,7 +191,9 @@ def classical_convolution(g: GridPdf, f: GridPdf) -> GridPdf:
     L = g.size + f.size - 1
     if L > MAX_GRID:
         raise GridTooSmallError(f"convolution output side {L} exceeds cap {MAX_GRID}")
-    vals = fftconvolve(g.values, f.values, mode="full") * g.cell_weight
+    # the real FFTs scipy.signal.fftconvolve runs, without importing scipy.signal
+    shape = [next_fast_len(L, True)] * 2
+    vals = irfftn(rfftn(g.values, shape) * rfftn(f.values, shape), shape)[:L, :L] * g.cell_weight
     np.maximum(vals, 0.0, out=vals)
     origin = (g.origin[0] + f.origin[0], g.origin[1] + f.origin[1])
     out = GridPdf(origin, g.spacing, vals)

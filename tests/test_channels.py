@@ -165,12 +165,12 @@ class TestGaussianNoiseChannel:
         assert np.abs(exact.matrix - quad.matrix).max() <= 1e-12
 
     def test_register_matches_quadrature(self):
-        reg = ch.RegisterState([0.4, 0.6], [fk.fock(1, 48), fk.cat(2.0, 48)])
-        noise = ch.RegisterNoise([0.4, 0.6], [ps.gaussian_pdf(t, center=c, spacing=0.1)
+        reg = ch.Register([0.4, 0.6], [fk.fock(1, 48), fk.cat(2.0, 48)])
+        noise = ch.Register([0.4, 0.6], [ps.gaussian_pdf(t, center=c, spacing=0.1)
                                               for t, c in ((0.3, (0.5, 0.0)), (0.7, (-0.4, 0.3)))])
         out = ch.extended_channel(noise, reg)
         assert ch.channel_path(noise) == "exact"
-        for f, s, o in zip(noise.pdfs, reg.states, out.states):
+        for f, s, o in zip(noise.parts, reg.parts, out.parts):
             assert np.abs(o.matrix - ch.classical_noise_channel(f, s).matrix).max() <= 1e-12
 
     def test_time_zero_and_negative(self):
@@ -189,7 +189,7 @@ class TestGaussianNoiseChannel:
         f = ps.gaussian_pdf(0.3)
         assert ch.channel_path(f) == "exact"
         assert ch.channel_path(ps.classical_heat_flow(f, 0.1)) == "quadrature"
-        mixed = ch.RegisterNoise([0.5, 0.5], [f, ps.GridPdf(f.origin, f.spacing, f.values)])
+        mixed = ch.Register([0.5, 0.5], [f, ps.GridPdf(f.origin, f.spacing, f.values)])
         assert ch.channel_path(mixed) == "quadrature"
 
 
@@ -197,14 +197,14 @@ class TestExtendedChannel:
     def test_single_label_register_reduces(self):
         rho = fk.fock(1, 30)
         f = ps.gaussian_pdf(0.3)
-        out = ch.extended_channel(ch.RegisterNoise([1.0], [f]), ch.RegisterState([1.0], [rho]))
+        out = ch.extended_channel(ch.Register([1.0], [f]), ch.Register([1.0], [rho]))
         direct = ch.classical_noise_channel(f, rho)
-        assert fk.trace_norm_distance(out.states[0], direct) <= 1e-12
+        assert fk.trace_norm_distance(out.parts[0], direct) <= 1e-12
         # independent noise goes straight to its channel: the exact one for a
         # Gaussian-tagged density, the quadrature for the same grid untagged
         exact = ch.gaussian_noise_channel(rho, 0.3)
         assert fk.trace_norm_distance(ch.extended_channel(f, rho), exact) == 0.0
-        assert fk.trace_norm_distance(out.states[0], exact) == 0.0
+        assert fk.trace_norm_distance(out.parts[0], exact) == 0.0
         untagged = ps.GridPdf(f.origin, f.spacing, f.values)
         assert fk.trace_norm_distance(ch.extended_channel(untagged, rho), direct) == 0.0
 
@@ -216,15 +216,15 @@ class TestExtendedChannel:
     def test_rejects_mismatched_pair(self):
         f, rho = ps.gaussian_pdf(0.3), fk.fock(1, 30)
         with pytest.raises(UnsupportedFamilyError):
-            ch.extended_channel(f, ch.RegisterState([1.0], [rho]))
+            ch.extended_channel(f, ch.Register([1.0], [rho]))
         with pytest.raises(UnsupportedFamilyError):
-            ch.extended_channel(ch.RegisterNoise([1.0], [f]), rho)
+            ch.extended_channel(ch.Register([1.0], [f]), rho)
 
     def test_rejects_unequal_probs(self):
         f, rho = ps.gaussian_pdf(0.3), fk.fock(1, 30)
-        noise = ch.RegisterNoise([0.5, 0.5], [f, f])
+        noise = ch.Register([0.5, 0.5], [f, f])
         with pytest.raises(DomainError):
-            ch.extended_channel(noise, ch.RegisterState([0.4, 0.6], [rho, rho]))
+            ch.extended_channel(noise, ch.Register([0.4, 0.6], [rho, rho]))
 
 
 class TestBeamSplitter:
@@ -308,26 +308,26 @@ class TestQouChannel:
 class TestCQStateMachinery:
     def test_register_validation(self):
         with pytest.raises(DomainError):
-            ch.RegisterState([0.7, 0.7], [fk.vacuum(8), fk.vacuum(8)])
+            ch.Register([0.7, 0.7], [fk.vacuum(8), fk.vacuum(8)])
         with pytest.raises(DomainError):
-            ch.RegisterNoise([1.0], [])
+            ch.Register([1.0], [])
 
     def test_register_noise_labels_keep_their_own_grids(self):
         # mixed spacings and an off-lattice center: each label is on its own grid
         f = ps.gaussian_pdf(0.4, spacing=0.1)
         pdfs = [f, ps.gaussian_pdf(0.6, spacing=0.05), displaced(f, (0.05, 0.0))]
-        noise = ch.RegisterNoise([0.2, 0.3, 0.5], pdfs)
+        noise = ch.Register([0.2, 0.3, 0.5], pdfs)
         expected = sum(p * ps.shannon_entropy(g) for p, g in zip([0.2, 0.3, 0.5], pdfs))
-        assert ms.cq_conditional_entropy_R_given_M(noise) == pytest.approx(expected, abs=1e-14)
+        assert ms.entropy(noise) == pytest.approx(expected, abs=1e-14)
 
     def test_register_heat_flows(self):
-        noise = ch.RegisterNoise(
+        noise = ch.Register(
             [0.5, 0.5], [ps.gaussian_pdf(0.4, spacing=0.1), ps.gaussian_pdf(0.6, spacing=0.1)])
-        heated_r = ch.register_heat_flow_R(noise, 0.5)
-        assert ps.moments(heated_r.pdfs[0])[1][0, 0] == pytest.approx(0.9, abs=1e-6)
-        reg = ch.RegisterState([0.5, 0.5], [fk.fock(1, 24), fk.vacuum(24)])
-        heated_a = ch.register_heat_flow_A(reg, 0.2)
-        assert mean_energy(heated_a.states[1]) == pytest.approx(0.2, abs=1e-6)
+        heated_r = ms.heat_flow(noise, 0.5)
+        assert ps.moments(heated_r.parts[0])[1][0, 0] == pytest.approx(0.9, abs=1e-6)
+        reg = ch.Register([0.5, 0.5], [fk.fock(1, 24), fk.vacuum(24)])
+        heated_a = ms.heat_flow(reg, 0.2)
+        assert mean_energy(heated_a.parts[1]) == pytest.approx(0.2, abs=1e-6)
 
 
 class TestConditionalEntropyUnderHeat:

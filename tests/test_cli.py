@@ -45,20 +45,20 @@ class TestParsing:
         inst = cli.parse_instance("register:p=0.3,fock:1|vacuum", "gauss:0.3|gauss:0.5", args)
         reg = inst.a()
         assert list(reg.probs) == pytest.approx([0.3, 0.7])
-        assert reg.states[0].mode_dims == (24,)
+        assert reg.parts[0].mode_dims == (24,)
         assert list(inst.r().probs) == list(reg.probs)
 
     def test_register_noise_keeps_its_centers_and_grids(self):
         args = cli.parse_config(["epi", "--cutoff", "24"])
         inst = cli.parse_instance("register:p=0.5,fock:1|vacuum", "gauss:0.3@0.37,0.11|gauss:0.8", args)
-        first, second = inst.r().pdfs
+        first, second = inst.r().parts
         assert first.gaussian == (0.3, (0.37, 0.11))
         assert ps.moments(first)[0] == pytest.approx([0.37, 0.11], abs=1e-9)
         # each label on its own default grid; --grid-spacing sets all of them
         assert (first.spacing, second.spacing) == (ps.resolving_spacing(0.3), ps.resolving_spacing(0.8))
         args = cli.parse_config(["epi", "--cutoff", "24", "--grid-spacing", "0.05"])
         inst = cli.parse_instance("register:p=0.5,fock:1|vacuum", "gauss:0.3@0.37,0.11|gauss:0.8", args)
-        assert [f.spacing for f in inst.r().pdfs] == [0.05, 0.05]
+        assert [f.spacing for f in inst.r().parts] == [0.05, 0.05]
 
     def test_register_bad_probs(self):
         args = cli.parse_config(["epi"])
@@ -218,6 +218,16 @@ class TestExitCodes:
         assert rep["diagnostics"]["J"] == pytest.approx(j, abs=1e-4)
         assert rep["diagnostics"]["S"] == pytest.approx(s, abs=1e-4)
 
+
+    def test_isoperimetric_and_concavity_take_the_path_from_the_state(self, tmp_path):
+        # thermal:0.5 has a Gaussian twin, so A runs on it whatever the noise
+        path = tmp_path / "noise.grid"
+        ps.save_gridpdf(ps.gaussian_pdf(0.5), path)
+        for cmd in ("isoperimetric", "concavity"):
+            gauss, file = (json.loads(run_cli([cmd, "--state", "thermal:0.5", "--noise", noise])[1])
+                           for noise in ("gauss:0.5", f"file:{path}"))
+            assert file["reports"] == gauss["reports"]
+            assert "tail_mass" not in file["reports"][0]["diagnostics"]
 
 class TestOutputs:
     def test_json_out_file(self, tmp_path):

@@ -28,8 +28,8 @@ def small_f1():
 def small_register():
     return hn.Instance(
         {"family": "F2", "labels": 2, "instance": "small"},
-        lambda: ch.RegisterState([0.5, 0.5], [fk.fock(1, 30), fk.thermal(0.4, 30)]),
-        lambda: ch.RegisterNoise(
+        lambda: ch.Register([0.5, 0.5], [fk.fock(1, 30), fk.thermal(0.4, 30)]),
+        lambda: ch.Register(
             [0.5, 0.5], [ps.gaussian_pdf(0.3, spacing=0.1),
                          ps.gaussian_pdf(0.5, center=(0.4, -0.2), spacing=0.1)]),
     )
@@ -97,7 +97,7 @@ class TestExactChannelRouting:
             assert fock_rep.diagnostics["channel"] == "exact"
         (stam,) = hn.check_stam(small_register())
         assert stam.diagnostics["channel"] == "exact"
-        (out,) = ms.heat_flow_A(fk.thermal(0.8, 60), [0.2])
+        out = ms.heat_flow(fk.thermal(0.8, 60), 0.2)
         assert fk.von_neumann_entropy(out) == pytest.approx(ga.g_function(1.0), abs=1e-8)
 
     def test_file_noise_runs_quadrature(self, tmp_path):

@@ -9,17 +9,17 @@ from epi_lab import fock as fk
 from epi_lab import gaussian as ga
 from epi_lab import measures as ms
 from epi_lab import phase_space as ps
-from epi_lab.errors import DomainError, NegativeTimeError, QuadratureError
+from epi_lab.errors import DomainError, NegativeTimeError, QuadratureError, UnsupportedFamilyError
 
 
 def small_register(d=24):
     """The input A of the small register pair, one state per label."""
-    return ch.RegisterState([0.4, 0.6], [fk.fock(1, d), fk.thermal(0.5, d)])
+    return ch.Register([0.4, 0.6], [fk.fock(1, d), fk.thermal(0.5, d)])
 
 
 def small_noise(spacing=0.1):
     """The noise R of the small register pair, one density per label."""
-    return ch.RegisterNoise(
+    return ch.Register(
         [0.4, 0.6],
         [
             ps.gaussian_pdf(0.5, center=(0.5, 0.0), spacing=spacing),
@@ -36,7 +36,7 @@ def untagged(f):
 class TestConditionalEntropyRM:
     def test_independent_product(self):
         f = ps.gaussian_pdf(0.7)
-        assert ms.cq_conditional_entropy_R_given_M(f) == pytest.approx(
+        assert ms.entropy(f) == pytest.approx(
             ps.shannon_entropy(f), abs=1e-12
         )
 
@@ -46,13 +46,13 @@ class TestConditionalEntropyRM:
         # program's label average
         s = 0.1
         reg = small_noise(s)
-        origins = np.array([f.origin for f in reg.pdfs])
+        origins = np.array([f.origin for f in reg.parts])
         offsets = (origins - origins.min(axis=0)) / s
         assert np.abs(offsets - np.round(offsets)).max() < 1e-9
         offsets = np.round(offsets).astype(int)
-        side = max(int(o.max()) + f.size for o, f in zip(offsets, reg.pdfs))
-        joint = np.zeros((len(reg.pdfs), side, side))
-        for m, ((i, j), f) in enumerate(zip(offsets, reg.pdfs)):
+        side = max(int(o.max()) + f.size for o, f in zip(offsets, reg.parts))
+        joint = np.zeros((len(reg.parts), side, side))
+        for m, ((i, j), f) in enumerate(zip(offsets, reg.parts)):
             joint[m, i : i + f.size, j : j + f.size] = reg.probs[m] * f.values
         cell = s * s / (2 * math.pi)
         mix = joint.sum(axis=0)
@@ -61,38 +61,38 @@ class TestConditionalEntropyRM:
         s_m_given_r = -float((mix[live] * xlogy(posterior, posterior).sum(axis=0)).sum()) * cell
         s_r = -float(xlogy(mix, mix).sum()) * cell
         s_m = -float(xlogy(reg.probs, reg.probs).sum())
-        assert ms.cq_conditional_entropy_R_given_M(reg) == pytest.approx(
+        assert ms.entropy(reg) == pytest.approx(
             s_m_given_r + s_r - s_m, abs=1e-12)
 
     def test_heat_flow_raises_value(self):
         reg = small_noise()
-        base = ms.cq_conditional_entropy_R_given_M(reg)
+        base = ms.entropy(reg)
         prev = base
         for t in (0.2, 0.5, 1.0):
-            cur = ms.cq_conditional_entropy_R_given_M(ch.register_heat_flow_R(reg, t))
+            cur = ms.entropy(ms.heat_flow(reg, t))
             assert cur >= prev - 1e-12
             prev = cur
 
 
 class TestIntegralFisher:
     def test_zero_time(self):
-        assert ms.integral_fisher_R_given_M(small_noise(), 0.0) == 0.0
+        assert ms.entropy_gain(small_noise(), 0.0) == 0.0
 
     def test_negative_time(self):
         with pytest.raises(NegativeTimeError):
-            ms.integral_fisher_R_given_M(small_noise(), -0.5)
+            ms.entropy_gain(small_noise(), -0.5)
 
     def test_independent_gaussian_closed_form(self):
         s = 0.6
         state = ps.gaussian_pdf(s, spacing=0.1)
         for t in (0.3, 0.8):
-            val = ms.integral_fisher_R_given_M(state, t)
+            val = ms.entropy_gain(state, t)
             assert val == pytest.approx(math.log((s + t) / s), abs=1e-7)
 
     def test_monotone_and_concave(self):
         reg = small_noise()
         ts = [0.25 * i for i in range(1, 9)]
-        deltas = [ms.integral_fisher_R_given_M(reg, t) for t in ts]
+        deltas = [ms.entropy_gain(reg, t) for t in ts]
         assert all(b >= a - 1e-9 for a, b in zip(deltas, deltas[1:]))
         for i in range(1, len(deltas) - 1):
             assert deltas[i] >= 0.5 * (deltas[i - 1] + deltas[i + 1]) - 1e-6
@@ -101,18 +101,18 @@ class TestIntegralFisher:
 class TestFisherEstimates:
     def test_classical_gaussian(self):
         s = 0.8
-        est = ms.fisher_R_given_M(ps.gaussian_pdf(s, spacing=0.0125))
+        est = ms.fisher(ps.gaussian_pdf(s, spacing=0.0125))
         assert est.value == pytest.approx(1.0 / s, rel=1e-4)
         assert est.uncertainty <= 0.05 * est.value
 
     def test_gaussian_thermal(self):
         nu = 2.0
-        est = ms.fisher_A_given_M(ga.thermal_state(nu - 0.5))
+        est = ms.fisher(ga.thermal_state(nu - 0.5))
         assert est.value == pytest.approx(math.log((nu + 0.5) / (nu - 0.5)), abs=1e-7)
 
     def test_fock_thermal_matches_gaussian(self):
-        est_f = ms.fisher_A_given_M(fk.thermal(1.5, 50))
-        est_g = ms.fisher_A_given_M(ga.thermal_state(1.5))
+        est_f = ms.fisher(fk.thermal(1.5, 50))
+        est_g = ms.fisher(ga.thermal_state(1.5))
         assert est_f.value == pytest.approx(est_g.value, abs=1e-5)
 
     def test_memory_decouples_for_products(self):
@@ -120,53 +120,53 @@ class TestFisherEstimates:
         cov[:2, :2] = 2.0 * np.eye(2)
         cov[2:, 2:] = 1.2 * np.eye(2)
         joint = ga.GaussianState(np.zeros(4), cov, ("A", "M"))
-        est_joint = ms.fisher_A_given_M(joint)
-        est_alone = ms.fisher_A_given_M(ga.GaussianState(np.zeros(2), 2.0 * np.eye(2), ("A",)))
+        est_joint = ms.fisher(joint)
+        est_alone = ms.fisher(ga.GaussianState(np.zeros(2), 2.0 * np.eye(2), ("A",)))
         assert est_joint.value == pytest.approx(est_alone.value, abs=1e-10)
 
     def test_step_halving_stability(self):
-        est1 = ms.fisher_A_given_M(ga.thermal_state(1.5), h0=1e-2)
-        est2 = ms.fisher_A_given_M(ga.thermal_state(1.5), h0=5e-3)
+        est1 = ms.fisher(ga.thermal_state(1.5), h0=1e-2)
+        est2 = ms.fisher(ga.thermal_state(1.5), h0=5e-3)
         assert abs(est1.value - est2.value) <= 2 * max(est1.uncertainty, est2.uncertainty)
 
     def test_register_fisher(self):
         reg = small_noise(spacing=0.0125)
-        est = ms.fisher_R_given_M(reg)
+        est = ms.fisher(reg)
         expected = 0.4 / 0.5 + 0.6 / 1.2
         assert est.value == pytest.approx(expected, rel=1e-3)
 
     def test_register_with_one_coarse_label_rejected(self):
         # an untagged density (as from a file) cannot be resampled
         fine = ps.gaussian_pdf(0.5, spacing=0.0125)
-        reg = ch.RegisterNoise([0.4, 0.6], [fine, untagged(ps.gaussian_pdf(1.2, spacing=0.1))])
+        reg = ch.Register([0.4, 0.6], [fine, untagged(ps.gaussian_pdf(1.2, spacing=0.1))])
         with pytest.raises(QuadratureError):
-            ms.fisher_R_given_M(reg)
+            ms.fisher(reg)
 
     def test_coarse_grid_rejected(self):
         with pytest.raises(QuadratureError):
-            ms.fisher_R_given_M(untagged(ps.gaussian_pdf(0.8, spacing=0.1)))
+            ms.fisher(untagged(ps.gaussian_pdf(0.8, spacing=0.1)))
         # the limit is the grid that resolves the smallest step h0/4
         h0 = 0.16
         spacing = ps.resolving_spacing(h0 / 4)
-        ms.fisher_R_given_M(untagged(ps.gaussian_pdf(0.8, spacing=spacing)), h0)
+        ms.fisher(untagged(ps.gaussian_pdf(0.8, spacing=spacing)), h0)
         coarse = untagged(ps.gaussian_pdf(0.8, spacing=1.01 * spacing))
         with pytest.raises(QuadratureError):
-            ms.fisher_R_given_M(coarse, h0)
+            ms.fisher(coarse, h0)
 
     def test_coarse_gaussian_is_resampled(self):
         # a tagged Gaussian, alone or as one label, is rebuilt on the grid
         # that resolves h0/4: the same J as the density built there
         fine = ps.resolving_spacing(1e-2 / 4)
         coarse, built = (ps.gaussian_pdf(0.8, center=(0.3, -0.1), spacing=s) for s in (0.1, fine))
-        assert ms.fisher_R_given_M(coarse) == ms.fisher_R_given_M(built)
+        assert ms.fisher(coarse) == ms.fisher(built)
         label = ps.gaussian_pdf(0.5, spacing=fine)
-        coarse = ch.RegisterNoise([0.4, 0.6], [label, ps.gaussian_pdf(1.2, (0.2, 0.1), spacing=0.1)])
-        built = ch.RegisterNoise([0.4, 0.6], [label, ps.gaussian_pdf(1.2, (0.2, 0.1), spacing=fine)])
-        assert ms.fisher_R_given_M(coarse) == ms.fisher_R_given_M(built)
+        coarse = ch.Register([0.4, 0.6], [label, ps.gaussian_pdf(1.2, (0.2, 0.1), spacing=0.1)])
+        built = ch.Register([0.4, 0.6], [label, ps.gaussian_pdf(1.2, (0.2, 0.1), spacing=fine)])
+        assert ms.fisher(coarse) == ms.fisher(built)
 
     def test_unsupported_type(self):
         with pytest.raises(DomainError):
-            ms.fisher_A_given_M("not a state")
+            ms.fisher("not a state")
 
 
 PAIRS = {
@@ -179,27 +179,59 @@ class TestEntropyAndHeatFlowA:
     @pytest.mark.parametrize("name", sorted(PAIRS))
     def test_fock_matches_gaussian(self, name):
         st, gs = (build() for build in PAIRS[name])
-        assert ms.entropy_A_given_M(st) == pytest.approx(ms.entropy_A_given_M(gs), abs=1e-4)
-        assert ms.fisher_A_given_M(st).value == pytest.approx(ms.fisher_A_given_M(gs).value, abs=1e-4)
+        assert ms.entropy(st) == pytest.approx(ms.entropy(gs), abs=1e-4)
+        assert ms.fisher(st).value == pytest.approx(ms.fisher(gs).value, abs=1e-4)
 
     def test_heat_flow_matches_gaussian(self):
-        outs_f = ms.heat_flow_A(fk.thermal(0.8, 40), [0.0, 0.2])
-        outs_g = ms.heat_flow_A(ga.thermal_state(0.8), [0.0, 0.2])
+        outs_f = [ms.heat_flow(fk.thermal(0.8, 40), t) for t in (0.0, 0.2)]
+        outs_g = [ms.heat_flow(ga.thermal_state(0.8), t) for t in (0.0, 0.2)]
         for f, g in zip(outs_f, outs_g):
-            assert ms.entropy_A_given_M(f) == pytest.approx(ms.entropy_A_given_M(g), abs=1e-4)
+            assert ms.entropy(f) == pytest.approx(ms.entropy(g), abs=1e-4)
 
     def test_one_label_register_is_its_state(self):
         st = fk.thermal(0.8, 40)
-        reg = ch.RegisterState([1.0], [st])
-        assert ms.entropy_A_given_M(reg) == ms.entropy_A_given_M(st)
-        assert ms.fisher_A_given_M(reg) == ms.fisher_A_given_M(st)
-        (out_reg,), (out,) = ms.heat_flow_A(reg, [0.3]), ms.heat_flow_A(st, [0.3])
-        assert np.array_equal(out_reg.states[0].matrix, out.matrix)
+        reg = ch.Register([1.0], [st])
+        assert ms.entropy(reg) == ms.entropy(st)
+        assert ms.fisher(reg) == ms.fisher(st)
+        out_reg, out = ms.heat_flow(reg, 0.3), ms.heat_flow(st, 0.3)
+        assert np.array_equal(out_reg.parts[0].matrix, out.matrix)
 
     def test_unsupported_type(self):
+        # a density is a side too (the noise R), so only a non-side is refused
         with pytest.raises(DomainError):
-            ms.entropy_A_given_M(ps.gaussian_pdf(0.5))
+            ms.entropy("not a state")
 
+
+# one part of each register kind, with the array that holds it
+PARTS = {
+    "fock": (lambda: fk.thermal(0.8, 40), lambda x: x.matrix),
+    "grid": (lambda: ps.gaussian_pdf(0.3, center=(0.2, -0.1), spacing=0.0125), lambda x: x.values),
+}
+
+
+class TestOneVocabulary:
+    @pytest.mark.parametrize("kind", sorted(PARTS))
+    def test_one_label_register_is_its_part(self, kind):
+        build, array = PARTS[kind]
+        x = build()
+        reg = ch.Register([1.0], [x])
+        assert ms.entropy(reg) == ms.entropy(x)
+        assert ms.entropy_gain(reg, 0.3) == ms.entropy_gain(x, 0.3)
+        assert ms.fisher(reg) == ms.fisher(x)
+        (out_reg,), out = ms.heat_flow(reg, 0.3).parts, ms.heat_flow(x, 0.3)
+        assert np.array_equal(array(out_reg), array(out))
+
+    def test_mixed_or_quantum_noise_parts_refused(self):
+        with pytest.raises(UnsupportedFamilyError):
+            ch.Register([0.5, 0.5], [fk.vacuum(8), ps.gaussian_pdf(0.5)])
+        with pytest.raises(UnsupportedFamilyError):
+            ch.Register([1.0], [ga.thermal_state(0.5)])
+        # a register of states is an input A, never the noise R
+        states = ch.Register([1.0], [fk.vacuum(8)])
+        with pytest.raises(UnsupportedFamilyError):
+            ch.extended_channel(states, states)
+        with pytest.raises(UnsupportedFamilyError):
+            ms.conditional_mutual_information(states, states)
 
 class TestConditionalMutualInformation:
     def test_register_is_zero(self):
@@ -207,7 +239,7 @@ class TestConditionalMutualInformation:
         assert val == pytest.approx(0.0, abs=1e-8)
 
     def test_registers_must_match(self):
-        other = ch.RegisterNoise([0.5, 0.5], small_noise().pdfs)
+        other = ch.Register([0.5, 0.5], small_noise().parts)
         with pytest.raises(DomainError):
             ms.conditional_mutual_information(small_register(), other)
 
@@ -216,9 +248,9 @@ class TestDeBruijnConsistency:
     def test_dual_route(self):
         reg = small_noise()
         for t in (0.3, 0.9):
-            lhs = ms.integral_fisher_R_given_M(reg, t)
+            lhs = ms.entropy_gain(reg, t)
             rhs = sum(
                 p * (ps.shannon_entropy(ps.classical_heat_flow(f, t)) - ps.shannon_entropy(f))
-                for p, f in zip(reg.probs, reg.pdfs)
+                for p, f in zip(reg.probs, reg.parts)
             )
             assert lhs == pytest.approx(rhs, abs=1e-4)

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -121,6 +125,42 @@ class TestConvolution:
         with pytest.raises(SpacingMismatchError):
             ps.classical_convolution(ps.gaussian_pdf(0.5, spacing=0.1), ps.gaussian_pdf(0.5, spacing=0.11))
 
+
+# grid pairs the corpus convolves: the three classical-epi entries, the
+# Fisher ladder of isoperimetric[classical] (1221 x 1221 by the 139 x 139
+# kernel of its step h0 = 0.01) and a scaling[register] label under heat flow
+CORPUS_PAIRS = {
+    "gauss-gauss": lambda: (ps.gaussian_pdf(0.6, spacing=0.12), ps.gaussian_pdf(0.9, spacing=0.12)),
+    "gauss-uniform": lambda: (ps.gaussian_pdf(0.4, spacing=0.05), ps.uniform_square_pdf(3.0, 0.05)),
+    "near-delta": lambda: (ps.delta_pdf(0.05), ps.gaussian_pdf(0.5, spacing=0.05)),
+    "fisher-ladder": lambda: (ps.gaussian_pdf(0.8, spacing=0.0125), ps.gaussian_pdf(0.01, spacing=0.0125)),
+    "register-label": lambda: (ps.gaussian_pdf(0.5, center=(0.4, 0.0), spacing=0.1),
+                               ps.gaussian_pdf(5.0, spacing=0.1)),
+}
+
+
+class TestConvolutionBackend:
+    @pytest.mark.parametrize("name", sorted(CORPUS_PAIRS))
+    def test_matches_fftconvolve_bit_for_bit(self, name):
+        from scipy.signal import fftconvolve
+
+        g, f = CORPUS_PAIRS[name]()
+        vals = fftconvolve(g.values, f.values, mode="full") * g.cell_weight
+        np.maximum(vals, 0.0, out=vals)
+        origin = (g.origin[0] + f.origin[0], g.origin[1] + f.origin[1])
+        expected = ps.GridPdf(origin, g.spacing, vals).normalized()
+        out = ps.classical_convolution(g, f)
+        assert out.origin == expected.origin
+        assert np.array_equal(out.values, expected.values)
+
+    def test_cli_import_leaves_scipy_signal_out(self):
+        # scipy.signal costs most of the command's start-up; a fresh
+        # interpreter must not load it
+        src = str(Path(ps.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        code = "import sys, epi_lab.cli; print('scipy.signal' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "False"
 
 class TestHeatFlow:
     def test_zero_time(self):
