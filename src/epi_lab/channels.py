@@ -249,39 +249,62 @@ def _noise_channel(f: GridPdf, rho: FockState) -> FockState:
 # beam splitter and the damping semigroup
 
 
-def beam_splitter_unitary(dims, transmissivity: float) -> np.ndarray:
-    """Two-mode beam-splitter unitary exp(theta (a^dag b - a b^dag)) with
-    cos(theta) = sqrt(transmissivity), assembled block-diagonally on total
-    photon number sectors (exact within the truncated product space)."""
+def _sector_blocks(dims, transmissivity: float) -> list:
+    """[(n, levels k of mode A, block)] over the photon-number sectors n of the
+    beam splitter U = exp(theta (a^dag b - a b^dag)), cos(theta)^2 = transmissivity:
+    block[p, q] = <k_p, n - k_p|U|k_q, n - k_q>, exact on the truncated space."""
     if not 0.0 <= transmissivity <= 1.0:
         raise ParameterError(f"transmissivity must be in [0, 1], got {transmissivity}")
     d1, d2 = dims
     theta = math.acos(math.sqrt(transmissivity))
-    U = np.zeros((d1 * d2, d1 * d2))
+    out = []
     for n in range(d1 + d2 - 1):
-        ks = list(range(max(0, n - d2 + 1), min(d1 - 1, n) + 1))
-        m = len(ks)
-        G = np.zeros((m, m))
-        for idx in range(m - 1):
-            k = ks[idx]
-            val = math.sqrt((k + 1) * (n - k))
-            G[idx + 1, idx] = val
-            G[idx, idx + 1] = -val
-        block = expm(theta * G) if m > 1 else np.ones((1, 1))
-        flat = [k * d2 + (n - k) for k in ks]
-        U[np.ix_(flat, flat)] = block
+        ks = np.arange(max(0, n - d2 + 1), min(d1 - 1, n) + 1)
+        val = np.sqrt((ks[:-1] + 1.0) * (n - ks[:-1]))
+        out.append((n, ks, expm(theta * (np.diag(val, -1) - np.diag(val, 1)))))
+    return out
+
+
+def beam_splitter_unitary(dims, transmissivity: float) -> np.ndarray:
+    """The two-mode beam-splitter unitary, assembled from its sector blocks."""
+    d1, d2 = dims
+    U = np.zeros((d1 * d2, d1 * d2))
+    for n, ks, block in _sector_blocks(dims, transmissivity):
+        U[np.ix_(ks * d2 + n - ks, ks * d2 + n - ks)] = block
     return U
 
 
-def beam_splitter(rho_ab: FockState, transmissivity: float) -> FockState:
-    """Output of a beam splitter on a two-mode state: conjugate by the
-    photon-number-conserving unitary, then trace out the second mode."""
-    if rho_ab.n_modes != 2:
-        raise DomainError("beam splitter needs a two-mode input")
-    U = beam_splitter_unitary(rho_ab.mode_dims, transmissivity)
-    mat = U @ rho_ab.matrix @ U.T
-    mixed = FockState(rho_ab.mode_dims, 0.5 * (mat + mat.conj().T), rho_ab.mode_labels)
-    return fk.partial_trace(mixed, rho_ab.mode_labels[0])
+def _factor(rho: FockState) -> np.ndarray:
+    """F with F F^dag = rho, over the eigenpairs above dim * eps * max (the solver's
+    backward error, the rule of `fk._sectors`); real when rho is."""
+    w, v = np.linalg.eigh(rho.matrix if rho.matrix.imag.any() else rho.matrix.real)
+    keep = w > rho.dim * np.finfo(float).eps * w.max()
+    return v[:, keep] * np.sqrt(w[keep])
+
+
+def beam_splitter(rho_a: FockState, rho_b: FockState, transmissivity: float) -> FockState:
+    """Mode A of a beam splitter on rho_a x rho_b, tr_B U (rho_a x rho_b) U^T, as W W^dag with
+    W[j, (b, l, i)] = sum_k G[j, b, k] F_b[j + b - k, i] F_a[k, l], rho = F F^dag (`_factor`) and
+    G[j, b, k] = <j, b|U|k, j + b - k> (U keeps the photon number): no two-mode matrix is formed.
+    W or its intermediate above MAX_DENSE_BYTES raises DomainError before allocation."""
+    if rho_a.n_modes != 1 or rho_b.n_modes != 1:
+        raise DomainError("beam splitter takes two one-mode inputs")
+    d1, d2 = rho_a.dim, rho_b.dim
+    fa, fb = _factor(rho_a), _factor(rho_b)
+    nbytes = 16 * d1 * d2 * fb.shape[1] * max(d1, fa.shape[1])
+    if nbytes > fk.MAX_DENSE_BYTES:
+        raise DomainError(f"a beam splitter on cutoffs {(d1, d2)} at input ranks "
+                          f"{(fa.shape[1], fb.shape[1])} needs {nbytes} bytes, over the "
+                          f"{fk.MAX_DENSE_BYTES} byte cap")
+    G = np.zeros((d1, d2, d1))
+    for n, ks, block in _sector_blocks((d1, d2), transmissivity):
+        G[ks[:, None], n - ks[:, None], ks] = block
+    j, b, k = np.ogrid[:d1, :d2, :d1]
+    T = fb[np.clip(j + b - k, 0, d2 - 1)]  # [j, b, k, i]; G is 0 where clipped
+    T *= G[..., None]
+    W = np.matmul(fa.T, T).reshape(d1, -1)
+    mat = W @ W.conj().T
+    return FockState((d1,), 0.5 * (mat + mat.conj().T), rho_a.mode_labels)
 
 
 def qou_environment(mu: float, lam: float) -> FockState:

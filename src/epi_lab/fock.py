@@ -183,7 +183,7 @@ def _check_dense(dims):
 
 def _pure(psi: np.ndarray, dims, labels=None) -> FockState:
     _check_dense(dims)
-    psi = psi / np.linalg.norm(psi)
+    psi = (psi / np.linalg.norm(psi)).astype(complex)  # a complex outer product: no real one to cast
     return FockState(dims, np.outer(psi, psi.conj()), labels)
 
 
@@ -415,7 +415,7 @@ def moments_of_state(rho: FockState):
         t = rho.tensor()
         for j, b in enumerate(mode_ops[1]):
             # y = tr_1[rho (1 x B)]: one pass over the joint tensor per B
-            y = np.tensordot(t, b, axes=([3, 1], [0, 1]))
+            y = np.einsum("ambn,nm->ab", t, b)  # tensordot would copy t transposed
             for i, a in enumerate(mode_ops[0]):
                 # A on mode 0 and B on mode 1 commute, so no symmetrization needed
                 val = float(np.real(np.einsum("ab,ba->", a, y)))

@@ -1,7 +1,7 @@
 """Reference helpers that only the tests use: single displacement operators
 (closed form and matrix exponential), displaced Fock states and densities,
-and the per-mode photon number. They stay independent oracles for the
-program's channels and moments.
+the per-mode photon number and the dense beam-splitter dilation. They stay
+independent oracles for the program's channels and moments.
 """
 
 import math
@@ -9,6 +9,7 @@ import math
 import numpy as np
 from scipy.linalg import expm
 
+from epi_lab import channels as ch
 from epi_lab import fock as fk
 from epi_lab import phase_space as ps
 
@@ -53,3 +54,12 @@ def displaced(f: ps.GridPdf, eta) -> ps.GridPdf:
         t, (cx, cy) = f.gaussian
         gaussian = (t, (cx + eta[0], cy + eta[1]))
     return ps.GridPdf(origin, f.spacing, f.values, gaussian)
+
+
+def beam_splitter_dense(rho_ab: fk.FockState, transmissivity: float) -> fk.FockState:
+    """Mode A of a beam splitter on a two-mode state, through the dense
+    dilation: conjugate by the two-mode unitary, then trace out mode B."""
+    U = ch.beam_splitter_unitary(rho_ab.mode_dims, transmissivity)
+    mat = U @ rho_ab.matrix @ U.T
+    mixed = fk.FockState(rho_ab.mode_dims, 0.5 * (mat + mat.conj().T), rho_ab.mode_labels)
+    return fk.partial_trace(mixed, rho_ab.mode_labels[0])

@@ -17,7 +17,7 @@ from epi_lab.errors import (
     TailError,
     UnsupportedFamilyError,
 )
-from oracles import displace_state, displaced, mean_energy
+from oracles import beam_splitter_dense, displace_state, displaced, mean_energy
 
 
 class TestClassicalNoiseChannel:
@@ -233,21 +233,44 @@ class TestBeamSplitter:
         assert np.abs(U @ U.T - np.eye(144)).max() <= 1e-12
 
     def test_identity_and_swap(self):
-        joint = fk.tensor_product(fk.coherent(0.7, 16), fk.thermal(0.4, 16), labels=("A", "B"))
-        keep_all = ch.beam_splitter(joint, 1.0)
+        a, b = fk.coherent(0.7, 16), fk.thermal(0.4, 16, label="B")
+        keep_all = ch.beam_splitter(a, b, 1.0)
         assert fk.trace_norm_distance(keep_all, fk.coherent(0.7, 16)) <= 1e-12
-        swapped = ch.beam_splitter(joint, 0.0)
+        swapped = ch.beam_splitter(a, b, 0.0)
         assert fk.trace_norm_distance(swapped, fk.thermal(0.4, 16, label="A")) <= 1e-6
 
     def test_thermal_mixing(self):
-        joint = fk.tensor_product(fk.vacuum(30), fk.thermal(1.0, 30), labels=("A", "B"))
-        out = ch.beam_splitter(joint, 0.4)
+        out = ch.beam_splitter(fk.vacuum(30), fk.thermal(1.0, 30, label="B"), 0.4)
         assert fk.trace_norm_distance(out, fk.thermal(0.6, 30)) <= 1e-6
 
     def test_parameter_domain(self):
-        joint = fk.tensor_product(fk.vacuum(8), fk.vacuum(8))
         with pytest.raises(ParameterError):
-            ch.beam_splitter(joint, 1.2)
+            ch.beam_splitter(fk.vacuum(8), fk.vacuum(8), 1.2)
+
+    @pytest.mark.parametrize("lam", [0.0, 0.37, 1.0])
+    @pytest.mark.parametrize("pair", [
+        lambda: (fk.coherent(0.6 - 0.8j, 20), fk.cat(1.1j, 20)),
+        lambda: (fk.random_mixed(3, 20, 7, support=14), fk.coherent(0.5 + 0.5j, 20)),
+        lambda: (fk.thermal(1.0, 30), fk.thermal(0.5, 30)),
+        lambda: (fk.random_mixed(3, 20, 7, support=14), ch.qou_environment(1.0, 0.5)),
+    ], ids=["coherent-cat", "random-coherent", "thermal-thermal", "unequal-cutoffs"])
+    def test_matches_dense_dilation(self, pair, lam):
+        a, b = pair()
+        out = ch.beam_splitter(a, b, lam)
+        expected = beam_splitter_dense(fk.tensor_product(a, b, labels=("A", "B")), lam)
+        assert out.mode_dims == a.mode_dims and out.mode_labels == a.mode_labels
+        assert np.abs(out.matrix - expected.matrix).max() <= 1e-13
+
+    def test_pure_inputs_at_cutoff_128(self):
+        # beyond the dense oracle, whose joint state would need 4 GiB:
+        # |1> against the vacuum splits into lam |1><1| + (1 - lam) |0><0|
+        out = ch.beam_splitter(fk.fock(1, 128), fk.vacuum(128), 0.4)
+        expected = 0.4 * fk.fock(1, 128).matrix + 0.6 * fk.vacuum(128).matrix
+        assert np.abs(out.matrix - expected).max() <= 1e-13
+
+    def test_two_mode_input_rejected(self):
+        with pytest.raises(DomainError):
+            ch.beam_splitter(fk.tensor_product(fk.vacuum(8), fk.vacuum(8)), fk.vacuum(8), 0.5)
 
 
 class TestQouChannel:
@@ -298,8 +321,7 @@ class TestQouChannel:
         # the superoperator path against the dilation it is built from: the
         # input and the thermal fixed point meet on a beam splitter
         rho = make()
-        joint = fk.tensor_product(rho, ch.qou_environment(1.0, 0.5), labels=("A", "E"))
-        expected = ch.beam_splitter(joint, math.exp(-0.75 * t))
+        expected = ch.beam_splitter(rho, ch.qou_environment(1.0, 0.5), math.exp(-0.75 * t))
         out = ch.qou_channel_fock(rho, t, 1.0, 0.5)
         assert out.mode_dims == rho.mode_dims and out.mode_labels == rho.mode_labels
         assert np.abs(out.matrix - expected.matrix).max() <= 1e-13

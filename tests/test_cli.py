@@ -1,6 +1,7 @@
 import io
 import json
 import math
+import re
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -160,6 +161,18 @@ class TestExitCodes:
         # a cutoff-91 two-mode state would take 1.1 GB; refused before it is built
         code, _, err = run_cli(["epi", "--cutoff", "91"])
         assert code == 2 and "DomainError" in err and "cap" in err
+
+    def test_bs_epi_builds_no_two_mode_state(self):
+        # a pure B keeps the factored beam splitter small at cutoff 128, where
+        # the joint state would need 4 GiB; two thermal inputs there would
+        # need 2.4 GiB and are refused with the byte count
+        code, out, _ = run_cli(["bs-epi", "--state", "fock:1", "--state-b", "vacuum",
+                                "--cutoff", "128", "--lambda", "0.4"])
+        assert code == 0 and json.loads(out)["reports"][0]["pass"] is True
+        code, _, err = run_cli(["bs-epi", "--state", "thermal:2", "--state-b", "thermal:2",
+                                "--cutoff", "128", "--lambda", "0.4"])
+        assert code == 2 and "DomainError" in err
+        assert re.search(r"needs \d{10} bytes, over the 1073741824 byte cap", err)
 
     def test_corrupt_noise_file_is_2(self, tmp_path):
         bad = tmp_path / "noise.grid"
