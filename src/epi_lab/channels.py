@@ -386,9 +386,10 @@ class Register:
 def heat_flow(x, t: float):
     """X after the heat flow for time t, the isotropic Gaussian noise of
     per-axis variance t, on any side: in closed form on the first mode of a
-    GaussianState, by `gaussian_noise_channel` on the first mode of a
-    FockState, by `classical_heat_flow` on a GridPdf, and label by label on
-    a Register. t = 0 is the identity; t < 0 raises NegativeTimeError."""
+    GaussianState and on a tagged Gaussian GridPdf, by `gaussian_noise_channel`
+    on the first mode of a FockState, by FFT convolution on any other GridPdf
+    (both in `classical_heat_flow`), and label by label on a Register. t = 0
+    is the identity; t < 0 raises NegativeTimeError."""
     if isinstance(x, Register):
         return Register(x.probs, [heat_flow(part, t) for part in x.parts])
     if isinstance(x, GaussianState):

@@ -23,7 +23,7 @@ from . import fock as fk
 from .channels import Register, check_shared_register, heat_flow
 from .errors import ConvergenceError, DomainError, NegativeTimeError, QuadratureError
 from .gaussian import GaussianState, gaussian_conditional_entropy, gaussian_entropy
-from .phase_space import GridPdf, gaussian_pdf, resolving_spacing, shannon_entropy
+from .phase_space import GridPdf, resolving_spacing, shannon_entropy
 
 
 @dataclass
@@ -85,26 +85,20 @@ def _richardson(f0: float, values, h0: float) -> FisherEstimate:
     return est
 
 
-def _fisher_grid(x, h0: float):
-    """x with every density on a grid that resolves the smallest Fisher step
-    h0/4, where sampled kernels would otherwise bias the derivative: a
-    density as it is when its grid is that fine, resampled there when it is
-    Gaussian, refused otherwise; states as they are."""
-    if isinstance(x, Register):
-        return Register(x.probs, [_fisher_grid(part, h0) for part in x.parts])
-    spacing = resolving_spacing(h0 / 4)
-    if not isinstance(x, GridPdf) or x.spacing <= spacing * (1 + 1e-12):
-        return x
-    if x.gaussian is None:
-        raise QuadratureError(f"spacing {x.spacing:.4g} too coarse for Fisher step h0={h0}")
-    return gaussian_pdf(*x.gaussian, spacing=spacing)
+def _check_fisher_grid(x, h0: float):
+    """Refuse an untagged density whose grid does not resolve the smallest
+    Fisher step h0/4 (a tagged Gaussian flows in closed form on any grid)."""
+    fine = resolving_spacing(h0 / 4) * (1 + 1e-12)
+    for f in x.parts if isinstance(x, Register) else (x,):
+        if isinstance(f, GridPdf) and f.gaussian is None and f.spacing > fine:
+            raise QuadratureError(f"spacing {f.spacing:.4g} too coarse for Fisher step h0={h0}")
 
 
 def fisher(x, h0: float = 1e-2) -> FisherEstimate:
     """J(X|M): forward differences of S(X|M) along the heat flow at steps h0,
-    h0/2 and h0/4, Richardson-extrapolated, every density on the grid
-    `_fisher_grid` picks for it."""
-    x = _fisher_grid(x, h0)
+    h0/2 and h0/4, Richardson-extrapolated. A density must be tagged
+    Gaussian or on a grid that resolves h0/4 (`_check_fisher_grid`)."""
+    _check_fisher_grid(x, h0)
     vals = [entropy(heat_flow(x, h)) for h in (h0, h0 / 2, h0 / 4)]
     return _richardson(entropy(x), vals, h0)
 

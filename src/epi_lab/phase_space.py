@@ -29,7 +29,7 @@ class GridPdf:
     origin is the coordinate of the (0, 0) cell center; values[i, j] samples
     the density at origin + spacing * (i, j). `gaussian` is (t, center) when
     the values sample the isotropic Gaussian of per-axis variance t centered
-    there (set by `gaussian_pdf` only), else None.
+    there (set by `gaussian_pdf`, moved along by `classical_heat_flow`), else None.
     """
 
     origin: tuple
@@ -205,11 +205,16 @@ def classical_convolution(g: GridPdf, f: GridPdf) -> GridPdf:
 
 
 def classical_heat_flow(f: GridPdf, t: float) -> GridPdf:
-    """Convolution with the isotropic Gaussian of variance t; t = 0 is the identity."""
+    """Convolution with the isotropic Gaussian of variance t; t = 0 is the
+    identity. A density tagged (s, center) flows in closed form to the tagged
+    Gaussian of variance s + t at its spacing; any other is convolved by FFT."""
     if t < 0:
         raise NegativeTimeError(f"heat flow requires t >= 0, got {t}")
     if t == 0:
-        return GridPdf(f.origin, f.spacing, f.values.copy())
+        return GridPdf(f.origin, f.spacing, f.values.copy(), f.gaussian)
+    if f.gaussian is not None:
+        s, center = f.gaussian
+        return gaussian_pdf(s + t, center, spacing=f.spacing)
     kernel = gaussian_pdf(t, (0.0, 0.0), spacing=f.spacing)
     return classical_convolution(f, kernel)
 

@@ -1,7 +1,8 @@
 """Reference helpers that only the tests use: single displacement operators
 (closed form and matrix exponential), displaced Fock states and densities,
-the per-mode photon number and the dense beam-splitter dilation. They stay
-independent oracles for the program's channels and moments.
+untagged copies of densities and their shared cells, the per-mode photon
+number and the dense beam-splitter dilation. They stay independent oracles
+for the program's channels, heat flows and moments.
 """
 
 import math
@@ -54,6 +55,23 @@ def displaced(f: ps.GridPdf, eta) -> ps.GridPdf:
         t, (cx, cy) = f.gaussian
         gaussian = (t, (cx + eta[0], cy + eta[1]))
     return ps.GridPdf(origin, f.spacing, f.values, gaussian)
+
+
+def untagged(f: ps.GridPdf) -> ps.GridPdf:
+    """The same grid without its Gaussian tag, as a `file:` density arrives:
+    its heat flow runs the FFT convolution."""
+    return ps.GridPdf(f.origin, f.spacing, f.values)
+
+
+def shared_cells(f: ps.GridPdf, g: ps.GridPdf):
+    """The values of f and of g on the cells both grids hold; the grids must
+    share their spacing and their lattice."""
+    offset = [(go - fo) / f.spacing for go, fo in zip(g.origin, f.origin)]
+    assert g.spacing == f.spacing and all(abs(o - round(o)) < 1e-6 for o in offset)
+    i, j = (round(o) for o in offset)
+    lo_i, lo_j = max(0, i), max(0, j)
+    hi_i, hi_j = min(f.size, i + g.size), min(f.size, j + g.size)
+    return f.values[lo_i:hi_i, lo_j:hi_j], g.values[lo_i - i:hi_i - i, lo_j - j:hi_j - j]
 
 
 def beam_splitter_dense(rho_ab: fk.FockState, transmissivity: float) -> fk.FockState:

@@ -17,7 +17,7 @@ from epi_lab.errors import (
     TailError,
     UnsupportedFamilyError,
 )
-from oracles import beam_splitter_dense, displace_state, displaced, mean_energy
+from oracles import beam_splitter_dense, displace_state, displaced, mean_energy, shared_cells, untagged
 
 
 class TestClassicalNoiseChannel:
@@ -188,7 +188,8 @@ class TestGaussianNoiseChannel:
     def test_untagged_density_takes_quadrature(self):
         f = ps.gaussian_pdf(0.3)
         assert ch.channel_path(f) == "exact"
-        assert ch.channel_path(ps.classical_heat_flow(f, 0.1)) == "quadrature"
+        assert ch.channel_path(ps.classical_heat_flow(f, 0.1)) == "exact"
+        assert ch.channel_path(ps.GridPdf(f.origin, f.spacing, f.values)) == "quadrature"
         mixed = ch.Register([0.5, 0.5], [f, ps.GridPdf(f.origin, f.spacing, f.values)])
         assert ch.channel_path(mixed) == "quadrature"
 
@@ -350,6 +351,19 @@ class TestCQStateMachinery:
         reg = ch.Register([0.5, 0.5], [fk.fock(1, 24), fk.vacuum(24)])
         heated_a = ms.heat_flow(reg, 0.2)
         assert mean_energy(heated_a.parts[1]) == pytest.approx(0.2, abs=1e-6)
+
+    def test_register_of_tagged_labels_flows_in_closed_form(self):
+        # each label against the FFT convolution of its untagged copy
+        noise = ch.Register([0.4, 0.6], [ps.gaussian_pdf(0.5, center=(0.5, 0.0), spacing=0.1),
+                                         ps.gaussian_pdf(1.2, center=(-0.4, 0.3), spacing=0.05)])
+        closed = ms.heat_flow(noise, 0.7)
+        fft = ch.Register(noise.probs, [
+            ps.classical_convolution(untagged(f), ps.gaussian_pdf(0.7, spacing=f.spacing)) for f in noise.parts])
+        assert [f.gaussian for f in closed.parts] == [(0.5 + 0.7, (0.5, 0.0)), (1.2 + 0.7, (-0.4, 0.3))]
+        assert abs(ms.entropy(closed) - ms.entropy(fft)) <= 1e-12
+        for f, g in zip(closed.parts, fft.parts):
+            a, b = shared_cells(f, g)
+            assert np.abs(a - b).max() <= 1e-12
 
 
 class TestConditionalEntropyUnderHeat:

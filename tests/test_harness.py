@@ -11,6 +11,7 @@ from epi_lab import harness as hn
 from epi_lab import measures as ms
 from epi_lab import phase_space as ps
 from epi_lab.errors import DomainError
+from oracles import untagged
 
 
 def gauss_noise(t):
@@ -99,6 +100,18 @@ class TestExactChannelRouting:
         assert stam.diagnostics["channel"] == "exact"
         out = ms.heat_flow(fk.thermal(0.8, 60), 0.2)
         assert fk.von_neumann_entropy(out) == pytest.approx(ga.g_function(1.0), abs=1e-8)
+
+    def test_gaussian_densities_run_no_convolution(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the grid convolution ran")
+
+        monkeypatch.setattr(ps, "classical_convolution", refuse)
+        entries = dict(hn.default_suite(7))
+        for name in ("fisher-isoperimetric[classical]", "isoperimetric[classical]", "scaling[register]",
+                     "debruijn-regularity[register]", "stam[register]"):
+            assert all(r.passed for r in entries[name]()), name
+        with pytest.raises(AssertionError, match="grid convolution ran"):
+            ms.heat_flow(untagged(ps.gaussian_pdf(0.5)), 0.1)
 
     def test_file_noise_runs_quadrature(self, tmp_path):
         f = ps.gaussian_pdf(0.3)

@@ -9,7 +9,7 @@ import pytest
 
 from epi_lab import phase_space as ps
 from epi_lab.errors import DomainError, GridTooSmallError, NegativeTimeError, SpacingMismatchError
-from oracles import displaced
+from oracles import displaced, shared_cells, untagged
 
 
 def gaussian_mixture(weights, ts, centers, spacing, extent):
@@ -73,12 +73,16 @@ class TestEntropyAndMoments:
 
     def test_derived_densities_drop_the_tag(self, tmp_path):
         f = ps.gaussian_pdf(0.6)
-        assert ps.classical_heat_flow(f, 0.2).gaussian is None
-        assert ps.classical_heat_flow(f, 0.0).gaussian is None
+        assert ps.classical_heat_flow(untagged(f), 0.2).gaussian is None
         assert ps.classical_convolution(f, ps.gaussian_pdf(0.3, spacing=f.spacing)).gaussian is None
         path = tmp_path / "f.gridpdf"
         ps.save_gridpdf(f, path)
         assert ps.load_gridpdf(path).gaussian is None
+
+    def test_heat_flow_moves_the_tag(self):
+        f = ps.gaussian_pdf(0.6, center=(0.3, -0.2))
+        assert ps.classical_heat_flow(f, 0.2).gaussian == (0.6 + 0.2, (0.3, -0.2))
+        assert ps.classical_heat_flow(f, 0.0).gaussian == f.gaussian
 
     def test_delta_entropy(self):
         f = ps.delta_pdf(0.1)
@@ -171,6 +175,19 @@ class TestHeatFlow:
     def test_gaussian_flows_to_gaussian(self):
         out = ps.classical_heat_flow(ps.gaussian_pdf(0.5, spacing=0.1), 0.7)
         assert ps.shannon_entropy(out) == pytest.approx(1.0 + math.log(1.2), abs=1e-8)
+
+    @pytest.mark.parametrize("t,spacing,tau", [(0.5, 0.1, 0.7), (0.8, 0.0125, 0.0025),
+                                               (0.3, 0.1, 5.0), (0.8, 0.05, 0.05)])
+    def test_tagged_gaussian_matches_convolution(self, t, spacing, tau):
+        # the closed form against the FFT convolution of the untagged copy
+        f = ps.gaussian_pdf(t, center=(0.37, -0.81), spacing=spacing)
+        closed = ps.classical_heat_flow(f, tau)
+        fft = ps.classical_convolution(untagged(f), ps.gaussian_pdf(tau, spacing=spacing))
+        assert closed.gaussian == (t + tau, (0.37, -0.81)) and fft.gaussian is None
+        assert abs(ps.shannon_entropy(closed) - ps.shannon_entropy(fft)) <= 1e-12
+        a, b = shared_cells(closed, fft)
+        assert a.shape == closed.values.shape
+        assert np.abs(a - b).max() <= 1e-12
 
     def test_semigroup(self):
         f = gaussian_mixture([0.6, 0.4], [0.5, 1.1], [(0.4, -0.2), (-0.6, 0.5)], 0.1, 9.0)
