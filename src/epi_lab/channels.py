@@ -51,13 +51,13 @@ def _check_quadrature(f: GridPdf):
         )
 
 
-def _finish(mat: np.ndarray, dims, labels) -> FockState:
+def _finish(out: FockState) -> FockState:
     """Renormalize and hermitize a channel output, keeping the
     pre-normalization trace drift on the state."""
-    tr = float(np.real(np.trace(mat)))
+    tr = out.trace()
     if abs(tr - 1.0) > TRACE_DRIFT_LIMIT:
         raise DriftError(f"channel output trace drifted to {tr}")
-    out = FockState(dims, 0.5 * (mat + mat.conj().T) / tr, labels, trace_drift=tr - 1.0)
+    out = fk.renormalized(out, tr)
     out.check_tail()
     return out
 
@@ -126,7 +126,7 @@ def _noise_outputs(grids, rho: FockState, target: str = None) -> list:
         mats = _conjugation_sums(points, weight_sets, rho.matrix, d)
     else:
         mats = [apply_one_mode_kernel(K, rho, target) for K in one_mode_kernels(points, weight_sets, d)]
-    return [_finish(mat, rho.mode_dims, rho.mode_labels) for mat in mats]
+    return [_finish(FockState(rho.mode_dims, mat, rho.mode_labels)) for mat in mats]
 
 
 def classical_noise_channel(f: GridPdf, rho: FockState, target: str = None) -> FockState:
@@ -201,11 +201,12 @@ def gaussian_noise_channel(rho: FockState, t: float, center=(0.0, 0.0), target: 
     on the `target` mode (default: the first), in closed form.
 
     Each diagonal of the target mode is one small matrix (`_diagonal_map`)
-    times the same input diagonal; the other mode, if any, rides along as a
-    batch. A nonzero center displaces the noisy state, computed CENTER_PAD
-    levels above the cutoff, and projects it back. t = 0 without a center
-    returns a copy; the output goes through the same trace-drift and tail
-    checks as the quadrature channel.
+    times the same input diagonal (`fk.map_diagonals`, which runs on the
+    diagonal storage of a phase-covariant state); the other mode, if any,
+    rides along as a batch. A nonzero center displaces the noisy state,
+    computed CENTER_PAD levels above the cutoff on the dense tensor, and
+    projects it back. t = 0 without a center returns a copy; the output goes
+    through the same trace-drift and tail checks as the quadrature channel.
     """
     if t < 0:
         raise NegativeTimeError(f"heat flow requires t >= 0, got {t}")
@@ -216,23 +217,18 @@ def gaussian_noise_channel(rho: FockState, t: float, center=(0.0, 0.0), target: 
         target = rho.mode_labels[0]
     k, n = rho.mode_index(target), rho.n_modes
     d = rho.mode_dims[k]
-    pad = CENTER_PAD if shifted else 0
+    if not shifted:
+        return _finish(fk.map_diagonals(rho, lambda q: _diagonal_map(d, q, t), k))
+    pad = CENTER_PAD
     widths = [(0, 0)] * (2 * n)
     widths[k] = widths[n + k] = (0, pad)
     x = np.moveaxis(np.pad(rho.tensor(), widths), (k, n + k), (0, 1))  # target (row, col) first
     if t > 0:
-        out = np.zeros_like(x)
-        for q in range(d + pad):
-            M = _diagonal_map(d + pad, q, t)
-            i = np.arange(d + pad - q)
-            out[i + q, i] = np.tensordot(M, x[i + q, i], axes=1)
-            out[i, i + q] = np.tensordot(M, x[i, i + q], axes=1)
-        x = out
+        x = fk.map_mode_diagonals(x, lambda q: _diagonal_map(d + pad, q, t))
     x = np.moveaxis(x, (0, 1), (k, n + k))
-    if shifted:
-        D = displacement_batch(np.asarray(center, dtype=float).reshape(1, 2), d + pad)[0]
-        x = fk.conjugate_mode(D[:d], x, k)
-    return _finish(x.reshape(rho.dim, rho.dim), rho.mode_dims, rho.mode_labels)
+    D = displacement_batch(np.asarray(center, dtype=float).reshape(1, 2), d + pad)[0]
+    x = fk.conjugate_mode(D[:d], x, k)
+    return _finish(FockState(rho.mode_dims, x.reshape(rho.dim, rho.dim), rho.mode_labels))
 
 
 def _noise_channel(f: GridPdf, rho: FockState) -> FockState:
@@ -331,7 +327,7 @@ def qou_channel_fock(rho: FockState, t: float, mu: float, lam: float, target: st
         # not renormalized and not tail-checked: the one-mode outputs of the
         # sweep's random qou requests exceed TAIL_TOL (see CHANGES.md, FOUND)
         return FockState(rho.mode_dims, 0.5 * (mat + mat.conj().T), rho.mode_labels)
-    return _finish(mat, rho.mode_dims, rho.mode_labels)
+    return _finish(FockState(rho.mode_dims, mat, rho.mode_labels))
 
 
 def qou_superoperator(d: int, t: float, mu: float, lam: float) -> np.ndarray:

@@ -4,10 +4,17 @@ Supports one- and two-mode states with per-mode cutoffs up to 128. The
 truncation contract is that the top Fock level of every mode carries at most
 TAIL_TOL population; constructors enforce it and channels re-check it after
 acting.
+
+A two-mode state on equal cutoffs that commutes with n_A - n_M (a two-mode
+squeezed vacuum and its Gaussian noise on A) is a `PhaseCovariantState`,
+stored by its A-diagonals in O(d^3) numbers. The functionals here and the
+Gaussian noise channel on A run on that storage; every other consumer reads
+`matrix` or `tensor()`, which go through `densify`.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -25,8 +32,8 @@ from .errors import (
 EIG_CLAMP = 1e-9
 TAIL_TOL = 1e-8
 MAX_CUTOFF = 128
-# largest dense density matrix a constructor allocates: 1 GiB of complex
-# entries, two-mode cutoffs up to 90
+# largest dense density matrix a constructor or `densify` allocates: 1 GiB of
+# complex entries, two-mode cutoffs up to 90
 MAX_DENSE_BYTES = 2 ** 30
 SQRT2 = math.sqrt(2.0)
 
@@ -73,7 +80,7 @@ class FockState:
 
     @property
     def dim(self) -> int:
-        return self.matrix.shape[0]
+        return int(np.prod(self.mode_dims))
 
     @property
     def n_modes(self) -> int:
@@ -109,6 +116,164 @@ class FockState:
 
     def copy(self) -> "FockState":
         return replace(self, matrix=self.matrix.copy())
+
+
+# ---------------------------------------------------------------------------
+# phase-covariant two-mode states, stored by their A-diagonals
+
+
+@functools.lru_cache(maxsize=8)
+def _offsets(d: int) -> np.ndarray:
+    """Start of each offset q = 1 - d, ..., d - 1 in the diagonal storage on
+    cutoff d, and its length last: slab q holds (d - |q|)^2 numbers."""
+    sizes = (d - np.abs(np.arange(1 - d, d))) ** 2
+    return np.concatenate([[0], np.cumsum(sizes)])
+
+
+def _slab(flat: np.ndarray, d: int, q: int) -> np.ndarray:
+    """View of offset q in a diagonal storage `flat` on cutoff d."""
+    lo, hi = _offsets(d)[q + d - 1: q + d + 1]
+    return flat[lo:hi].reshape(d - abs(q), d - abs(q))
+
+
+@functools.lru_cache(maxsize=4)
+def _dense_index(d: int):
+    """(rows, columns) in the d^2 x d^2 matrix of the stored entries: slab q
+    holds X_q[i, j] = <a, m|rho|b, n> with (a, m) = (i + s, j + s) and
+    (b, n) = (i + r, j + r), where s = max(q, 0) and r = max(-q, 0)."""
+    rows, cols = [], []
+    for q in range(1 - d, d):
+        s, r = max(q, 0), max(-q, 0)
+        i, j = np.indices((d - abs(q),) * 2).reshape(2, -1)
+        rows.append((i + s) * d + j + s)
+        cols.append((i + r) * d + j + r)
+    return np.concatenate(rows), np.concatenate(cols)
+
+
+@functools.lru_cache(maxsize=4)
+def _block_order(d: int) -> np.ndarray:
+    """Permutation that gathers the storage into the n_A - n_M charge blocks,
+    c = 1 - d, ..., d - 1, each row-major over its A levels. Block c has side
+    d - |c|, the side of slab c, so the blocks reuse `_offsets`."""
+    rows, cols = _dense_index(d)
+    a, c, b = rows // d, rows // d - rows % d, cols // d
+    lo = np.maximum(c, 0)
+    keys = _offsets(d)[c + d - 1] + (a - lo) * (d - np.abs(c)) + b - lo
+    order = np.empty_like(keys)
+    order[keys] = np.arange(keys.size)
+    return order
+
+
+class PhaseCovariantState(FockState):
+    """Two-mode state on equal cutoffs d that commutes with n_A - n_M, so that
+    <a, m|rho|b, n> = 0 unless a - b = m - n. For each offset q = a - b it
+    keeps the square slab X_q (`diagonals_at(q)`, layout in `_dense_index`): row
+    i runs along the q-th diagonal of mode A, column j over the memory pairs
+    (m, n) with m - n = q. That is about (2/3) d^3 numbers in one flat array,
+    against d^4 for the matrix; `matrix` (and so `tensor()`) converts
+    through `densify`."""
+
+    def __init__(self, d: int, diagonals, mode_labels=("A", "M"), trace_drift: float = 0.0):
+        d = int(d)
+        if not 1 <= d <= MAX_CUTOFF:
+            raise DomainError(f"mode cutoffs must be in [1, {MAX_CUTOFF}]")
+        self.mode_dims = (d, d)
+        self.mode_labels = tuple(mode_labels)
+        if len(self.mode_labels) != 2:
+            raise LabelError("one label per mode required")
+        self.diagonals = np.asarray(diagonals, dtype=complex)
+        if self.diagonals.shape != (_offsets(d)[-1],):
+            raise DimensionMismatchError(f"{self.diagonals.shape} entries do not fit cutoff {d}")
+        self.trace_drift = trace_drift
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The dense matrix, read-only: a write to it would not reach the storage."""
+        mat = densify(self).matrix
+        mat.flags.writeable = False
+        return mat
+
+    def __repr__(self) -> str:
+        return (f"PhaseCovariantState(d={self.mode_dims[0]}, mode_labels={self.mode_labels}, "
+                f"trace_drift={self.trace_drift})")
+
+    def diagonals_at(self, q: int) -> np.ndarray:
+        return _slab(self.diagonals, self.mode_dims[0], q)
+
+    def charge_blocks(self) -> list:
+        """The n_A - n_M charge blocks, gathered by one permutation of the storage."""
+        d = self.mode_dims[0]
+        flat = self.diagonals[_block_order(d)]
+        return [_slab(flat, d, c) for c in range(1 - d, d)]
+
+    def tail_mass(self) -> float:
+        pops = self.diagonals_at(0).real  # pops[a, m] = <a, m|rho|a, m>
+        return max(float(pops[-1].sum()), float(pops[:, -1].sum()))
+
+    def trace(self) -> float:
+        return float(self.diagonals_at(0).real.sum())
+
+    def copy(self) -> "PhaseCovariantState":
+        return PhaseCovariantState(self.mode_dims[0], self.diagonals.copy(), self.mode_labels,
+                                   self.trace_drift)
+
+
+def densify(rho: FockState) -> FockState:
+    """rho as a dense FockState (rho itself if it is one): the one conversion
+    out of the diagonal storage, refused above MAX_DENSE_BYTES."""
+    if not isinstance(rho, PhaseCovariantState):
+        return rho
+    _check_dense(rho.mode_dims)
+    rows, cols = _dense_index(rho.mode_dims[0])
+    mat = np.zeros((rho.dim, rho.dim), dtype=complex)
+    mat[rows, cols] = rho.diagonals
+    return FockState(rho.mode_dims, mat, rho.mode_labels, rho.trace_drift)
+
+
+def renormalized(rho: FockState, tr: float) -> FockState:
+    """The hermitian part of rho divided by tr, with trace drift tr - 1. The
+    transpose of slab q's entry (i, j) is slab -q's entry (i, j)."""
+    if isinstance(rho, PhaseCovariantState):
+        d = rho.mode_dims[0]
+        mirror = np.concatenate([rho.diagonals_at(q).ravel() for q in range(d - 1, -d, -1)])
+        return PhaseCovariantState(d, 0.5 * (rho.diagonals + mirror.conj()) / tr, rho.mode_labels,
+                                   tr - 1.0)
+    mat = rho.matrix
+    return FockState(rho.mode_dims, 0.5 * (mat + mat.conj().T) / tr, rho.mode_labels,
+                     trace_drift=tr - 1.0)
+
+
+def map_mode_diagonals(x: np.ndarray, maps) -> np.ndarray:
+    """A phase-covariant map on the mode whose (row, column) axes lead the
+    tensor x: for q >= 0, out[i + q, i] = sum_j maps(q)[i, j] x[j + q, j], and
+    the same on out[i, i + q]; the other axes ride along as a batch."""
+    d = x.shape[0]
+    out = np.zeros_like(x)
+    for q in range(d):
+        M = maps(q)
+        i = np.arange(d - q)
+        out[i + q, i] = np.tensordot(M, x[i + q, i], axes=1)
+        out[i, i + q] = np.tensordot(M, x[i, i + q], axes=1)
+    return out
+
+
+def map_diagonals(rho: FockState, maps, k: int = 0) -> FockState:
+    """rho under the phase-covariant map on mode k given by `maps` (see
+    `map_mode_diagonals`), not normalized. On the diagonal storage and mode A
+    it is one maps(|q|) @ X_q per offset; otherwise it runs on the dense tensor."""
+    if isinstance(rho, PhaseCovariantState) and k == 0:
+        d = rho.mode_dims[0]
+        out = np.empty_like(rho.diagonals)
+        for q in range(d):
+            M = maps(q)
+            for u in {q, -q}:
+                np.matmul(M, rho.diagonals_at(u), out=_slab(out, d, u))
+        return PhaseCovariantState(d, out, rho.mode_labels)
+    rho = densify(rho)
+    n = rho.n_modes
+    x = np.moveaxis(map_mode_diagonals(np.moveaxis(rho.tensor(), (k, n + k), (0, 1)), maps),
+                    (0, 1), (k, n + k))
+    return FockState(rho.mode_dims, x.reshape(rho.dim, rho.dim), rho.mode_labels)
 
 
 def _hermitize(mat: np.ndarray) -> np.ndarray:
@@ -158,15 +323,22 @@ def _spectrum(mat: np.ndarray, dims) -> np.ndarray:
 
 
 def eigenvalues(rho: FockState) -> np.ndarray:
+    if isinstance(rho, PhaseCovariantState):
+        return np.sort(np.concatenate([_eigvalsh(b) for b in rho.charge_blocks()]))
     return _spectrum(rho.matrix, rho.mode_dims)
 
 
 def spectral_path(rho: FockState) -> dict:
     """How `eigenvalues(rho)` solves: `eigensolve` is "blocked" (by charge
     sectors) or "dense", `off_block_norm` the norm that decided it (None for
-    one mode, which is always dense). Rescans the matrix: one pass over it."""
+    one mode, which is always dense), `storage` "diagonals" or "dense". A
+    dense matrix is rescanned, one pass over it; the diagonal storage is
+    blocked by its layout."""
+    if isinstance(rho, PhaseCovariantState):
+        return {"eigensolve": "blocked", "off_block_norm": 0.0, "storage": "diagonals"}
     sectors, norm = _sectors(rho.matrix, rho.mode_dims)
-    return {"eigensolve": "dense" if sectors is None else "blocked", "off_block_norm": norm}
+    return {"eigensolve": "dense" if sectors is None else "blocked", "off_block_norm": norm,
+            "storage": "dense"}
 
 
 # ---------------------------------------------------------------------------
@@ -181,16 +353,15 @@ def _check_dense(dims):
                           f"{16 * dim * dim / 2 ** 30:.2f} GiB, over the {MAX_DENSE_BYTES} byte cap")
 
 
-def _pure(psi: np.ndarray, dims, labels=None) -> FockState:
-    _check_dense(dims)
+def _pure(psi: np.ndarray, label: str) -> FockState:
     psi = (psi / np.linalg.norm(psi)).astype(complex)  # a complex outer product: no real one to cast
-    return FockState(dims, np.outer(psi, psi.conj()), labels)
+    return FockState((psi.size,), np.outer(psi, psi.conj()), (label,))
 
 
 def vacuum(d: int, label: str = "A") -> FockState:
     psi = np.zeros(d)
     psi[0] = 1.0
-    return _pure(psi, (d,), (label,))
+    return _pure(psi, label)
 
 
 def fock(n: int, d: int, label: str = "A") -> FockState:
@@ -200,7 +371,7 @@ def fock(n: int, d: int, label: str = "A") -> FockState:
         raise TailError(f"level {n} does not fit below cutoff {d}")
     psi = np.zeros(d)
     psi[n] = 1.0
-    state = _pure(psi, (d,), (label,))
+    state = _pure(psi, label)
     state.check_tail()
     return state
 
@@ -223,7 +394,7 @@ def coherent(alpha: complex, d: int, label: str = "A") -> FockState:
     log_mag = n * math.log(abs(alpha)) if alpha != 0 else np.where(n == 0, 0.0, -np.inf)
     amps = np.exp(log_mag - 0.5 * gammaln(n + 1.0) - 0.5 * abs(alpha) ** 2)
     phase = np.exp(1j * np.angle(alpha) * n) if alpha != 0 else np.ones(d)
-    state = _pure(amps * phase, (d,), (label,))
+    state = _pure(amps * phase, label)
     state.check_tail()
     return state
 
@@ -237,22 +408,24 @@ def cat(alpha: complex, d: int, label: str = "A") -> FockState:
     amps = np.exp(log_mag - 0.5 * gammaln(n + 1.0) - 0.5 * abs(alpha) ** 2)
     amps = amps * np.exp(1j * np.angle(alpha) * n)
     amps[1::2] = 0.0
-    state = _pure(amps, (d,), (label,))
+    state = _pure(amps, label)
     state.check_tail()
     return state
 
 
-def two_mode_squeezed_vacuum(r: float, d: int, labels=("A", "M")) -> FockState:
-    """Pure two-mode squeezed state with Schmidt weights (1-q) q^n, q = tanh(r)^2."""
+def two_mode_squeezed_vacuum(r: float, d: int, labels=("A", "M")) -> PhaseCovariantState:
+    """Pure two-mode squeezed state with Schmidt weights (1-q) q^n, q = tanh(r)^2,
+    in the diagonal storage: psi = sum_n c_n |n, n>, so slab q is diagonal,
+    X_q[i, i] = c_{i + |q|} c_i."""
     if r < 0:
         raise DomainError("squeezing parameter must be nonnegative")
-    if not 1 <= d <= MAX_CUTOFF:  # checked before the (d*d)^2 outer product is allocated
+    if not 1 <= d <= MAX_CUTOFF:  # checked before the storage is allocated
         raise DomainError(f"mode cutoffs must be in [1, {MAX_CUTOFF}]")
-    lam = math.tanh(r)
-    amps = lam ** np.arange(d)
-    psi = np.zeros((d, d))
-    psi[np.arange(d), np.arange(d)] = amps
-    state = _pure(psi.ravel(), (d, d), labels)
+    c = math.tanh(r) ** np.arange(d)
+    c /= np.linalg.norm(c)
+    state = PhaseCovariantState(d, np.zeros(_offsets(d)[-1], dtype=complex), labels)
+    for q in range(1 - d, d):
+        np.fill_diagonal(state.diagonals_at(q), c[abs(q):] * c[:d - abs(q)])
     state.check_tail()
     return state
 
@@ -370,6 +543,10 @@ def partial_trace(rho: FockState, keep: str) -> FockState:
     if rho.n_modes != 2:
         raise DomainError("partial trace requires a two-mode state")
     k = rho.mode_index(keep)
+    if isinstance(rho, PhaseCovariantState):
+        # the marginals are diagonal: populations of slab 0 summed over the other mode
+        pops = rho.diagonals_at(0).real.sum(axis=1 - k)
+        return FockState((rho.mode_dims[k],), np.diag(pops).astype(complex), (keep,))
     t = rho.tensor()
     mat = np.einsum("ambm->ab", t) if k == 0 else np.einsum("aman->mn", t)
     return FockState((rho.mode_dims[k],), _hermitize(mat), (keep,))
@@ -390,7 +567,9 @@ def moments_of_state(rho: FockState):
 
     Works blockwise: same-mode second moments come from the mode marginals,
     cross-mode terms contract one-mode operators against the joint tensor,
-    so nothing is ever multiplied at the joint dimension.
+    so nothing is ever multiplied at the joint dimension. On the diagonal
+    storage the cross terms all follow from z = <a_A a_M>, summed over slab
+    -1; the means and every other cross expectation vanish by symmetry.
     """
     mode_ops = [quadrature_ops(d) for d in rho.mode_dims]
     if rho.n_modes == 1:
@@ -411,7 +590,13 @@ def moments_of_state(rho: FockState):
                 sym = 0.5 * (a @ b + b @ a)
                 val = expectation(red, sym) - mean[2 * k + i] * mean[2 * k + j]
                 cov[2 * k + i, 2 * k + j] = cov[2 * k + j, 2 * k + i] = val
-    if rho.n_modes == 2:
+    if isinstance(rho, PhaseCovariantState):
+        root = np.sqrt(np.arange(1.0, rho.mode_dims[0]))
+        z = root @ rho.diagonals_at(-1) @ root  # X_-1[i, j] = <i, j|rho|i + 1, j + 1>
+        # <Q_A Q_M> = Re z, <Q_A P_M> = <P_A Q_M> = Im z, <P_A P_M> = -Re z
+        cov[:2, 2:] = [[z.real, z.imag], [z.imag, -z.real]]
+        cov[2:, :2] = cov[:2, 2:].T
+    elif rho.n_modes == 2:
         t = rho.tensor()
         for j, b in enumerate(mode_ops[1]):
             # y = tr_1[rho (1 x B)]: one pass over the joint tensor per B

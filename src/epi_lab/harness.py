@@ -642,6 +642,17 @@ def _f1(t: float) -> Instance:
                     gaussian=lambda: (ga.tmsv_state(0.66), t))
 
 
+def _tightness(k: float, a: float, b: float, cutoff: int) -> Instance:
+    """A member of the saturating family on the Fock path: the k TMSV at
+    `cutoff`, heat-flowed by e^(a-1) on A, with noise of variance e^(b-1);
+    its Gaussian twin is `ga.tightness_family`."""
+    ta, tb = math.exp(a - 1.0), math.exp(b - 1.0)
+    return Instance({"family": "F1", "instance": "tightness", "k": k, "a": a, "b": b},
+                    lambda: ch.heat_flow(fk.two_mode_squeezed_vacuum(ga.tmsv_r_for_k(k), cutoff), ta),
+                    lambda: ps.gaussian_pdf(tb),
+                    gaussian=lambda: (ga.tightness_family(k, a, b)[0], tb))
+
+
 def _thermal(name: str, n: float, t: float) -> Instance:
     """One-mode thermal input without memory: the conditional statements
     reduce to their unconditioned forms."""
@@ -675,6 +686,9 @@ def default_suite(seed: int = 7):
 
     for t in (0.2, 0.5, 1.0):
         add(f"cond-epi[f1,t={t}]", lambda t=t: check_conditional_epi(_f1(t)))
+    # outputs within TAIL_TOL: tails 9.8e-9 at cutoff 80 and 5.2e-9 at 104 (100 fails)
+    add("cond-epi[tightness,k=2]", lambda: check_conditional_epi(_tightness(2, 0.0, 0.0, 80))
+        + check_conditional_epi(_tightness(2, 1.0, 1.0, 104)))
     add("cond-epi[f2-register]", lambda: check_conditional_epi(_corpus_register_epi("fock1-cat2")))
     add("cond-epi[f2-register-mixed]", lambda: check_conditional_epi(_register(
         "thermal-fock2", [0.3, 0.7], lambda: [fk.thermal(0.5, 48), fk.fock(2, 48)], [0.5, 0.9],

@@ -124,9 +124,8 @@ def gaussian_pdf(t: float, center=(0.0, 0.0), spacing: float = None, extent: flo
     L = 2 * half + 1
     if L > MAX_GRID:
         raise GridTooSmallError(f"grid side {L} exceeds cap {MAX_GRID}; coarsen the spacing")
-    xs = spacing * (np.arange(L) - half)
-    rsq = xs[:, None] ** 2 + xs[None, :] ** 2
-    vals = np.exp(-rsq / (2.0 * t)) / t
+    g = np.exp(-(spacing * (np.arange(L) - half)) ** 2 / (2.0 * t))
+    vals = np.outer(g, g) / t  # separable: L exponentials, not L^2
     center = (float(center[0]), float(center[1]))
     origin = (center[0] - half * spacing, center[1] - half * spacing)
     return GridPdf(origin, spacing, vals, (float(t), center)).normalized()

@@ -1,8 +1,9 @@
 """Reference helpers that only the tests use: single displacement operators
 (closed form and matrix exponential), displaced Fock states and densities,
 untagged copies of densities and their shared cells, the per-mode photon
-number and the dense beam-splitter dilation. They stay independent oracles
-for the program's channels, heat flows and moments.
+number, the dense beam-splitter dilation and the dense two-mode squeezed
+vacuum. They stay independent oracles for the program's channels, heat
+flows, moments and diagonal storage.
 """
 
 import math
@@ -81,3 +82,12 @@ def beam_splitter_dense(rho_ab: fk.FockState, transmissivity: float) -> fk.FockS
     mat = U @ rho_ab.matrix @ U.T
     mixed = fk.FockState(rho_ab.mode_dims, 0.5 * (mat + mat.conj().T), rho_ab.mode_labels)
     return fk.partial_trace(mixed, rho_ab.mode_labels[0])
+
+
+def tmsv_dense(r: float, d: int) -> fk.FockState:
+    """Two-mode squeezed vacuum as a dense outer product |psi><psi|,
+    psi = sum_n tanh(r)^n |n, n> normalized."""
+    psi = np.zeros((d, d))
+    psi[np.arange(d), np.arange(d)] = math.tanh(r) ** np.arange(d)
+    psi = psi.ravel() / np.linalg.norm(psi)
+    return fk.FockState((d, d), np.outer(psi, psi).astype(complex))

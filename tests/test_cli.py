@@ -158,8 +158,13 @@ class TestExitCodes:
             assert code == 2 and "DomainError" in err, argv
 
     def test_dense_state_over_the_cap_is_2(self):
-        # a cutoff-91 two-mode state would take 1.1 GB; refused before it is built
-        code, _, err = run_cli(["epi", "--cutoff", "91"])
+        # a TMSV and its noise on A stay in the diagonal storage up to cutoff 128
+        code, out, _ = run_cli(["epi", "--cutoff", "128"])
+        agree = [r for r in json.loads(out)["reports"] if r["check_name"] == "cond-epi-path-agreement"]
+        assert code == 0 and abs(agree[0]["lhs"] - agree[0]["rhs"]) <= 1e-4
+        # a shifted noise center needs the dense matrix: 1.1 GB at cutoff 91,
+        # refused before it is built
+        code, _, err = run_cli(["epi", "--cutoff", "91", "--noise", "gauss:0.5@0.3,0"])
         assert code == 2 and "DomainError" in err and "cap" in err
 
     def test_bs_epi_builds_no_two_mode_state(self):

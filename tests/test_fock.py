@@ -13,7 +13,14 @@ from epi_lab.errors import (
     NegativeEigenvalueError,
     TailError,
 )
-from oracles import displace_state, displacement_operator, displacement_operator_expm, mean_energy
+from oracles import (
+    displace_state,
+    displacement_operator,
+    displacement_operator_expm,
+    mean_energy,
+    tmsv_dense,
+    untagged,
+)
 
 
 class TestConstructors:
@@ -72,13 +79,16 @@ class TestConstructors:
 
     def test_dense_size_capped_before_allocation(self):
         assert 16 * 90 ** 4 <= fk.MAX_DENSE_BYTES < 16 * 91 ** 4
-        with pytest.raises(DomainError):
-            fk.two_mode_squeezed_vacuum(0.66, 91)
+        # a TMSV is built in the diagonal storage; only its dense form is capped
+        for d in (91, 128):
+            st = fk.two_mode_squeezed_vacuum(0.66, d)
+            with pytest.raises(DomainError):
+                fk.densify(st)
         with pytest.raises(DomainError):
             fk.tensor_product(fk.vacuum(100), fk.vacuum(100))
 
     def test_tmsv_cutoff_checked_first(self):
-        # rejected before the (d*d)^2 outer product is allocated
+        # rejected before the storage is allocated
         for d in (-3, 0, fk.MAX_CUTOFF + 1):
             with pytest.raises(DomainError):
                 fk.two_mode_squeezed_vacuum(0.5, d)
@@ -228,11 +238,11 @@ class TestBlockedSpectrum:
 
     def test_one_mode_takes_the_dense_path(self):
         st = fk.thermal(1.0, 60)
-        assert fk.spectral_path(st) == {"eigensolve": "dense", "off_block_norm": None}
+        assert fk.spectral_path(st) == {"eigensolve": "dense", "off_block_norm": None, "storage": "dense"}
         assert np.array_equal(fk.eigenvalues(st), np.linalg.eigvalsh(st.matrix))
 
     def test_off_block_perturbation_takes_the_dense_path(self):
-        st = _tmsv40()
+        st = fk.densify(_tmsv40())
         # (0,0) and (1,0) lie in different n_A - n_M sectors
         i, j = 0, 40
         st.matrix[i, j] += 1e-9
@@ -309,3 +319,94 @@ class TestCrossRepresentation:
         st = fk.thermal(1.0, 60)
         assert st.tail_mass() <= 1e-8
         st.check_tail()
+
+
+# (squeezing, cutoff) with the top level inside TAIL_TOL
+DIAGONAL_CASES = [(0.2, 12), (0.4, 20), (0.66, 40)]
+
+
+def _noise_core(rho, t):
+    """The exact Gaussian noise on A, renormalized but not tail-checked: at
+    cutoffs 12 and 20 the outputs at t = 1 exceed TAIL_TOL."""
+    d = rho.mode_dims[0]
+    out = fk.map_diagonals(rho, lambda q: ch._diagonal_map(d, q, t))
+    return fk.renormalized(out, out.trace())
+
+
+class TestDiagonalStorage:
+    @pytest.mark.parametrize("r,d", DIAGONAL_CASES)
+    def test_constructor_matches_the_dense_outer_product(self, r, d):
+        st = fk.two_mode_squeezed_vacuum(r, d)
+        assert isinstance(st, fk.PhaseCovariantState)
+        assert st.diagonals.size == d ** 3 - d * (d * d - 1) // 3
+        assert np.abs(st.matrix - tmsv_dense(r, d).matrix).max() <= 1e-13
+
+    @pytest.mark.parametrize("t", [0.2, 1.0])
+    @pytest.mark.parametrize("r,d", DIAGONAL_CASES)
+    def test_noise_on_a_matches_the_dense_core(self, r, d, t):
+        # twice, so the second pass maps full slabs, not the diagonal ones of a TMSV
+        out = _noise_core(_noise_core(fk.two_mode_squeezed_vacuum(r, d), t), 0.3)
+        ref = _noise_core(_noise_core(tmsv_dense(r, d), t), 0.3)
+        assert isinstance(out, fk.PhaseCovariantState)
+        assert np.abs(out.matrix - ref.matrix).max() <= 1e-13
+        assert out.trace_drift == pytest.approx(ref.trace_drift, abs=1e-13)
+        assert abs(fk.von_neumann_entropy(out) - fk.von_neumann_entropy(ref)) <= 1e-12
+        assert abs(fk.conditional_entropy(out, "A", "M") - fk.conditional_entropy(ref, "A", "M")) <= 1e-12
+        for keep in ("A", "M"):
+            assert np.abs(fk.partial_trace(out, keep).matrix - fk.partial_trace(ref, keep).matrix).max() <= 1e-12
+        for x, y in zip(fk.moments_of_state(out), fk.moments_of_state(ref)):
+            assert np.abs(x - y).max() <= 1e-12
+        assert abs(out.tail_mass() - ref.tail_mass()) <= 1e-12
+        assert np.abs(fk.eigenvalues(out) - np.linalg.eigvalsh(ref.matrix)).max() <= 1e-12
+
+    @pytest.mark.parametrize("t", [0.2, 1.0])
+    def test_channel_stays_in_the_diagonal_storage(self, t):
+        st = fk.two_mode_squeezed_vacuum(0.66, 40)
+        out = ch.gaussian_noise_channel(st, t)
+        ref = ch.gaussian_noise_channel(fk.densify(st), t)
+        assert isinstance(out, fk.PhaseCovariantState) and not isinstance(ref, fk.PhaseCovariantState)
+        assert np.abs(out.matrix - ref.matrix).max() <= 1e-13
+        assert out.trace_drift == pytest.approx(ref.trace_drift, abs=1e-13)
+
+    @pytest.mark.parametrize(
+        "channel",
+        [
+            lambda st: ch.gaussian_noise_channel(st, 0.3, center=(0.4, -0.2)),
+            lambda st: ch.gaussian_noise_channel(st, 0.3, target="M"),
+            lambda st: ch.classical_noise_channel(untagged(ps.gaussian_pdf(0.3)), st),
+            lambda st: ch.qou_channel_fock(st, 0.5, 1.0, 0.5),
+        ],
+        ids=["shifted-center", "target-M", "file-noise", "qou"],
+    )
+    def test_fallbacks_run_the_dense_path_on_the_converted_state(self, channel):
+        st = fk.two_mode_squeezed_vacuum(0.4, 20)
+        out, ref = channel(st), channel(fk.densify(st))
+        assert not isinstance(out, fk.PhaseCovariantState)
+        assert np.array_equal(out.matrix, ref.matrix)
+
+    def test_dense_only_functionals_convert(self):
+        st = fk.two_mode_squeezed_vacuum(0.4, 20)
+        sigma = ch.classical_noise_channel(ps.gaussian_pdf(0.3), fk.densify(st))
+        assert fk.trace_norm_distance(st, sigma) == fk.trace_norm_distance(fk.densify(st), sigma)
+        assert fk.relative_entropy(st, sigma) == fk.relative_entropy(fk.densify(st), sigma)
+        assert np.array_equal(st.tensor(), fk.densify(st).tensor())
+
+    def test_spectral_path_reads_the_layout(self):
+        st = fk.two_mode_squeezed_vacuum(0.66, 40)
+        assert fk.spectral_path(st) == {"eigensolve": "blocked", "off_block_norm": 0.0,
+                                        "storage": "diagonals"}
+        assert fk.spectral_path(fk.densify(st))["storage"] == "dense"
+
+    def test_storage_is_independent_of_its_dense_form(self):
+        st = fk.two_mode_squeezed_vacuum(0.4, 12)
+        with pytest.raises(ValueError):
+            st.matrix[0, 0] = 0.0  # read-only: the write would not reach the storage
+        dup = st.copy()
+        dup.diagonals[:] = 0.0
+        assert st.trace() == pytest.approx(1.0, abs=1e-14)
+        dense = fk.densify(st)
+        assert fk.densify(dense) is dense
+
+    def test_storage_size_is_checked(self):
+        with pytest.raises(DimensionMismatchError):
+            fk.PhaseCovariantState(4, np.zeros(10))

@@ -1,10 +1,14 @@
+import io
 import json
 import math
+import tracemalloc
+from contextlib import redirect_stdout
 
 import numpy as np
 import pytest
 
 from epi_lab import channels as ch
+from epi_lab import cli
 from epi_lab import fock as fk
 from epi_lab import gaussian as ga
 from epi_lab import harness as hn
@@ -125,6 +129,36 @@ class TestExactChannelRouting:
     def test_convolution_oracle_records_the_channel(self):
         rep = hn.check_convolution_oracle(0.2, cutoff=30)
         assert rep.passed and rep.diagnostics["channel"] == "exact"
+
+
+class TestDiagonalStorageRouting:
+    def test_tmsv_entries_never_densify(self, monkeypatch):
+        def refuse(rho):
+            raise AssertionError("a state was converted to its dense matrix")
+
+        monkeypatch.setattr(fk, "densify", refuse)
+        entries = dict(hn.default_suite(7))
+        for name in ("oracle-crossrep[tmsv]", "cond-epi[f1,t=0.2]", "cond-epi[f1,t=0.5]",
+                     "cond-epi[f1,t=1.0]"):
+            assert all(r.passed for r in entries[name]()), name
+        tight = entries["cond-epi[tightness,k=2]"]()
+        assert len(tight) == 6 and all(r.passed and r.margin >= 0 for r in tight)
+        assert {r.diagnostics["cutoff"] for r in tight if r.params.get("path") == "fock"} == {80, 104}
+        out = io.StringIO()
+        with redirect_stdout(out):
+            assert cli.run(["stam", "--state", "tmsv:0.66"]) == 0
+        assert json.loads(out.getvalue())["reports"][0]["pass"]
+
+    def test_crossrep_tmsv_stays_small(self):
+        # the dense cutoff-75 TMSV alone is 506 MB
+        tracemalloc.start()
+        try:
+            rep = hn.check_crossrep("tmsv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.passed and rep.diagnostics["storage"] == "diagonals"
+        assert peak < 64 * 2 ** 20
 
 
 class TestLinearEpi:
