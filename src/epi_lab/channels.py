@@ -272,7 +272,7 @@ def beam_splitter_unitary(dims, transmissivity: float) -> np.ndarray:
 
 def _factor(rho: FockState) -> np.ndarray:
     """F with F F^dag = rho, over the eigenpairs above dim * eps * max (the solver's
-    backward error, the rule of `fk._sectors`); real when rho is."""
+    backward error, the rule of `fk._packed`); real when rho is."""
     w, v = np.linalg.eigh(rho.matrix if rho.matrix.imag.any() else rho.matrix.real)
     keep = w > rho.dim * np.finfo(float).eps * w.max()
     return v[:, keep] * np.sqrt(w[keep])
@@ -300,7 +300,7 @@ def beam_splitter(rho_a: FockState, rho_b: FockState, transmissivity: float) -> 
     T *= G[..., None]
     W = np.matmul(fa.T, T).reshape(d1, -1)
     mat = W @ W.conj().T
-    return FockState((d1,), 0.5 * (mat + mat.conj().T), rho_a.mode_labels)
+    return FockState((d1,), fk._hermitize(mat), rho_a.mode_labels)
 
 
 def qou_environment(mu: float, lam: float) -> FockState:
@@ -326,7 +326,7 @@ def qou_channel_fock(rho: FockState, t: float, mu: float, lam: float, target: st
     if rho.n_modes == 1:
         # not renormalized and not tail-checked: the one-mode outputs of the
         # sweep's random qou requests exceed TAIL_TOL (see CHANGES.md, FOUND)
-        return FockState(rho.mode_dims, 0.5 * (mat + mat.conj().T), rho.mode_labels)
+        return FockState(rho.mode_dims, fk._hermitize(mat), rho.mode_labels)
     return _finish(FockState(rho.mode_dims, mat, rho.mode_labels))
 
 

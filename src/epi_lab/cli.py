@@ -326,7 +326,7 @@ def run(argv) -> int:
     except UsageError as exc:
         print(f"epi-lab: usage error: {exc}", file=sys.stderr)
         return 2
-    except EpiLabError as exc:
+    except (EpiLabError, ArithmeticError, np.linalg.LinAlgError) as exc:
         print(f"epi-lab: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     failed = [r for r in reports if not r.passed]

@@ -9,7 +9,9 @@ A two-mode state on equal cutoffs that commutes with n_A - n_M (a two-mode
 squeezed vacuum and its Gaussian noise on A) is a `PhaseCovariantState`,
 stored by its A-diagonals in O(d^3) numbers. The functionals here and the
 Gaussian noise channel on A run on that storage; every other consumer reads
-`matrix` or `tensor()`, which go through `densify`.
+`matrix` or `tensor()`, which go through `densify`. A dense two-mode matrix
+that is block diagonal in n_A - n_M is packed into the same storage before
+its spectrum is solved (`_packed`).
 """
 
 from __future__ import annotations
@@ -111,7 +113,7 @@ class FockState:
 
     def check_tail(self):
         tm = self.tail_mass()
-        if tm > TAIL_TOL:
+        if not tm <= TAIL_TOL:  # NaN fails too
             raise TailError(f"top Fock level holds population {tm:.3e} > {TAIL_TOL}")
 
     def copy(self) -> "FockState":
@@ -224,10 +226,13 @@ def densify(rho: FockState) -> FockState:
     if not isinstance(rho, PhaseCovariantState):
         return rho
     _check_dense(rho.mode_dims)
-    rows, cols = _dense_index(rho.mode_dims[0])
     mat = np.zeros((rho.dim, rho.dim), dtype=complex)
-    mat[rows, cols] = rho.diagonals
+    mat[_dense_index(rho.mode_dims[0])] = rho.diagonals
     return FockState(rho.mode_dims, mat, rho.mode_labels, rho.trace_drift)
+
+
+def _hermitize(mat: np.ndarray) -> np.ndarray:
+    return 0.5 * (mat + mat.conj().T)
 
 
 def renormalized(rho: FockState, tr: float) -> FockState:
@@ -239,8 +244,7 @@ def renormalized(rho: FockState, tr: float) -> FockState:
         return PhaseCovariantState(d, 0.5 * (rho.diagonals + mirror.conj()) / tr, rho.mode_labels,
                                    tr - 1.0)
     mat = rho.matrix
-    return FockState(rho.mode_dims, 0.5 * (mat + mat.conj().T) / tr, rho.mode_labels,
-                     trace_drift=tr - 1.0)
+    return FockState(rho.mode_dims, _hermitize(mat) / tr, rho.mode_labels, trace_drift=tr - 1.0)
 
 
 def map_mode_diagonals(x: np.ndarray, maps) -> np.ndarray:
@@ -276,10 +280,6 @@ def map_diagonals(rho: FockState, maps, k: int = 0) -> FockState:
     return FockState(rho.mode_dims, x.reshape(rho.dim, rho.dim), rho.mode_labels)
 
 
-def _hermitize(mat: np.ndarray) -> np.ndarray:
-    return 0.5 * (mat + mat.conj().T)
-
-
 def _eigvalsh(mat: np.ndarray) -> np.ndarray:
     # real-symmetric dispatch: halves the eigensolve cost for real states
     if np.abs(mat.imag).max() < 1e-14 * max(1.0, np.abs(mat.real).max()):
@@ -287,58 +287,53 @@ def _eigvalsh(mat: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(mat)
 
 
-def _sectors(mat: np.ndarray, dims):
-    """(index sets of the n_A - n_M charge sectors, off-block Frobenius norm)
-    of a two-mode matrix. The sets are None when the norm exceeds dim * eps,
-    the dense solver's own backward error: within it, by Weyl, no eigenvalue
-    moves further than a dense solve would. One-mode matrices are not split
-    (their photon-number blocks are 1x1; one dense solve is faster): (None,
-    None).
-
-    The norm is summed over the off-block entries themselves: taking it as
-    ||mat||^2 - ||blocks||^2 would lose ~1e-8 to cancellation.
-    """
-    if len(dims) == 1:
+def _packed(rho: FockState):
+    """(rho in the diagonal storage or None, the off-block Frobenius norm that
+    decided it). A dense two-mode matrix on equal cutoffs is gathered into the
+    storage when its entries outside it have norm at most dim * eps, the dense
+    solver's own backward error, so by Weyl no eigenvalue moves further than a
+    dense solve would. One mode (1x1 photon-number blocks) and unequal cutoffs
+    give (None, None). The norm sums the dropped entries one A level of rows at
+    a time: ||mat||^2 - ||kept||^2 would lose ~1e-8 to cancellation."""
+    if isinstance(rho, PhaseCovariantState):
+        return rho, 0.0
+    if rho.n_modes == 1 or rho.mode_dims[0] != rho.mode_dims[1]:
         return None, None
-    a, m = np.indices(dims).reshape(2, -1)
-    charge = a - m
-    order = np.argsort(charge, kind="stable")
-    sectors = np.split(order, np.flatnonzero(np.diff(charge[order])) + 1)
+    d, mat = rho.mode_dims[0], rho.matrix
+    m, b = np.indices((d, d))
     off2 = 0.0
-    for idx in sectors:
-        rows = mat[idx]
-        rows[:, idx] = 0.0
+    for a in range(d):
+        rows = mat[a * d:(a + 1) * d].reshape(d, d, d).copy()  # <a, m|rho|b, n> as [m, b, n]
+        n = b + m - a  # the stored entries: b - n = a - m
+        kept = (n >= 0) & (n < d)
+        rows[m[kept], b[kept], n[kept]] = 0.0
         off2 += np.vdot(rows, rows).real
     norm = math.sqrt(off2)
-    return (sectors if norm <= mat.shape[0] * np.finfo(float).eps else None), norm
+    if norm > rho.dim * np.finfo(float).eps:
+        return None, norm
+    return PhaseCovariantState(d, mat[_dense_index(d)], rho.mode_labels, rho.trace_drift), norm
 
 
-def _spectrum(mat: np.ndarray, dims) -> np.ndarray:
-    """Ascending eigenvalues, solved one charge sector at a time when the
-    matrix is block diagonal in n_A - n_M, else by one dense solve."""
-    sectors, _ = _sectors(mat, dims)
-    if sectors is None:
-        return _eigvalsh(mat)
-    return np.sort(np.concatenate([_eigvalsh(mat[np.ix_(idx, idx)]) for idx in sectors]))
+def _spectrum(rho: FockState) -> np.ndarray:
+    """Ascending eigenvalues, by charge blocks when `_packed` packs rho, else
+    dense; `trace_norm_distance` calls it, not the traced `eigenvalues`."""
+    packed, _ = _packed(rho)
+    if packed is None:
+        return _eigvalsh(rho.matrix)
+    return np.sort(np.concatenate([_eigvalsh(b) for b in packed.charge_blocks()]))
 
 
 def eigenvalues(rho: FockState) -> np.ndarray:
-    if isinstance(rho, PhaseCovariantState):
-        return np.sort(np.concatenate([_eigvalsh(b) for b in rho.charge_blocks()]))
-    return _spectrum(rho.matrix, rho.mode_dims)
+    return _spectrum(rho)
 
 
 def spectral_path(rho: FockState) -> dict:
     """How `eigenvalues(rho)` solves: `eigensolve` is "blocked" (by charge
-    sectors) or "dense", `off_block_norm` the norm that decided it (None for
-    one mode, which is always dense), `storage` "diagonals" or "dense". A
-    dense matrix is rescanned, one pass over it; the diagonal storage is
-    blocked by its layout."""
-    if isinstance(rho, PhaseCovariantState):
-        return {"eigensolve": "blocked", "off_block_norm": 0.0, "storage": "diagonals"}
-    sectors, norm = _sectors(rho.matrix, rho.mode_dims)
-    return {"eigensolve": "dense" if sectors is None else "blocked", "off_block_norm": norm,
-            "storage": "dense"}
+    sectors) or "dense", `off_block_norm` the norm that decided it (see
+    `_packed`), `storage` "diagonals" or "dense"."""
+    packed, norm = _packed(rho)
+    return {"eigensolve": "dense" if packed is None else "blocked", "off_block_norm": norm,
+            "storage": "diagonals" if isinstance(rho, PhaseCovariantState) else "dense"}
 
 
 # ---------------------------------------------------------------------------
@@ -382,6 +377,8 @@ def thermal(N: float, d: int, label: str = "A") -> FockState:
     if N == 0:
         return vacuum(d, label)
     q = N / (N + 1.0)
+    if not q < 1.0:
+        raise DomainError(f"mean photon number {N} too large: N / (N + 1) rounds to 1")
     p = (1.0 - q) * q ** np.arange(d)
     p /= p.sum()
     state = FockState((d,), np.diag(p.astype(complex)), (label,))
@@ -389,24 +386,26 @@ def thermal(N: float, d: int, label: str = "A") -> FockState:
     return state
 
 
-def coherent(alpha: complex, d: int, label: str = "A") -> FockState:
+def _coherent_amplitudes(alpha: complex, d: int) -> np.ndarray:
+    """<n|alpha> = e^(-|alpha|^2/2) alpha^n / sqrt(n!) for n < d, from logs."""
     n = np.arange(d)
     log_mag = n * math.log(abs(alpha)) if alpha != 0 else np.where(n == 0, 0.0, -np.inf)
     amps = np.exp(log_mag - 0.5 * gammaln(n + 1.0) - 0.5 * abs(alpha) ** 2)
     phase = np.exp(1j * np.angle(alpha) * n) if alpha != 0 else np.ones(d)
-    state = _pure(amps * phase, label)
+    return amps * phase
+
+
+def coherent(alpha: complex, d: int, label: str = "A") -> FockState:
+    state = _pure(_coherent_amplitudes(alpha, d), label)
     state.check_tail()
     return state
 
 
 def cat(alpha: complex, d: int, label: str = "A") -> FockState:
     """Even superposition of +/- alpha coherent states."""
-    n = np.arange(d)
     if alpha == 0:
         return vacuum(d, label)
-    log_mag = n * math.log(abs(alpha))
-    amps = np.exp(log_mag - 0.5 * gammaln(n + 1.0) - 0.5 * abs(alpha) ** 2)
-    amps = amps * np.exp(1j * np.angle(alpha) * n)
+    amps = _coherent_amplitudes(alpha, d)
     amps[1::2] = 0.0
     state = _pure(amps, label)
     state.check_tail()
@@ -536,7 +535,7 @@ def trace_norm_distance(rho: FockState, sigma: FockState) -> float:
     """Trace norm ||rho - sigma||_1."""
     if rho.mode_dims != sigma.mode_dims:
         raise DimensionMismatchError("states live on different spaces")
-    return float(np.abs(_spectrum(rho.matrix - sigma.matrix, rho.mode_dims)).sum())
+    return float(np.abs(_spectrum(FockState(rho.mode_dims, rho.matrix - sigma.matrix))).sum())
 
 
 def partial_trace(rho: FockState, keep: str) -> FockState:

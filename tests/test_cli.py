@@ -153,9 +153,25 @@ class TestExitCodes:
         for argv in (["epi", "--grid-spacing", "0", "--cutoff", "20"],
                      ["capacity", "--noise", "gauss:0.5", "--grid-spacing", "0"],
                      ["classical-epi", "--grid-spacing", "0"],
-                     ["scaling", "--state", "fock:1", "--noise", "gauss:0.5", "--t-list", "0"]):
+                     ["scaling", "--state", "fock:1", "--noise", "gauss:0.5", "--t-list", "0"],
+                     ["epi", "--state", "thermal:1e300"]):
             code, _, err = run_cli(argv)
             assert code == 2 and "DomainError" in err, argv
+
+    @pytest.mark.parametrize("argv", [
+        ["tightness", "--a", "1000"],
+        ["tightness", "--k-list", "1e200"],
+        ["epi", "--state", "tmsv:800"],
+        ["isoperimetric", "--state", "tmsv:800"],
+        ["qou", "--state", "tmsv:800", "--lambda", "0.5"],
+        ["qou", "--state", "fock:1", "--mu", "1e200", "--lambda", "1", "--cutoff", "20"],
+        ["epi", "--state", "coherent:1e300"],
+        ["epi", "--state", "cat:1e300", "--cutoff", "10"],
+    ])
+    def test_overflowing_finite_number_is_2(self, argv):
+        # finite, so no usage error, but too large for the arithmetic
+        code, _, err = run_cli(argv)
+        assert code == 2 and re.match(r"epi-lab: OverflowError: ", err), err
 
     def test_dense_state_over_the_cap_is_2(self):
         # a TMSV and its noise on A stay in the diagonal storage up to cutoff 128

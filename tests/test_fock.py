@@ -228,13 +228,16 @@ class TestBlockedSpectrum:
         [
             _tmsv40,
             lambda: ch.classical_noise_channel(ps.gaussian_pdf(0.5), _tmsv40(), target="A"),
+            lambda: ch.gaussian_noise_channel(_tmsv40(), 0.5),
         ],
-        ids=["tmsv", "tmsv-noise-on-A"],
+        ids=["tmsv", "tmsv-noise-on-A", "tmsv-gaussian-noise-on-A"],
     )
     def test_blocked_matches_dense(self, state):
         st = state()
         assert fk.spectral_path(st)["eigensolve"] == "blocked"
         assert np.abs(fk.eigenvalues(st) - np.linalg.eigvalsh(st.matrix)).max() <= 1e-12
+        # a dense matrix packs into the diagonal storage entry for entry
+        assert np.array_equal(fk.eigenvalues(fk.densify(st)), fk.eigenvalues(st))
 
     def test_one_mode_takes_the_dense_path(self):
         st = fk.thermal(1.0, 60)
@@ -269,6 +272,11 @@ class TestBlockedSpectrum:
         dense = np.abs(np.linalg.eigvalsh(rho.matrix - sigma.matrix)).sum()
         assert fk.spectral_path(sigma)["eigensolve"] == "blocked"
         assert fk.trace_norm_distance(rho, sigma) == pytest.approx(dense, abs=1e-12)
+
+    def test_unequal_cutoffs_take_the_dense_path(self):
+        st = fk.tensor_product(fk.thermal(1.0, 30), fk.thermal(0.5, 20))
+        assert fk.spectral_path(st) == {"eigensolve": "dense", "off_block_norm": None, "storage": "dense"}
+        assert np.array_equal(fk.eigenvalues(st), np.linalg.eigvalsh(st.matrix))
 
 
 class TestPartialTrace:
