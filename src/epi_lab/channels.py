@@ -2,10 +2,10 @@
 extension over a classical register, the heat flow on every side type, beam
 splitters, and the one-mode damping (quantum Ornstein-Uhlenbeck) semigroup.
 
-Gaussian noise runs in closed form (`gaussian_noise_channel`); the
-displacement quadrature serves densities with no Gaussian form and the
-oracle tests. Quadrature sums accumulate over grid cells in fixed chunk
-order, so repeated runs on the same machine are bit-reproducible.
+Gaussian noise and damping map each diagonal of the mode by one small matrix
+(`fk.map_diagonals`); `qou_superoperator` is the damping oracle, and the
+displacement quadrature serves densities with no Gaussian form and the oracle
+tests. Its sums run in fixed chunk order, so repeated runs on one machine agree bit for bit.
 """
 
 from __future__ import annotations
@@ -94,11 +94,8 @@ def one_mode_kernel(points: np.ndarray, weights: np.ndarray, d: int) -> np.ndarr
 
 
 def apply_one_mode_kernel(K: np.ndarray, rho: FockState, target: str) -> np.ndarray:
-    """Apply a one-mode superoperator to one factor of a state; returns the matrix."""
+    """Apply a one-mode superoperator to one mode of a two-mode state; returns the matrix."""
     k = rho.mode_index(target)
-    if rho.n_modes == 1:
-        d = rho.mode_dims[0]
-        return (K @ rho.matrix.reshape(-1)).reshape(d, d)
     t = rho.tensor()
     dt = rho.mode_dims[k]
     do = rho.mode_dims[1 - k]
@@ -245,28 +242,29 @@ def _noise_channel(f: GridPdf, rho: FockState) -> FockState:
 # beam splitter and the damping semigroup
 
 
-def _sector_blocks(dims, transmissivity: float) -> list:
-    """[(n, levels k of mode A, block)] over the photon-number sectors n of the
-    beam splitter U = exp(theta (a^dag b - a b^dag)), cos(theta)^2 = transmissivity:
-    block[p, q] = <k_p, n - k_p|U|k_q, n - k_q>, exact on the truncated space."""
+def _sector_tensor(dims, transmissivity: float) -> np.ndarray:
+    """G[j, b, k] = <j, b|U|k, j + b - k> (0 where j + b - k is no level of mode B) for the
+    beam splitter U = exp(theta (a^dag b - a b^dag)) on cutoffs dims, cos(theta)^2 = transmissivity:
+    one block per photon-number sector n = j + b, exact on the truncated space."""
     if not 0.0 <= transmissivity <= 1.0:
         raise ParameterError(f"transmissivity must be in [0, 1], got {transmissivity}")
     d1, d2 = dims
     theta = math.acos(math.sqrt(transmissivity))
-    out = []
+    G = np.zeros((d1, d2, d1))
     for n in range(d1 + d2 - 1):
         ks = np.arange(max(0, n - d2 + 1), min(d1 - 1, n) + 1)
         val = np.sqrt((ks[:-1] + 1.0) * (n - ks[:-1]))
-        out.append((n, ks, expm(theta * (np.diag(val, -1) - np.diag(val, 1)))))
-    return out
+        G[ks[:, None], n - ks[:, None], ks] = expm(theta * (np.diag(val, -1) - np.diag(val, 1)))
+    return G
 
 
 def beam_splitter_unitary(dims, transmissivity: float) -> np.ndarray:
-    """The two-mode beam-splitter unitary, assembled from its sector blocks."""
+    """The two-mode beam-splitter unitary, U[(j, b), (k, j + b - k)] = G[j, b, k]."""
     d1, d2 = dims
+    G = _sector_tensor(dims, transmissivity)
+    j, b, k = np.nonzero(G)
     U = np.zeros((d1 * d2, d1 * d2))
-    for n, ks, block in _sector_blocks(dims, transmissivity):
-        U[np.ix_(ks * d2 + n - ks, ks * d2 + n - ks)] = block
+    U[j * d2 + b, k * d2 + j + b - k] = G[j, b, k]
     return U
 
 
@@ -292,9 +290,7 @@ def beam_splitter(rho_a: FockState, rho_b: FockState, transmissivity: float) -> 
         raise DomainError(f"a beam splitter on cutoffs {(d1, d2)} at input ranks "
                           f"{(fa.shape[1], fb.shape[1])} needs {nbytes} bytes, over the "
                           f"{fk.MAX_DENSE_BYTES} byte cap")
-    G = np.zeros((d1, d2, d1))
-    for n, ks, block in _sector_blocks((d1, d2), transmissivity):
-        G[ks[:, None], n - ks[:, None], ks] = block
+    G = _sector_tensor((d1, d2), transmissivity)
     j, b, k = np.ogrid[:d1, :d2, :d1]
     T = fb[np.clip(j + b - k, 0, d2 - 1)]  # [j, b, k, i]; G is 0 where clipped
     T *= G[..., None]
@@ -310,24 +306,27 @@ def qou_environment(mu: float, lam: float) -> FockState:
     return thermal(n_avg, thermal_cutoff(n_avg), label="E")
 
 
-def qou_channel_fock(rho: FockState, t: float, mu: float, lam: float, target: str = None) -> FockState:
-    """Damping-semigroup evolution of one mode: a beam splitter of
-    transmissivity exp(-(mu^2 - lam^2) t) against the thermal fixed point,
-    applied as its one-mode superoperator."""
+def qou_channel_fock(rho: FockState, t: float, mu: float, lam: float) -> FockState:
+    """Damping-semigroup evolution of the first mode: a beam splitter (G of `_sector_tensor`)
+    of transmissivity exp(-(mu^2 - lam^2) t) against the thermal fixed point w. It keeps
+    n_A + n_E, so `fk.map_diagonals` applies it to each diagonal q of the mode as one matrix,
+    maps(q)[y, c] = sum_b w[y + b - c] G[y + q, b, c + q] G[y, b, c]."""
     _check_qou_params(mu, lam)
     if t < 0:
         raise NegativeTimeError(f"qOU evolution requires t >= 0, got {t}")
     if t == 0:
         return rho.copy()
-    if target is None:
-        target = rho.mode_labels[0]
-    K = qou_superoperator(rho.mode_dims[rho.mode_index(target)], t, mu, lam)
-    mat = apply_one_mode_kernel(K, rho, target)
+    d = rho.mode_dims[0]
+    w = np.real(np.diag(qou_environment(mu, lam).matrix))
+    G = _sector_tensor((d, w.size), math.exp(-(mu ** 2 - lam ** 2) * t))
+    y, b, c = np.ogrid[:d, :w.size, :d]
+    Gw = G * w[np.clip(y + b - c, 0, w.size - 1)]  # G is 0 where clipped
+    out = fk.map_diagonals(rho, lambda q: np.einsum("ybc,ybc->yc", G[q:, :, q:], Gw[:d - q, :, :d - q]))
     if rho.n_modes == 1:
         # not renormalized and not tail-checked: the one-mode outputs of the
         # sweep's random qou requests exceed TAIL_TOL (see CHANGES.md, FOUND)
-        return FockState(rho.mode_dims, fk._hermitize(mat), rho.mode_labels)
-    return _finish(FockState(rho.mode_dims, mat, rho.mode_labels))
+        return FockState(rho.mode_dims, fk._hermitize(out.matrix), rho.mode_labels)
+    return _finish(out)
 
 
 def qou_superoperator(d: int, t: float, mu: float, lam: float) -> np.ndarray:

@@ -494,8 +494,9 @@ def check_qou_decay(state, mu: float, lam: float, t_list) -> CheckReport:
     else:
         omega = fk.thermal(ga.qou_mean_photon(mu, lam), state.mode_dims[0])
         d0 = fk.relative_entropy(state, omega)
-        ds = [fk.relative_entropy(ch.qou_channel_fock(state, t, mu, lam), omega) for t in t_list]
-        tol, diag, path = 1e-4, {"tail_mass": state.tail_mass()}, "fock"
+        outs = [ch.qou_channel_fock(state, t, mu, lam) for t in t_list]
+        ds = [fk.relative_entropy(out, omega) for out in outs]
+        tol, diag, path = 1e-4, {"tail_mass": max(s.tail_mass() for s in [state, *outs])}, "fock"
     margins = [math.exp(-rate * t) * d0 - d for t, d in zip(t_list, ds)]
     diag.update({"D0": d0, "D_t": ds, "rate": rate})
     return make_report(
@@ -529,7 +530,7 @@ def check_qou_gaussian_fock_agreement(r: float, t: float, mu: float, lam: float)
     Gaussian rule."""
     cutoff = 20
     tm = fk.two_mode_squeezed_vacuum(r, cutoff)
-    out = ch.qou_channel_fock(tm, t, mu, lam, target="A")
+    out = ch.qou_channel_fock(tm, t, mu, lam)
     mean_f, cov_f = fk.moments_of_state(out)
     gs_out = ga.gaussian_qou_evolution(ga.tmsv_state(r), t, mu, lam, "A")
     dev = max(np.abs(cov_f - gs_out.cov).max(), np.abs(mean_f - gs_out.mean).max())

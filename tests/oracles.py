@@ -1,9 +1,9 @@
 """Reference helpers that only the tests use: single displacement operators
 (closed form and matrix exponential), displaced Fock states and densities,
 untagged copies of densities and their shared cells, the per-mode photon
-number, the dense beam-splitter dilation and the dense two-mode squeezed
-vacuum. They stay independent oracles for the program's channels, heat
-flows, moments and diagonal storage.
+number, the dense beam-splitter dilation, a one-mode superoperator's action
+and the dense two-mode squeezed vacuum. They stay independent oracles for
+the program's channels, heat flows, moments and diagonal storage.
 """
 
 import math
@@ -82,6 +82,13 @@ def beam_splitter_dense(rho_ab: fk.FockState, transmissivity: float) -> fk.FockS
     mat = U @ rho_ab.matrix @ U.T
     mixed = fk.FockState(rho_ab.mode_dims, 0.5 * (mat + mat.conj().T), rho_ab.mode_labels)
     return fk.partial_trace(mixed, rho_ab.mode_labels[0])
+
+
+def superoperator_output(K: np.ndarray, rho: fk.FockState) -> np.ndarray:
+    """K vec(rho) as a matrix, for a one-mode superoperator K in the row-major
+    vec convention of `ch.qou_superoperator`."""
+    d = rho.dim
+    return (K @ rho.matrix.reshape(-1)).reshape(d, d)
 
 
 def tmsv_dense(r: float, d: int) -> fk.FockState:

@@ -17,7 +17,15 @@ from epi_lab.errors import (
     TailError,
     UnsupportedFamilyError,
 )
-from oracles import beam_splitter_dense, displace_state, displaced, mean_energy, shared_cells, untagged
+from oracles import (
+    beam_splitter_dense,
+    displace_state,
+    displaced,
+    mean_energy,
+    shared_cells,
+    superoperator_output,
+    untagged,
+)
 
 
 class TestClassicalNoiseChannel:
@@ -302,7 +310,7 @@ class TestQouChannel:
 
     def test_two_mode_kernel_matches_gaussian(self):
         tm = fk.two_mode_squeezed_vacuum(0.5, 20)
-        out = ch.qou_channel_fock(tm, 0.8, 1.0, 0.5, target="A")
+        out = ch.qou_channel_fock(tm, 0.8, 1.0, 0.5)
         gs = ga.gaussian_qou_evolution(ga.tmsv_state(0.5), 0.8, 1.0, 0.5, "A")
         mean, cov = fk.moments_of_state(out)
         assert np.abs(cov - gs.cov).max() <= 1e-4
@@ -326,6 +334,24 @@ class TestQouChannel:
         out = ch.qou_channel_fock(rho, t, 1.0, 0.5)
         assert out.mode_dims == rho.mode_dims and out.mode_labels == rho.mode_labels
         assert np.abs(out.matrix - expected.matrix).max() <= 1e-13
+
+    @pytest.mark.parametrize("make", [
+        lambda: fk.fock(1, 30),
+        lambda: fk.random_mixed(3, 20, 7, support=14),
+        lambda: fk.cat(1.1, 20),
+    ], ids=["fock1", "random", "cat"])
+    def test_one_mode_matches_the_superoperator(self, make):
+        rho = make()
+        expected = superoperator_output(ch.qou_superoperator(rho.dim, 0.8, 1.0, 0.5), rho)
+        out = ch.qou_channel_fock(rho, 0.8, 1.0, 0.5)
+        assert np.abs(out.matrix - expected).max() <= 1e-13
+
+    def test_two_mode_matches_the_superoperator(self):
+        tm = fk.two_mode_squeezed_vacuum(0.5, 20)
+        expected = ch.apply_one_mode_kernel(ch.qou_superoperator(20, 0.8, 1.0, 0.5), tm, "A")
+        out = ch.qou_channel_fock(tm, 0.8, 1.0, 0.5)
+        assert isinstance(out, fk.PhaseCovariantState)
+        assert np.abs(out.matrix - expected).max() <= 1e-13
 
 
 class TestCQStateMachinery:

@@ -158,6 +158,12 @@ class TestExitCodes:
             code, _, err = run_cli(argv)
             assert code == 2 and "DomainError" in err, argv
 
+    def test_qou_at_the_largest_cutoff(self):
+        # the damping channel maps diagonals: no d^4 superoperator at cutoff 128
+        code, out, _ = run_cli(["qou", "--state", "fock:1", "--cutoff", "128", "--lambda", "0.5"])
+        assert code == 0
+        assert json.loads(out)["reports"][0]["check_name"] == "qou-decay"
+
     @pytest.mark.parametrize("argv", [
         ["tightness", "--a", "1000"],
         ["tightness", "--k-list", "1e200"],

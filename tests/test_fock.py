@@ -382,15 +382,26 @@ class TestDiagonalStorage:
             lambda st: ch.gaussian_noise_channel(st, 0.3, center=(0.4, -0.2)),
             lambda st: ch.gaussian_noise_channel(st, 0.3, target="M"),
             lambda st: ch.classical_noise_channel(untagged(ps.gaussian_pdf(0.3)), st),
-            lambda st: ch.qou_channel_fock(st, 0.5, 1.0, 0.5),
         ],
-        ids=["shifted-center", "target-M", "file-noise", "qou"],
+        ids=["shifted-center", "target-M", "file-noise"],
     )
     def test_fallbacks_run_the_dense_path_on_the_converted_state(self, channel):
         st = fk.two_mode_squeezed_vacuum(0.4, 20)
         out, ref = channel(st), channel(fk.densify(st))
         assert not isinstance(out, fk.PhaseCovariantState)
         assert np.array_equal(out.matrix, ref.matrix)
+
+    def test_qou_stays_in_the_diagonal_storage(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("densify ran")
+
+        st = fk.two_mode_squeezed_vacuum(0.4, 20)
+        ref = ch.qou_channel_fock(fk.densify(st), 0.5, 1.0, 0.5)
+        with monkeypatch.context() as m:
+            m.setattr(fk, "densify", refuse)
+            out = ch.qou_channel_fock(st, 0.5, 1.0, 0.5)
+        assert isinstance(out, fk.PhaseCovariantState) and not isinstance(ref, fk.PhaseCovariantState)
+        assert np.abs(out.matrix - ref.matrix).max() <= 1e-13
 
     def test_dense_only_functionals_convert(self):
         st = fk.two_mode_squeezed_vacuum(0.4, 20)

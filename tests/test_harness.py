@@ -211,6 +211,25 @@ class TestQouChecks:
         assert hn.check_qou_fixed_point(1.0, 0.5, 0.7).passed
         assert hn.check_qou_semigroup(fk.fock(1, 20), 1.0, 0.5, 0.2, 0.5).passed
 
+    def test_checks_run_no_superoperator(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a superoperator or the dense unitary ran")
+
+        for name in ("qou_superoperator", "beam_splitter_unitary", "apply_one_mode_kernel"):
+            monkeypatch.setattr(ch, name, refuse)
+        assert hn.check_qou_decay(fk.fock(1, 25), 1.0, 0.5, [0.5, 1.0]).passed
+        assert hn.check_qou_fixed_point(1.0, 0.5, 0.7).passed
+        assert hn.check_qou_semigroup(fk.fock(1, 20), 1.0, 0.5, 0.2, 0.5).passed
+        assert hn.check_qou_gaussian_fock_agreement(0.5, 0.8, 1.0, 0.5).passed
+
+    def test_tail_mass_covers_the_outputs(self):
+        # the input's top level is empty; the evolved states' are not
+        state, t_list = fk.random_mixed(3, 20, 7, support=14), [0.5, 1.0, 2.0]
+        rep = hn.check_qou_decay(state, 1.0, 0.5, t_list)
+        tails = [ch.qou_channel_fock(state, t, 1.0, 0.5).tail_mass() for t in t_list]
+        assert state.tail_mass() == 0.0 < max(tails)
+        assert rep.diagnostics["tail_mass"] == max(tails)
+
 
 class TestCapacity:
     def test_value_against_closed_form(self):
