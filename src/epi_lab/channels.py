@@ -2,10 +2,14 @@
 extension over a classical register, the heat flow on every side type, beam
 splitters, and the one-mode damping (quantum Ornstein-Uhlenbeck) semigroup.
 
-Gaussian noise and damping map each diagonal of the mode by one small matrix
-(`fk.map_diagonals`); `qou_superoperator` is the damping oracle, and the
-displacement quadrature serves densities with no Gaussian form and the oracle
-tests. Its sums run in fixed chunk order, so repeated runs on one machine agree bit for bit.
+A channel on one mode acts through `fk.map_mode`, any other mode riding
+along as a batch: Gaussian noise and damping map each diagonal by one small
+matrix (`fk.map_diagonals`), a shifted center pads and displaces the mode
+(`fk.conjugate_mode`), and a quadrature superoperator on a two-mode state is
+one matrix product (`apply_one_mode_kernel`). `qou_superoperator` is the
+damping oracle; the displacement quadrature serves densities with no
+Gaussian form and the oracle tests. Its sums run in fixed chunk order, so
+repeated runs on one machine agree bit for bit.
 """
 
 from __future__ import annotations
@@ -94,18 +98,9 @@ def one_mode_kernel(points: np.ndarray, weights: np.ndarray, d: int) -> np.ndarr
 
 
 def apply_one_mode_kernel(K: np.ndarray, rho: FockState, target: str) -> np.ndarray:
-    """Apply a one-mode superoperator to one mode of a two-mode state; returns the matrix."""
-    k = rho.mode_index(target)
-    t = rho.tensor()
-    dt = rho.mode_dims[k]
-    do = rho.mode_dims[1 - k]
-    if k == 0:
-        m = t.transpose(0, 2, 1, 3).reshape(dt * dt, do * do)  # (a,b),(m,n)
-        out = (K @ m).reshape(dt, dt, do, do).transpose(0, 2, 1, 3)
-    else:
-        m = t.transpose(1, 3, 0, 2).reshape(dt * dt, do * do)
-        out = (K @ m).reshape(dt, dt, do, do).transpose(2, 0, 3, 1)
-    return out.reshape(rho.dim, rho.dim)
+    """Apply a one-mode superoperator to one mode of a state; returns the matrix."""
+    return fk.map_mode(rho, rho.mode_index(target),
+                       lambda x: (K @ x.reshape(K.shape[1], -1)).reshape(x.shape)).matrix
 
 
 def _noise_outputs(grids, rho: FockState, target: str = None) -> list:
@@ -116,13 +111,13 @@ def _noise_outputs(grids, rho: FockState, target: str = None) -> list:
         _check_quadrature(f)
     points = grids[0].points()
     weight_sets = [f.values.ravel() * f.cell_weight for f in grids]
-    if target is None:
-        target = rho.mode_labels[0]
-    d = rho.mode_dims[rho.mode_index(target)]
+    k = 0 if target is None else rho.mode_index(target)
+    d = rho.mode_dims[k]
     if rho.n_modes == 1:
         mats = _conjugation_sums(points, weight_sets, rho.matrix, d)
     else:
-        mats = [apply_one_mode_kernel(K, rho, target) for K in one_mode_kernels(points, weight_sets, d)]
+        mats = [apply_one_mode_kernel(K, rho, rho.mode_labels[k])
+                for K in one_mode_kernels(points, weight_sets, d)]
     return [_finish(FockState(rho.mode_dims, mat, rho.mode_labels)) for mat in mats]
 
 
@@ -201,8 +196,8 @@ def gaussian_noise_channel(rho: FockState, t: float, center=(0.0, 0.0), target: 
     times the same input diagonal (`fk.map_diagonals`, which runs on the
     diagonal storage of a phase-covariant state); the other mode, if any,
     rides along as a batch. A nonzero center displaces the noisy state,
-    computed CENTER_PAD levels above the cutoff on the dense tensor, and
-    projects it back. t = 0 without a center returns a copy; the output goes
+    computed CENTER_PAD levels above the cutoff on the (capped) dense state,
+    and projects it back. t = 0 without a center returns a copy; the output goes
     through the same trace-drift and tail checks as the quadrature channel.
     """
     if t < 0:
@@ -210,22 +205,16 @@ def gaussian_noise_channel(rho: FockState, t: float, center=(0.0, 0.0), target: 
     shifted = bool(center[0] or center[1])
     if t == 0 and not shifted:
         return rho.copy()
-    if target is None:
-        target = rho.mode_labels[0]
-    k, n = rho.mode_index(target), rho.n_modes
+    k = 0 if target is None else rho.mode_index(target)
     d = rho.mode_dims[k]
     if not shifted:
         return _finish(fk.map_diagonals(rho, lambda q: _diagonal_map(d, q, t), k))
-    pad = CENTER_PAD
-    widths = [(0, 0)] * (2 * n)
-    widths[k] = widths[n + k] = (0, pad)
-    x = np.moveaxis(np.pad(rho.tensor(), widths), (k, n + k), (0, 1))  # target (row, col) first
+    fk._check_dense((d + CENTER_PAD, rho.dim // d))  # the padded state, before it is built
+    x = fk.map_mode(rho, k, lambda x: np.pad(x, [(0, CENTER_PAD)] * 2 + [(0, 0)] * (x.ndim - 2)))
     if t > 0:
-        x = fk.map_mode_diagonals(x, lambda q: _diagonal_map(d + pad, q, t))
-    x = np.moveaxis(x, (0, 1), (k, n + k))
-    D = displacement_batch(np.asarray(center, dtype=float).reshape(1, 2), d + pad)[0]
-    x = fk.conjugate_mode(D[:d], x, k)
-    return _finish(FockState(rho.mode_dims, x.reshape(rho.dim, rho.dim), rho.mode_labels))
+        x = fk.map_diagonals(x, lambda q: _diagonal_map(d + CENTER_PAD, q, t), k)
+    D = displacement_batch(np.asarray(center, dtype=float).reshape(1, 2), d + CENTER_PAD)[0]
+    return _finish(fk.conjugate_mode(D[:d], x, k))
 
 
 def _noise_channel(f: GridPdf, rho: FockState) -> FockState:

@@ -9,9 +9,9 @@ A two-mode state on equal cutoffs that commutes with n_A - n_M (a two-mode
 squeezed vacuum and its Gaussian noise on A) is a `PhaseCovariantState`,
 stored by its A-diagonals in O(d^3) numbers. The functionals here and the
 Gaussian noise channel on A run on that storage; every other consumer reads
-`matrix` or `tensor()`, which go through `densify`. A dense two-mode matrix
-that is block diagonal in n_A - n_M is packed into the same storage before
-its spectrum is solved (`_packed`).
+`matrix` or acts on one mode through `map_mode`, both of which go through
+`densify`. A dense two-mode matrix that is block diagonal in n_A - n_M is
+packed into the same storage before its spectrum is solved (`_packed`).
 """
 
 from __future__ import annotations
@@ -99,14 +99,9 @@ class FockState:
         return self.matrix.reshape(*dims, *dims)
 
     def tail_mass(self) -> float:
-        """Largest top-level population over the modes."""
-        t = self.tensor()
-        if self.n_modes == 1:
-            return float(np.real(t[-1, -1]))
-        d0, d1 = self.mode_dims
-        top0 = float(np.real(np.trace(t[d0 - 1, :, d0 - 1, :])))
-        top1 = float(np.real(np.trace(t[:, d1 - 1, :, d1 - 1])))
-        return max(top0, top1)
+        """Largest top-level population over the modes, read off each mode's marginal."""
+        marginals = [self] if self.n_modes == 1 else [partial_trace(self, m) for m in self.mode_labels]
+        return max(float(np.real(m.matrix[-1, -1])) for m in marginals)
 
     def trace(self) -> float:
         return float(np.real(np.trace(self.matrix)))
@@ -208,10 +203,6 @@ class PhaseCovariantState(FockState):
         flat = self.diagonals[_block_order(d)]
         return [_slab(flat, d, c) for c in range(1 - d, d)]
 
-    def tail_mass(self) -> float:
-        pops = self.diagonals_at(0).real  # pops[a, m] = <a, m|rho|a, m>
-        return max(float(pops[-1].sum()), float(pops[:, -1].sum()))
-
     def trace(self) -> float:
         return float(self.diagonals_at(0).real.sum())
 
@@ -247,24 +238,23 @@ def renormalized(rho: FockState, tr: float) -> FockState:
     return FockState(rho.mode_dims, _hermitize(mat) / tr, rho.mode_labels, trace_drift=tr - 1.0)
 
 
-def map_mode_diagonals(x: np.ndarray, maps) -> np.ndarray:
-    """A phase-covariant map on the mode whose (row, column) axes lead the
-    tensor x: for q >= 0, out[i + q, i] = sum_j maps(q)[i, j] x[j + q, j], and
-    the same on out[i, i + q]; the other axes ride along as a batch."""
-    d = x.shape[0]
-    out = np.zeros_like(x)
-    for q in range(d):
-        M = maps(q)
-        i = np.arange(d - q)
-        out[i + q, i] = np.tensordot(M, x[i + q, i], axes=1)
-        out[i, i + q] = np.tensordot(M, x[i, i + q], axes=1)
-    return out
+def map_mode(rho: FockState, k: int, fn) -> FockState:
+    """rho with mode k replaced by fn(x), not normalized: x is the dense
+    tensor with mode k's (row, col) axes first and the other mode's, if any,
+    riding along as a batch. fn may change mode k's cutoff."""
+    rho = densify(rho)
+    n = rho.n_modes
+    x = np.moveaxis(fn(np.moveaxis(rho.tensor(), (k, n + k), (0, 1))), (0, 1), (k, n + k))
+    dims = x.shape[:n]
+    return FockState(dims, x.reshape(math.prod(dims), -1), rho.mode_labels)
 
 
 def map_diagonals(rho: FockState, maps, k: int = 0) -> FockState:
-    """rho under the phase-covariant map on mode k given by `maps` (see
-    `map_mode_diagonals`), not normalized. On the diagonal storage and mode A
-    it is one maps(|q|) @ X_q per offset; otherwise it runs on the dense tensor."""
+    """rho under the phase-covariant map on mode k given by `maps`, not
+    normalized: for q >= 0, out[i + q, i] = sum_j maps(q)[i, j] rho[j + q, j]
+    on mode k, and the same on out[i, i + q]. On the diagonal storage and
+    mode A it is one maps(|q|) @ X_q per offset; otherwise it runs through
+    `map_mode`."""
     if isinstance(rho, PhaseCovariantState) and k == 0:
         d = rho.mode_dims[0]
         out = np.empty_like(rho.diagonals)
@@ -273,11 +263,16 @@ def map_diagonals(rho: FockState, maps, k: int = 0) -> FockState:
             for u in {q, -q}:
                 np.matmul(M, rho.diagonals_at(u), out=_slab(out, d, u))
         return PhaseCovariantState(d, out, rho.mode_labels)
-    rho = densify(rho)
-    n = rho.n_modes
-    x = np.moveaxis(map_mode_diagonals(np.moveaxis(rho.tensor(), (k, n + k), (0, 1)), maps),
-                    (0, 1), (k, n + k))
-    return FockState(rho.mode_dims, x.reshape(rho.dim, rho.dim), rho.mode_labels)
+
+    def diagonals(x):
+        out = np.zeros_like(x)
+        for q in range(x.shape[0]):
+            M, i = maps(q), np.arange(x.shape[0] - q)
+            out[i + q, i] = np.tensordot(M, x[i + q, i], axes=1)
+            out[i, i + q] = np.tensordot(M, x[i, i + q], axes=1)
+        return out
+
+    return map_mode(rho, k, diagonals)
 
 
 def _eigvalsh(mat: np.ndarray) -> np.ndarray:
@@ -489,13 +484,11 @@ def displacement_batch(xis: np.ndarray, d: int) -> np.ndarray:
     return out
 
 
-def conjugate_mode(D: np.ndarray, t: np.ndarray, k: int) -> np.ndarray:
-    """D X D^dag on mode k of a state tensor `t` (one (row, col) axis pair per
-    mode, rows first), as two tensordots; D may be rectangular, which changes
-    that mode's cutoff from D.shape[1] to D.shape[0]."""
-    n = t.ndim // 2
-    t = np.moveaxis(np.tensordot(D, t, axes=(1, k)), 0, k)
-    return np.moveaxis(np.tensordot(t, D.conj(), axes=(n + k, 1)), -1, n + k)
+def conjugate_mode(D: np.ndarray, rho: FockState, k: int) -> FockState:
+    """D X D^dag on mode k of rho, as two tensordots; D may be rectangular,
+    which changes that mode's cutoff from D.shape[1] to D.shape[0]."""
+    return map_mode(rho, k, lambda x: np.moveaxis(
+        np.tensordot(np.tensordot(D, x, axes=1), D.conj(), axes=(1, 1)), -1, 1))
 
 
 # ---------------------------------------------------------------------------

@@ -36,7 +36,7 @@ def displace_state(rho: fk.FockState, xi, target: str = None) -> fk.FockState:
     """Unitary displacement of one mode of the state."""
     k = rho.mode_index(target or rho.mode_labels[0])
     D = displacement_operator(xi, rho.mode_dims[k])
-    mat = fk.conjugate_mode(D, rho.tensor(), k).reshape(rho.dim, rho.dim)
+    mat = fk.conjugate_mode(D, rho, k).matrix
     return fk.FockState(rho.mode_dims, 0.5 * (mat + mat.conj().T), rho.mode_labels)
 
 

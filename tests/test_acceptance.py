@@ -128,7 +128,7 @@ def test_criterion_09_debruijn_regularity(suite_run, capsys):
     ok = all(r["pass"] for r in regs) and cons["pass"]
     _emit(capsys, 9, "de Bruijn identity and regularity", ok,
           f"Delta(t) nonnegative, nondecreasing, midpoint-concave on t in [0.1, 2]; "
-          f"dual-route gap {cons['diagnostics']['gap']:.1e} <= 1e-4")
+          f"gain vs integral of J gap {cons['diagnostics']['gap']:.1e} <= 1e-4")
 
 
 def test_criterion_10_qou_decay(suite_run, capsys):

@@ -193,6 +193,15 @@ class TestGaussianNoiseChannel:
         with pytest.raises(DriftError):
             ch.gaussian_noise_channel(fk.vacuum(6), 1.0)
 
+    def test_shifted_padding_respects_the_dense_cap(self, monkeypatch):
+        # at cutoff 16 the dense two-mode matrix takes 1 MiB, its copy padded
+        # by CENTER_PAD levels on A 4 MiB
+        monkeypatch.setattr(fk, "MAX_DENSE_BYTES", 2 ** 21)
+        tm = fk.two_mode_squeezed_vacuum(0.3, 16)
+        assert fk.densify(tm).dim == 256
+        with pytest.raises(DomainError, match=r"cutoffs \(32, 16\)"):
+            ch.gaussian_noise_channel(tm, 0.3, (0.1, 0.0))
+
     def test_untagged_density_takes_quadrature(self):
         f = ps.gaussian_pdf(0.3)
         assert ch.channel_path(f) == "exact"

@@ -8,6 +8,7 @@ import pytest
 
 from epi_lab import channels as ch
 from epi_lab import cli
+from epi_lab import fock as fk
 from epi_lab import gaussian as ga
 from epi_lab import phase_space as ps
 from epi_lab.errors import UsageError
@@ -184,10 +185,18 @@ class TestExitCodes:
         code, out, _ = run_cli(["epi", "--cutoff", "128"])
         agree = [r for r in json.loads(out)["reports"] if r["check_name"] == "cond-epi-path-agreement"]
         assert code == 0 and abs(agree[0]["lhs"] - agree[0]["rhs"]) <= 1e-4
-        # a shifted noise center needs the dense matrix: 1.1 GB at cutoff 91,
-        # refused before it is built
+        # a shifted noise center needs the dense matrix, padded by CENTER_PAD
+        # levels on A: 1.5 GB at cutoff 91, refused before it is built
         code, _, err = run_cli(["epi", "--cutoff", "91", "--noise", "gauss:0.5@0.3,0"])
         assert code == 2 and "DomainError" in err and "cap" in err
+
+    def test_shifted_center_caps_the_padded_state(self, monkeypatch):
+        # the 1 MiB dense state at cutoff 16 fits a 2 MiB cap; its copy padded
+        # for the displacement (4 MiB) does not, and is refused before it is built
+        monkeypatch.setattr(fk, "MAX_DENSE_BYTES", 2 ** 21)
+        code, _, err = run_cli(["epi", "--state", "tmsv:0.3", "--noise", "gauss:0.3@0.1,0",
+                                "--cutoff", "16"])
+        assert code == 2 and "DomainError" in err and "(32, 16)" in err
 
     def test_bs_epi_builds_no_two_mode_state(self):
         # a pure B keeps the factored beam splitter small at cutoff 128, where

@@ -171,8 +171,17 @@ class TestDisplacement:
     def test_rectangular_conjugation_projects(self):
         st = fk.coherent(0.5, 30)
         D = displacement_operator((0.4, 0.3), 30)
-        out = fk.conjugate_mode(D[:20], st.tensor(), 0)
-        assert np.abs(out - (D @ st.matrix @ D.conj().T)[:20, :20]).max() <= 1e-15
+        out = fk.conjugate_mode(D[:20], st, 0)
+        assert out.mode_dims == (20,)
+        assert np.abs(out.matrix - (D @ st.matrix @ D.conj().T)[:20, :20]).max() <= 1e-15
+
+    def test_rectangular_conjugation_on_the_memory_mode(self):
+        st = fk.tensor_product(fk.random_mixed(3, 12, seed=5), fk.cat(1.1, 16), labels=("A", "M"))
+        D = displacement_operator((0.4, 0.3), 16)[:10]
+        ref = np.einsum("xm,ambn,yn->axby", D, st.tensor(), D.conj()).reshape(120, 120)
+        out = fk.conjugate_mode(D, st, 1)
+        assert out.mode_dims == (12, 10) and out.mode_labels == ("A", "M")
+        assert np.abs(out.matrix - ref).max() <= 1e-15
 
 
 class TestSpectralFunctionals:

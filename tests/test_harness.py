@@ -231,6 +231,17 @@ class TestQouChecks:
         assert rep.diagnostics["tail_mass"] == max(tails)
 
 
+class TestDeBruijnConsistency:
+    def test_an_error_in_the_gain_fails(self, monkeypatch):
+        reg = hn._corpus_register_epi().r()
+        assert hn.check_debruijn_consistency(reg, 0.5).passed
+        # the Fisher side never calls entropy_gain, so an error there shows as a gap
+        gain = ms.entropy_gain
+        monkeypatch.setattr(ms, "entropy_gain", lambda x, t: gain(x, t) + 2e-4)
+        rep = hn.check_debruijn_consistency(reg, 0.5)
+        assert not rep.passed and rep.diagnostics["gap"] > 1e-4
+
+
 class TestCapacity:
     def test_value_against_closed_form(self):
         f = ps.gaussian_pdf(0.5)
