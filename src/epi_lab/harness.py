@@ -272,7 +272,7 @@ def check_scaling(state, t_list, sigma_sq: float, name: str) -> CheckReport:
     return make_report(
         "scaling", {"instance": name, "t_list": list(t_list)},
         devs[-1], bound, margin, 0.0,
-        {"deviations": devs, "sigma_sq": sigma_sq},
+        {**_grid(state), "deviations": devs, "sigma_sq": sigma_sq},
     )
 
 
@@ -328,13 +328,23 @@ def _tail(x) -> dict:
     return {} if tail is None else {"tail_mass": tail}
 
 
+def _grid(x) -> dict:
+    """The grid side and spacing of a density (lists, one entry per label, for
+    a Register of densities); {} for a side without a grid."""
+    if isinstance(x, ps.GridPdf):
+        return {"grid": x.size, "spacing": x.spacing}
+    if isinstance(x, ch.Register) and isinstance(x.parts[0], ps.GridPdf):
+        return {"grid": [f.size for f in x.parts], "spacing": [f.spacing for f in x.parts]}
+    return {}
+
+
 def check_isoperimetric(instance, name: str) -> CheckReport:
     """(1/n) J(X|M) exp S(X|M) >= e, with a 1e-2 relative slack, for any side
     X with its memory M."""
     j, s = ms.fisher(instance), ms.entropy(instance)
     lhs = j.value * math.exp(s)
-    diag = {**_tail(instance), "J": j.value, "S": s, "fisher_uncertainty": j.uncertainty,
-            "ratio_to_e": lhs / math.e}
+    diag = {**_tail(instance), **_grid(instance), "J": j.value, "S": s,
+            "fisher_uncertainty": j.uncertainty, "ratio_to_e": lhs / math.e}
     return make_report(
         "isoperimetric", {"instance": name}, lhs, math.e, lhs - math.e, 1e-2 * math.e, diag
     )
@@ -384,7 +394,7 @@ def check_fisher_isoperimetric(instance, name: str) -> CheckReport:
     tol = 3.0 * uncertainty
     return make_report(
         "fisher-isoperimetric", {"instance": name, "h": h}, val, 1.0, val - 1.0, tol,
-        {"inv_J": [f0, f2, f1], "uncertainty": uncertainty},
+        {**_grid(instance), "inv_J": [f0, f2, f1], "uncertainty": uncertainty},
     )
 
 
@@ -404,7 +414,7 @@ def check_concavity_entropy_power(instance, t_grid, name: str) -> CheckReport:
     worst = max(quotients)
     return make_report(
         "concavity", {"instance": name, "t_grid": t_grid}, worst, 0.0, -worst, 1e-3,
-        {**_tail(outs[-1]), "powers": powers, "h": h},
+        {**_tail(outs[-1]), **_grid(instance), "powers": powers, "h": h},
     )
 
 
@@ -426,7 +436,7 @@ def check_debruijn_regularity(state, t_list, name: str) -> CheckReport:
     margin = min(margins)
     return make_report(
         "debruijn-regularity", {"instance": name, "t_list": list(t_list)},
-        min(deltas), 0.0, margin, 0.0, {"delta": deltas, "slack": slack},
+        min(deltas), 0.0, margin, 0.0, {**_grid(state), "delta": deltas, "slack": slack},
     )
 
 

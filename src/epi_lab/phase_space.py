@@ -3,12 +3,18 @@
 Densities live on uniform L x L grids and are normalized against the
 rescaled measure d^2 xi / (2 pi), so each cell carries integration weight
 spacing^2 / (2 pi). Entropies use natural logarithms.
+
+A sampled isotropic Gaussian (`gaussian_pdf`) is stored by its 1-D factor a,
+its grid being np.outer(a, a): L numbers, not L^2. Its mass, boundary ring,
+normalization, entropy, energy, moments and t = 0 heat flow are sums over one
+axis. Only the readers that need every cell build the grid, on first read of
+`values`: `classical_convolution`, `save_gridpdf` and the displacement
+quadrature of `channels` (`file:` noise and the oracles).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.fft import irfftn, next_fast_len, rfftn
@@ -22,7 +28,18 @@ TAIL_TOL = 1e-8
 MAX_GRID = 2048
 
 
-@dataclass
+def _check_cells(v: np.ndarray, what: str):
+    """Refuse non-finite or negative entries: NaN fails the finiteness test
+    of the minimum, inf that of the maximum."""
+    lo, hi = v.min(), v.max()
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        bad = v[~np.isfinite(v)]
+        kinds = ", ".join(sorted(set(map(str, bad))))
+        raise DomainError(f"{what} must be finite, got {bad.size} non-finite ({kinds})")
+    if lo < 0:
+        raise DomainError(f"{what} must be nonnegative")
+
+
 class GridPdf:
     """Nonnegative density sampled at the cell centers of a square grid.
 
@@ -30,29 +47,54 @@ class GridPdf:
     the density at origin + spacing * (i, j). `gaussian` is (t, center) when
     the values sample the isotropic Gaussian of per-axis variance t centered
     there (set by `gaussian_pdf`, moved along by `classical_heat_flow`), else None.
+
+    A separable density may be given by its factor instead of its values:
+    a 1-D array a with values == np.outer(a, a), as `gaussian_pdf` gives it.
+    Then `values` is built on first read and kept (read-only). Mass, ring,
+    `normalized`, entropy, energy, moments and the t = 0 heat flow read the
+    factor; `classical_convolution`, `save_gridpdf` and the quadrature of
+    `channels` build the grid. Values and factor are checked alike: finite,
+    nonnegative, side at most MAX_GRID.
     """
 
-    origin: tuple
-    spacing: float
-    values: np.ndarray
-    gaussian: tuple = None
-
-    def __post_init__(self):
-        self.origin = (float(self.origin[0]), float(self.origin[1]))
-        self.spacing = float(self.spacing)
-        self.values = np.asarray(self.values, dtype=float)
+    def __init__(self, origin, spacing: float, values=None, gaussian: tuple = None, factor=None):
+        self.origin = (float(origin[0]), float(origin[1]))
+        self.spacing = float(spacing)
+        self.gaussian = gaussian
         if self.spacing <= 0:
             raise DomainError("spacing must be positive")
-        if self.values.ndim != 2 or self.values.shape[0] != self.values.shape[1]:
-            raise DomainError("values must be a square L x L array")
-        if self.values.shape[0] > MAX_GRID:
-            raise GridTooSmallError(f"grid side {self.values.shape[0]} exceeds cap {MAX_GRID}")
-        if self.values.min() < 0:
-            raise DomainError("density values must be nonnegative")
+        if (values is None) == (factor is None):
+            raise DomainError("give the density's values or its factor, not both")
+        self.factor = self._values = None
+        if factor is not None:
+            self.factor = np.asarray(factor, dtype=float)
+            if self.factor.ndim != 1:
+                raise DomainError("factor must be a 1-D array")
+            side, cells, what = self.factor.size, self.factor, "density factor"
+        else:
+            self._values = np.asarray(values, dtype=float)
+            if self._values.ndim != 2 or self._values.shape[0] != self._values.shape[1]:
+                raise DomainError("values must be a square L x L array")
+            side, cells, what = self._values.shape[0], self._values, "density values"
+        if side > MAX_GRID:
+            raise GridTooSmallError(f"grid side {side} exceeds cap {MAX_GRID}")
+        _check_cells(cells, what)
+
+    @property
+    def values(self) -> np.ndarray:
+        """The L x L grid; of a factored density, built on first read."""
+        if self._values is None:
+            self._values = np.outer(self.factor, self.factor)
+            self._values.flags.writeable = False
+        return self._values
+
+    def __repr__(self) -> str:
+        return (f"GridPdf(origin={self.origin}, spacing={self.spacing}, size={self.size}, "
+                f"gaussian={self.gaussian}, factored={self.factor is not None})")
 
     @property
     def size(self) -> int:
-        return self.values.shape[0]
+        return self.factor.size if self.factor is not None else self._values.shape[0]
 
     @property
     def cell_weight(self) -> float:
@@ -71,13 +113,20 @@ class GridPdf:
         return np.column_stack([X.ravel(), Y.ravel()])
 
     def mass(self) -> float:
+        if self.factor is not None:
+            return float(self.factor.sum() ** 2 * self.cell_weight)
         return float(self.values.sum() * self.cell_weight)
 
     def boundary_ring_mass(self) -> float:
-        v = self.values
         if self.size < 3:
             return self.mass()
-        ring = v[0, :].sum() + v[-1, :].sum() + v[1:-1, 0].sum() + v[1:-1, -1].sum()
+        if self.factor is not None:
+            # rows 0 and L - 1 in full, then columns 0 and L - 1 between them
+            a = self.factor
+            ring = (a[0] + a[-1]) * (a.sum() + a[1:-1].sum())
+        else:
+            v = self.values
+            ring = v[0, :].sum() + v[-1, :].sum() + v[1:-1, 0].sum() + v[1:-1, -1].sum()
         return float(ring * self.cell_weight)
 
     def validate(self):
@@ -92,6 +141,9 @@ class GridPdf:
         m = self.mass()
         if m <= 0:
             raise DomainError("cannot normalize a zero density")
+        if self.factor is not None:
+            return GridPdf(self.origin, self.spacing, gaussian=self.gaussian,
+                           factor=self.factor / math.sqrt(m))
         return GridPdf(self.origin, self.spacing, self.values / m, self.gaussian)
 
 
@@ -124,11 +176,10 @@ def gaussian_pdf(t: float, center=(0.0, 0.0), spacing: float = None, extent: flo
     L = 2 * half + 1
     if L > MAX_GRID:
         raise GridTooSmallError(f"grid side {L} exceeds cap {MAX_GRID}; coarsen the spacing")
-    g = np.exp(-(spacing * (np.arange(L) - half)) ** 2 / (2.0 * t))
-    vals = np.outer(g, g) / t  # separable: L exponentials, not L^2
+    g = np.exp(-(spacing * (np.arange(L) - half)) ** 2 / (2.0 * t))  # separable: L exponentials
     center = (float(center[0]), float(center[1]))
     origin = (center[0] - half * spacing, center[1] - half * spacing)
-    return GridPdf(origin, spacing, vals, (float(t), center)).normalized()
+    return GridPdf(origin, spacing, gaussian=(float(t), center), factor=g).normalized()
 
 
 def delta_pdf(spacing: float, center=(0.0, 0.0), pad: int = 2) -> GridPdf:
@@ -151,13 +202,21 @@ def uniform_square_pdf(width: float, spacing: float, center=(0.0, 0.0), pad: int
 
 
 def shannon_entropy(f: GridPdf) -> float:
-    """Differential entropy -sum f log f * spacing^2 / (2 pi), with 0 log 0 = 0."""
+    """Differential entropy -sum f log f * spacing^2 / (2 pi), with 0 log 0 = 0.
+    For f = outer(a, a) the sum is 2 (sum a) (sum a log a), summed in that
+    form: normalizing a first would cancel two terms of size ~log w."""
+    if f.factor is not None:
+        a = f.factor
+        return float(-2.0 * f.cell_weight * a.sum() * xlogy(a, a).sum())
     return float(-xlogy(f.values, f.values).sum() * f.cell_weight)
 
 
 def energy(f: GridPdf) -> float:
     """Sum of second moments, sum_k integral xi_k^2 f(xi) d xi / (2 pi)."""
     xs, ys = f.axes()
+    if f.factor is not None:
+        a = f.factor
+        return float((xs ** 2 @ a + ys ** 2 @ a) * a.sum() * f.cell_weight)
     rsq = xs[:, None] ** 2 + ys[None, :] ** 2
     return float((rsq * f.values).sum() * f.cell_weight)
 
@@ -165,16 +224,23 @@ def energy(f: GridPdf) -> float:
 def moments(f: GridPdf):
     """First moments and 2x2 covariance by midpoint quadrature."""
     xs, ys = f.axes()
-    w = f.values * f.cell_weight
-    wx = w.sum(axis=1)
-    wy = w.sum(axis=0)
+    if f.factor is not None:
+        a = f.factor
+        wx = wy = a * (a.sum() * f.cell_weight)  # both marginals of outer(a, a)
+    else:
+        w = f.values * f.cell_weight
+        wx = w.sum(axis=1)
+        wy = w.sum(axis=0)
     mx = float(xs @ wx)
     my = float(ys @ wy)
     dx = xs - mx
     dy = ys - my
     cxx = float(dx ** 2 @ wx)
     cyy = float(dy ** 2 @ wy)
-    cxy = float(dx @ w @ dy)
+    if f.factor is not None:
+        cxy = float((dx @ a) * (a @ dy) * f.cell_weight)
+    else:
+        cxy = float(dx @ w @ dy)
     return np.array([mx, my]), np.array([[cxx, cxy], [cxy, cyy]])
 
 
@@ -210,6 +276,8 @@ def classical_heat_flow(f: GridPdf, t: float) -> GridPdf:
     if t < 0:
         raise NegativeTimeError(f"heat flow requires t >= 0, got {t}")
     if t == 0:
+        if f.factor is not None:
+            return GridPdf(f.origin, f.spacing, gaussian=f.gaussian, factor=f.factor.copy())
         return GridPdf(f.origin, f.spacing, f.values.copy(), f.gaussian)
     if f.gaussian is not None:
         s, center = f.gaussian

@@ -49,12 +49,15 @@ def mean_energy(rho: fk.FockState, mode: str = None) -> float:
 
 
 def displaced(f: ps.GridPdf, eta) -> ps.GridPdf:
-    """Shift of the density by eta; grid values and the Gaussian tag move along."""
+    """Shift of the density by eta; grid values (or their factor) and the
+    Gaussian tag move along."""
     origin = (f.origin[0] + eta[0], f.origin[1] + eta[1])
     gaussian = None
     if f.gaussian:
         t, (cx, cy) = f.gaussian
         gaussian = (t, (cx + eta[0], cy + eta[1]))
+    if f.factor is not None:
+        return ps.GridPdf(origin, f.spacing, gaussian=gaussian, factor=f.factor)
     return ps.GridPdf(origin, f.spacing, f.values, gaussian)
 
 

@@ -216,6 +216,23 @@ class TestExitCodes:
         code, _, err = run_cli(["epi", "--state", "thermal:1.0", "--noise", f"file:{bad}"])
         assert code == 2
 
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_non_finite_noise_file_is_2(self, tmp_path, bad):
+        # a NaN cell must stop at construction: every comparison with NaN is
+        # False, so the mass and tail checks would let it through to the report
+        path = tmp_path / "noise.grid"
+        ps.save_gridpdf(ps.gaussian_pdf(0.5, spacing=0.1), path)
+        lines = path.read_text().splitlines()
+        row = lines[4 + 10].split()
+        row[12] = bad
+        lines[4 + 10] = " ".join(row)
+        path.write_text("\n".join(lines) + "\n")
+        for argv in (["capacity", "--E", "1", "--noise", f"file:{path}"],
+                     ["epi", "--state", "thermal:0.5", "--noise", f"file:{path}", "--cutoff", "20"]):
+            code, out, err = run_cli(argv)
+            assert code == 2 and out == ""
+            assert f"DomainError: density values must be finite, got 1 non-finite ({bad})" in err
+
     def test_register_mixes_file_and_gauss_labels(self, tmp_path):
         path = tmp_path / "noise.grid"
         ps.save_gridpdf(ps.gaussian_pdf(0.5, spacing=0.1), path)

@@ -197,6 +197,23 @@ class TestScalingAndTightness:
             assert hn.check_tightness_epi(1.0, 1.0, k).margin >= 0
 
 
+class TestGridProvenance:
+    def test_reports_name_the_grid_they_ran_on(self):
+        f = ps.gaussian_pdf(0.7, spacing=0.1)
+        reg = small_register().r()
+        reports = [hn.check_isoperimetric(f, "f"), hn.check_fisher_isoperimetric(f, "f"),
+                   hn.check_scaling(f, [5.0, 20.0], 0.7, "f"),
+                   hn.check_concavity_entropy_power(f, [0.0, 0.1, 0.2], "f"),
+                   hn.check_debruijn_regularity(f, [0.1, 0.2, 0.3], "f")]
+        for rep in reports:
+            assert (rep.diagnostics["grid"], rep.diagnostics["spacing"]) == (f.size, 0.1)
+        rep = hn.check_debruijn_regularity(reg, [0.1, 0.2, 0.3], "reg")
+        assert rep.diagnostics["grid"] == [g.size for g in reg.parts]
+        assert rep.diagnostics["spacing"] == [0.1, 0.1]
+        rep = hn.check_isoperimetric(fk.thermal(0.5, 30), "fock")
+        assert "grid" not in rep.diagnostics and "spacing" not in rep.diagnostics
+
+
 class TestQouChecks:
     def test_fock_path(self):
         rep = hn.check_qou_decay(fk.fock(1, 25), 1.0, 0.5, [0.5, 1.0])

@@ -1,12 +1,15 @@
+import itertools
 import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from epi_lab import measures as ms
 from epi_lab import phase_space as ps
 from epi_lab.errors import DomainError, GridTooSmallError, NegativeTimeError, SpacingMismatchError
 from oracles import displaced, shared_cells, untagged
@@ -272,3 +275,77 @@ class TestInvariants:
         f = ps.GridPdf((0.0, 0.0), 0.1, vals).normalized()
         with pytest.raises(GridTooSmallError):
             f.validate()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_values_rejected(self, bad):
+        vals = ps.gaussian_pdf(0.5, spacing=0.1).values.copy()
+        vals[10, 12] = bad
+        with pytest.raises(DomainError, match="must be finite"):
+            ps.GridPdf((0.0, 0.0), 0.1, vals)
+
+
+# every grid that fits the cap: t = 3 at spacing 0.0125 needs side 2359
+FACTORED = [(t, s) for t, s in itertools.product((0.05, 0.8, 3.0), (None, 0.1, 0.0125))
+            if (t, s) != (3.0, 0.0125)]
+
+
+class TestFactoredStorage:
+    @pytest.mark.parametrize("t,spacing", FACTORED)
+    def test_readers_match_the_dense_oracle(self, t, spacing):
+        f = ps.gaussian_pdf(t, center=(0.37, -0.81), spacing=spacing)
+        dense = untagged(f)
+        assert f.factor is not None and dense.factor is None
+        for read in (ps.shannon_entropy, ps.energy, ps.GridPdf.mass, ps.GridPdf.boundary_ring_mass):
+            assert read(f) == pytest.approx(read(dense), rel=1e-13, abs=0)
+        (mean, cov), (mean_d, cov_d) = ps.moments(f), ps.moments(dense)
+        np.testing.assert_allclose(mean, mean_d, rtol=1e-13, atol=0)
+        np.testing.assert_allclose(cov, cov_d, rtol=1e-13, atol=1e-13 * t)
+        norm = f.normalized()
+        assert norm.factor is not None and norm.gaussian == f.gaussian
+        np.testing.assert_allclose(norm.values, dense.normalized().values, rtol=1e-13, atol=0)
+
+    def test_values_are_the_outer_product(self):
+        f = ps.gaussian_pdf(0.6, center=(0.2, 0.1), spacing=0.1)
+        assert f.size == f.factor.size and f.values.shape == (f.size, f.size)
+        assert np.array_equal(f.values, np.outer(f.factor, f.factor))
+        assert not f.values.flags.writeable
+        assert f.mass() == pytest.approx(1.0, abs=1e-14)
+        still = ps.classical_heat_flow(f, 0.0)
+        assert still.factor is not None and still.factor is not f.factor
+        assert np.array_equal(still.factor, f.factor) and still.gaussian == f.gaussian
+
+    def test_fisher_ladder_builds_no_grid(self):
+        # the 1221 x 1221 grid alone is 11.9 MB, so a ladder that built it would fail
+        tracemalloc.start()
+        try:
+            j = ms.fisher(ps.gaussian_pdf(0.8, spacing=0.0125))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert j.value == pytest.approx(1.25, rel=1e-6)
+        assert peak < 1e6
+
+    @pytest.mark.parametrize("bad", [-1.0, np.nan, np.inf])
+    def test_factor_refused_as_values_are(self, bad):
+        a = ps.gaussian_pdf(0.5, spacing=0.1).factor
+        a = np.where(a == a.max(), bad, a)
+        with pytest.raises(DomainError):
+            ps.GridPdf((0.0, 0.0), 0.1, factor=a)
+        with pytest.raises(DomainError):
+            ps.GridPdf((0.0, 0.0), 0.1, np.outer(a, a))
+
+    def test_factor_over_the_cap_refused(self):
+        side = ps.MAX_GRID + 1
+        with pytest.raises(GridTooSmallError):
+            ps.GridPdf((0.0, 0.0), 0.1, factor=np.ones(side))
+        with pytest.raises(GridTooSmallError):
+            ps.GridPdf((0.0, 0.0), 0.1, np.broadcast_to(1.0, (side, side)))
+
+    def test_factor_must_be_one_dimensional_and_alone(self):
+        a = ps.gaussian_pdf(0.5, spacing=0.1).factor
+        with pytest.raises(DomainError):
+            ps.GridPdf((0.0, 0.0), 0.1, factor=np.outer(a, a))
+        with pytest.raises(DomainError):
+            ps.GridPdf((0.0, 0.0), 0.1, np.outer(a, a), factor=a)
+        with pytest.raises(DomainError):
+            ps.GridPdf((0.0, 0.0), 0.1)
