@@ -3,10 +3,13 @@ extension over a classical register, the heat flow on every side type, beam
 splitters, and the one-mode damping (quantum Ornstein-Uhlenbeck) semigroup.
 
 A channel on one mode acts through `fk.map_mode`, any other mode riding
-along as a batch: Gaussian noise and damping map each diagonal by one small
-matrix (`fk.map_diagonals`), a shifted center pads and displaces the mode
-(`fk.conjugate_mode`), and a quadrature superoperator on a two-mode state is
-one matrix product (`apply_one_mode_kernel`). `qou_superoperator` is the
+along as a batch. Gaussian noise comes from two Kraus tables: a one-mode
+state runs the Kraus sums on its whole matrix (padded, displaced and cut back
+in the same call for a shifted center); on a two-mode state it maps each
+diagonal by one small matrix gathered from the tables (`fk.map_diagonals`),
+as damping does, and a shifted center pads and displaces the mode
+(`fk.conjugate_mode`). A quadrature superoperator on a two-mode state is one
+matrix product (`apply_one_mode_kernel`). `qou_superoperator` is the
 damping oracle; the displacement quadrature serves densities with no
 Gaussian form and the oracle tests. Its sums run in fixed chunk order, so
 repeated runs on one machine agree bit for bit.
@@ -165,39 +168,54 @@ def quantum_heat_flow_fock_multi(
     return [next(outs) if t > 0 else rho.copy() for t in t_list]
 
 
-def _diagonal_map(d: int, k: int, t: float) -> np.ndarray:
-    """Matrix of the Gaussian noise of variance t on the k-th diagonal of a
-    d x d matrix: entry [i, j] takes input element (j + k, j) to output
-    element (i + k, i), and equally (j, j + k) to (i, i + k).
-
-    The noise is pure loss of transmissivity 1/G followed by the
-    quantum-limited amplifier of gain G = 1 + t. Loss only lowers the photon
-    number and the amplifier only raises it, so below the cutoff the map is
-    exact for the truncated input.
-    """
-    n = d - k
-    lf = gammaln(np.arange(1.0, d + 1.0))  # log m!
-    h = 0.5 * (lf[k:] + lf[:n])  # (log (i + k)! + log i!) / 2
-    i, j = np.ogrid[:n, :n]
-    s = np.abs(i - j)
+def _kraus_tables(d: int, t: float):
+    """Kraus tables of the noise of variance t > 0 on cutoff d, loss A_l of
+    transmissivity 1/G, then the amplifier B_l of gain G = 1 + t (exact below
+    the cutoff: loss only lowers the photon number, the amplifier only raises it):
+    c[l, m] = <m|A_l|m + l> = sqrt(C(m + l, l)) G^(-m/2) (t/G)^(l/2) and
+    b[l, m] = <m + l|B_l|m> = c[l, m] / sqrt(G), both 0 where m + l >= d."""
+    lf = gammaln(np.arange(1.0, 2.0 * d))  # log m!
+    l, m = np.ogrid[:d, :d]
     lg, lx = math.log1p(t), math.log(t) - math.log1p(t)
-    # loss, j >= i: sqrt(C(j + k, s) C(j, s)) G^-(i + k/2) (t/G)^s
-    loss = np.where(j >= i, np.exp(h[j] - h[i] - lf[s] - (i + k / 2) * lg + s * lx), 0.0)
-    # amplifier, j <= i: sqrt(C(i + k, s) C(i, s)) G^-(1 + j + k/2) (t/G)^s
-    amp = np.where(j <= i, np.exp(h[i] - h[j] - lf[s] - (1 + j + k / 2) * lg + s * lx), 0.0)
-    return amp @ loss
+    c = np.where(l + m < d, np.exp(0.5 * (lf[l + m] - lf[l] - lf[m] + l * lx - m * lg)), 0.0)
+    return c, c * math.exp(-0.5 * lg)
+
+
+def _diagonal_maps(d: int, t: float):
+    """maps(q) for `fk.map_diagonals`: the noise on the q-th diagonal, amp @ loss
+    with loss[i, j] = c[j - i, i + q] c[j - i, i] (j >= i) and
+    amp[i, j] = b[i - j, j + q] b[i - j, j] (j <= i), gathered from the tables."""
+    c, b = _kraus_tables(d, t)
+
+    def maps(q):
+        i, j = np.ogrid[:d - q, :d - q]
+        s = np.abs(i - j)
+        return np.tril(b[s, j + q] * b[s, j]) @ np.triu(c[s, i + q] * c[s, i])
+    return maps
+
+
+def _kraus_sums(x: np.ndarray, t: float) -> np.ndarray:
+    """The noise on a one-mode matrix: sum_l A_l x A_l^dag, then the same
+    with the B_l, one vector update per l."""
+    d = x.shape[0]
+    c, b = _kraus_tables(d, t)
+    y, z = np.zeros_like(x), np.zeros_like(x)
+    for l in range(d):
+        y[:d - l, :d - l] += c[l, :d - l, None] * c[l, None, :d - l] * x[l:, l:]
+    for l in range(d):
+        z[l:, l:] += b[l, :d - l, None] * b[l, None, :d - l] * y[:d - l, :d - l]
+    return z
 
 
 def gaussian_noise_channel(rho: FockState, t: float, center=(0.0, 0.0), target: str = None) -> FockState:
     """Isotropic Gaussian noise of per-axis variance t centered at `center`
-    on the `target` mode (default: the first), in closed form.
-
-    Each diagonal of the target mode is one small matrix (`_diagonal_map`)
-    times the same input diagonal (`fk.map_diagonals`, which runs on the
-    diagonal storage of a phase-covariant state); the other mode, if any,
-    rides along as a batch. A nonzero center displaces the noisy state,
-    computed CENTER_PAD levels above the cutoff on the (capped) dense state,
-    and projects it back. t = 0 without a center returns a copy; the output goes
+    on the `target` mode (default: the first), in closed form: Kraus sums
+    (`_kraus_sums`) on a one-mode state, one matrix per diagonal of the
+    target mode (`_diagonal_maps` through `fk.map_diagonals`, which runs on
+    the diagonal storage of a phase-covariant state) on a two-mode one. A
+    nonzero center displaces the noisy state, computed CENTER_PAD levels
+    above the cutoff (on a two-mode state, the capped dense one), and
+    projects it back. t = 0 without a center returns a copy; the output goes
     through the same trace-drift and tail checks as the quadrature channel.
     """
     if t < 0:
@@ -208,13 +226,19 @@ def gaussian_noise_channel(rho: FockState, t: float, center=(0.0, 0.0), target: 
     k = 0 if target is None else rho.mode_index(target)
     d = rho.mode_dims[k]
     if not shifted:
-        return _finish(fk.map_diagonals(rho, lambda q: _diagonal_map(d, q, t), k))
+        if rho.n_modes == 1:
+            return _finish(fk.map_mode(rho, 0, lambda x: _kraus_sums(x, t)))
+        return _finish(fk.map_diagonals(rho, _diagonal_maps(d, t), k))
+    D = displacement_batch(np.asarray(center, dtype=float).reshape(1, 2), d + CENTER_PAD)[0, :d]
+    if rho.n_modes == 1:  # the padded matrix may exceed MAX_CUTOFF, so no state holds it
+        def noisy(x):
+            x = np.pad(x, (0, CENTER_PAD))
+            return D @ (_kraus_sums(x, t) if t > 0 else x) @ D.conj().T
+        return _finish(fk.map_mode(rho, 0, noisy))
     fk._check_dense((d + CENTER_PAD, rho.dim // d))  # the padded state, before it is built
     x = fk.map_mode(rho, k, lambda x: np.pad(x, [(0, CENTER_PAD)] * 2 + [(0, 0)] * (x.ndim - 2)))
-    if t > 0:
-        x = fk.map_diagonals(x, lambda q: _diagonal_map(d + CENTER_PAD, q, t), k)
-    D = displacement_batch(np.asarray(center, dtype=float).reshape(1, 2), d + CENTER_PAD)[0]
-    return _finish(fk.conjugate_mode(D[:d], x, k))
+    x = fk.map_diagonals(x, _diagonal_maps(d + CENTER_PAD, t), k) if t > 0 else x
+    return _finish(fk.conjugate_mode(D, x, k))
 
 
 def _noise_channel(f: GridPdf, rho: FockState) -> FockState:

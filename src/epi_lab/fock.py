@@ -451,36 +451,30 @@ def random_mixed(rank: int, d: int, seed: int, label: str = "A", support: int = 
 
 
 def displacement_batch(xis: np.ndarray, d: int) -> np.ndarray:
-    """Displacement matrices for a batch of phase-space points.
+    """Displacement matrices for a batch of phase-space points, shape (N, d, d).
 
     Uses the closed-form Laguerre matrix elements
-    <m|D|n> = sqrt(n!/m!) alpha^(m-n) e^(-|alpha|^2/2) L_n^(m-n)(|alpha|^2)
-    for m >= n, with alpha = (xi_1 + i xi_2)/sqrt(2); the upper triangle
-    follows from D(alpha)^dag = D(-alpha).
+    <n|D|n + k> = sqrt(n!/(n + k)!) (-conj(alpha))^k e^(-|alpha|^2/2) L_n^(k)(|alpha|^2)
+    with alpha = (xi_1 + i xi_2)/sqrt(2). The Laguerre recurrence runs over n
+    only, each step on all orders k < d - n and all points at once (points
+    last), and fills row n right of the diagonal; the lower triangle follows
+    from D(alpha)^dag = D(-alpha), <n + k|D|n> = (-1)^k conj(<n|D|n + k>).
     """
     xis = np.atleast_2d(np.asarray(xis, dtype=float))
     alpha = (xis[:, 0] + 1j * xis[:, 1]) / SQRT2
-    N = alpha.size
     x = np.abs(alpha) ** 2
-    expo = np.exp(-0.5 * x)
-    out = np.zeros((N, d, d), dtype=complex)
+    k = np.arange(d)[:, None]
+    upper = np.exp(-0.5 * x) * (-np.conj(alpha)) ** k  # [k, point]
     lg = gammaln(np.arange(1, d + 1, dtype=float))  # log n!
-    for k in range(d):
-        # prefactor sqrt(n!/(n+k)!) alpha^k for the k-th subdiagonal
-        pw_lower = alpha ** k
-        pw_upper = (-np.conj(alpha)) ** k
-        Lprev = np.ones(N)
-        Lcur = 1.0 + k - x
-        for n in range(d - k):
-            Ln = Lprev if n == 0 else Lcur
-            if n >= 1:
-                Lnext = ((2 * n + 1 + k - x) * Lcur - (n + k) * Lprev) / (n + 1.0)
-                Lprev, Lcur = Lcur, Lnext
-            c = math.exp(0.5 * (lg[n] - lg[n + k]))
-            base = c * expo * Ln
-            out[:, n + k, n] = base * pw_lower
-            if k:
-                out[:, n, n + k] = base * pw_upper
+    out = np.zeros((alpha.size, d, d), dtype=complex)
+    L_prev, L = np.zeros((d, alpha.size)), np.ones((d, alpha.size))  # L_(n-1)^(k), L_n^(k)
+    for n in range(d):
+        out[:, n, n:] = (np.exp(0.5 * (lg[n] - lg[n:]))[:, None] * L * upper[:d - n]).T
+        kk, L = k[:d - n - 1], L[:d - n - 1]  # the orders step n + 1 still needs
+        L_prev, L = L, ((2 * n + 1 + kk - x) * L - (n + kk) * L_prev[:d - n - 1]) / (n + 1.0)
+    sign = np.tril((-1.0) ** (k - k.T), -1)
+    for block in np.split(out, range(16, alpha.size, 16)):  # 16 points at a time stay in cache
+        block += sign * block.conj().transpose(0, 2, 1)
     return out
 
 

@@ -1,15 +1,18 @@
 """Reference helpers that only the tests use: single displacement operators
-(closed form and matrix exponential), displaced Fock states and densities,
-untagged copies of densities and their shared cells, the per-mode photon
-number, the dense beam-splitter dilation, a one-mode superoperator's action
-and the dense two-mode squeezed vacuum. They stay independent oracles for
-the program's channels, heat flows, moments and diagonal storage.
+(closed form, matrix exponential and the scalar Laguerre recurrence), the
+Gaussian noise on one diagonal built entry by entry, displaced Fock states
+and densities, untagged copies of densities and their shared cells, the
+per-mode photon number, the dense beam-splitter dilation, a one-mode
+superoperator's action and the dense two-mode squeezed vacuum. They stay
+independent oracles for the program's channels, heat flows, moments and
+diagonal storage.
 """
 
 import math
 
 import numpy as np
 from scipy.linalg import expm
+from scipy.special import gammaln
 
 from epi_lab import channels as ch
 from epi_lab import fock as fk
@@ -30,6 +33,45 @@ def displacement_operator_expm(xi, d: int) -> np.ndarray:
     a = fk.annihilation(d).astype(complex)
     alpha = xi_to_alpha(xi)
     return expm(alpha * a.T.conj() - np.conj(alpha) * a)
+
+
+def displacement_batch_scalar(xis, d: int) -> np.ndarray:
+    """`fk.displacement_batch` one matrix element at a time: the Laguerre
+    recurrence over n for each subdiagonal k, vectorized over the points only."""
+    xis = np.atleast_2d(np.asarray(xis, dtype=float))
+    alpha = (xis[:, 0] + 1j * xis[:, 1]) / math.sqrt(2.0)
+    x = np.abs(alpha) ** 2
+    expo = np.exp(-0.5 * x)
+    out = np.zeros((alpha.size, d, d), dtype=complex)
+    lg = gammaln(np.arange(1, d + 1, dtype=float))  # log n!
+    for k in range(d):
+        Lprev, Lcur = np.ones(alpha.size), 1.0 + k - x
+        for n in range(d - k):
+            Ln = Lprev if n == 0 else Lcur
+            if n >= 1:
+                Lprev, Lcur = Lcur, ((2 * n + 1 + k - x) * Lcur - (n + k) * Lprev) / (n + 1.0)
+            base = math.exp(0.5 * (lg[n] - lg[n + k])) * expo * Ln
+            out[:, n + k, n] = base * alpha ** k
+            out[:, n, n + k] = base * (-np.conj(alpha)) ** k
+    return out
+
+
+def diagonal_map(d: int, k: int, t: float) -> np.ndarray:
+    """Matrix of the Gaussian noise of variance t on the k-th diagonal of a
+    d x d matrix, entry by entry: [i, j] takes input element (j + k, j) to
+    output element (i + k, i). Pure loss of transmissivity 1/G, then the
+    quantum-limited amplifier of gain G = 1 + t."""
+    n = d - k
+    lf = gammaln(np.arange(1.0, d + 1.0))  # log m!
+    h = 0.5 * (lf[k:] + lf[:n])  # (log (i + k)! + log i!) / 2
+    i, j = np.ogrid[:n, :n]
+    s = np.abs(i - j)
+    lg, lx = math.log1p(t), math.log(t) - math.log1p(t)
+    # loss, j >= i: sqrt(C(j + k, s) C(j, s)) G^-(i + k/2) (t/G)^s
+    loss = np.where(j >= i, np.exp(h[j] - h[i] - lf[s] - (i + k / 2) * lg + s * lx), 0.0)
+    # amplifier, j <= i: sqrt(C(i + k, s) C(i, s)) G^-(1 + j + k/2) (t/G)^s
+    amp = np.where(j <= i, np.exp(h[i] - h[j] - lf[s] - (1 + j + k / 2) * lg + s * lx), 0.0)
+    return amp @ loss
 
 
 def displace_state(rho: fk.FockState, xi, target: str = None) -> fk.FockState:

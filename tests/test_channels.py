@@ -19,6 +19,7 @@ from epi_lab.errors import (
 )
 from oracles import (
     beam_splitter_dense,
+    diagonal_map,
     displace_state,
     displaced,
     mean_energy,
@@ -209,6 +210,41 @@ class TestGaussianNoiseChannel:
         assert ch.channel_path(ps.GridPdf(f.origin, f.spacing, f.values)) == "quadrature"
         mixed = ch.Register([0.5, 0.5], [f, ps.GridPdf(f.origin, f.spacing, f.values)])
         assert ch.channel_path(mixed) == "quadrature"
+
+
+# every cutoff at three times, plus the extreme times at the largest cutoff
+KRAUS_CASES = [(d, t) for d in (1, 2, 5, 40, 72, 128) for t in (1e-4, 0.37, 5.0)] + [
+    (128, 1e-12), (128, 50.0)]
+
+
+class TestKrausNoise:
+    """The Kraus tables of the exact core against the entrywise per-diagonal
+    matrix, and the one-mode Kraus sums against the per-diagonal path."""
+
+    @pytest.mark.parametrize("d,t", KRAUS_CASES)
+    def test_diagonal_maps_match_the_entrywise_matrix(self, d, t):
+        maps = ch._diagonal_maps(d, t)
+        assert max(np.abs(maps(q) - diagonal_map(d, q, t)).max() for q in range(d)) <= 1e-14
+
+    @pytest.mark.parametrize("d,t", KRAUS_CASES)
+    def test_kraus_sums_match_the_diagonal_maps(self, d, t):
+        g = np.random.default_rng(4).standard_normal((d, 3, 2)) @ [1.0, 1j]
+        x = g @ g.conj().T / np.vdot(g, g).real  # full support on cutoff d
+        ref = fk.map_diagonals(fk.FockState((d,), x), ch._diagonal_maps(d, t)).matrix
+        out = ch._kraus_sums(x, t)
+        assert np.isfinite(out).all() and np.abs(out - ref).max() <= 1e-14
+
+    @pytest.mark.parametrize("t,center", [(0.05, (0.0, 0.0)), (0.3, (0.0, 0.0)), (0.3, (0.3, -0.2)),
+                                          (0.0, (0.4, 0.1))])
+    def test_one_mode_matches_the_two_mode_path(self, t, center):
+        # the dense product with a memory that is no phase-covariant state
+        # runs the per-diagonal maps with M as a batch; traced over M it is
+        # the one-mode output
+        rho = fk.random_mixed(3, 40, seed=6, support=8)
+        joint = fk.tensor_product(rho, fk.cat(1.1, 16), labels=("A", "M"))
+        out = ch.gaussian_noise_channel(rho, t, center)
+        ref = fk.partial_trace(ch.gaussian_noise_channel(joint, t, center), "A")
+        assert np.abs(out.matrix - ref.matrix).max() <= 1e-13
 
 
 class TestExtendedChannel:

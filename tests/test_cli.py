@@ -190,6 +190,20 @@ class TestExitCodes:
         code, _, err = run_cli(["epi", "--cutoff", "91", "--noise", "gauss:0.5@0.3,0"])
         assert code == 2 and "DomainError" in err and "cap" in err
 
+    @pytest.mark.parametrize("cutoff", ["112", "120"])
+    def test_shifted_noise_on_one_mode_runs_above_cutoff_112(self, cutoff):
+        # the one-mode state padded by CENTER_PAD levels is never a FockState,
+        # so it may pass MAX_CUTOFF; the result does not move with the cutoff
+        code, out, err = run_cli(["epi", "--state", "fock:1", "--noise", "gauss:0.3@0.2,0",
+                                  "--cutoff", cutoff])
+        assert code == 0, err
+        assert abs(json.loads(out)["reports"][0]["lhs"] - 3.7353298416801985) <= 1e-12
+
+    def test_shifted_register_noise_runs_at_cutoff_128(self):
+        code, out, err = run_cli(["epi", "--state", "register:p=0.5|0.5,fock:1|vacuum",
+                                  "--noise", "gauss:0.3@0.2,0|gauss:0.4", "--cutoff", "128"])
+        assert code == 0 and json.loads(out)["reports"][0]["pass"] is True, err
+
     def test_shifted_center_caps_the_padded_state(self, monkeypatch):
         # the 1 MiB dense state at cutoff 16 fits a 2 MiB cap; its copy padded
         # for the displacement (4 MiB) does not, and is refused before it is built

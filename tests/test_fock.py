@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -15,6 +16,7 @@ from epi_lab.errors import (
 )
 from oracles import (
     displace_state,
+    displacement_batch_scalar,
     displacement_operator,
     displacement_operator_expm,
     mean_energy,
@@ -112,9 +114,35 @@ class TestConstructors:
         assert fk.von_neumann_entropy(st) == pytest.approx(math.log(8), rel=1e-12)
 
 
+def _displacement_element(xi, m: int, n: int) -> complex:
+    """<m|D(alpha)|n> at 40 digits: sqrt(n!/m!) alpha^(m-n) e^(-|alpha|^2/2)
+    L_n^(m-n)(|alpha|^2) for m >= n, and sqrt(m!/n!) (-conj(alpha))^(n-m) times
+    the same with m and n swapped above the diagonal."""
+    with mp.workdps(40):
+        alpha = mp.mpc(*xi) / mp.sqrt(2)
+        if m < n:
+            m, n, alpha = n, m, -mp.conj(alpha)
+        x = abs(alpha) ** 2
+        return complex(mp.sqrt(mp.factorial(n) / mp.factorial(m)) * alpha ** (m - n)
+                       * mp.exp(-x / 2) * mp.laguerre(n, m - n, x))
+
+
 class TestDisplacement:
     def test_zero_is_identity(self):
         assert np.allclose(displacement_operator((0.0, 0.0), 15), np.eye(15))
+
+    @pytest.mark.parametrize("xi", [(0.0, 0.0), (0.3, -0.4), (2.0, 1.0), (6.0, 0.0)])
+    def test_matches_the_closed_form_at_40_digits(self, xi):
+        d = 144
+        D = fk.displacement_batch(np.array([xi]), d)[0]
+        pairs = np.random.default_rng(3).integers(0, d, size=(200, 2)).tolist()
+        pairs += [[0, 0], [d - 1, d - 1], [d - 1, 0], [0, d - 1]]
+        assert max(abs(D[m, n] - _displacement_element(xi, m, n)) for m, n in pairs) <= 1e-13
+
+    @pytest.mark.parametrize("n_points,d", [(1, 72), (1, 144), (1024, 48)])
+    def test_batch_matches_the_scalar_recurrence(self, n_points, d):
+        xis = np.random.default_rng(n_points).normal(scale=2.0, size=(n_points, 2))
+        assert np.abs(fk.displacement_batch(xis, d) - displacement_batch_scalar(xis, d)).max() <= 1e-15
 
     def test_matches_matrix_exponential(self):
         d = 40
@@ -346,7 +374,7 @@ def _noise_core(rho, t):
     """The exact Gaussian noise on A, renormalized but not tail-checked: at
     cutoffs 12 and 20 the outputs at t = 1 exceed TAIL_TOL."""
     d = rho.mode_dims[0]
-    out = fk.map_diagonals(rho, lambda q: ch._diagonal_map(d, q, t))
+    out = fk.map_diagonals(rho, ch._diagonal_maps(d, t))
     return fk.renormalized(out, out.trace())
 
 
