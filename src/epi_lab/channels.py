@@ -21,8 +21,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
-from scipy.special import gammaln
 
 from . import fock as fk
 from .errors import (
@@ -33,7 +31,7 @@ from .errors import (
     QuadratureError,
     UnsupportedFamilyError,
 )
-from .fock import FockState, displacement_batch, thermal, thermal_cutoff
+from .fock import FockState, displacement_batch, log_factorials, thermal, thermal_cutoff
 from .gaussian import GaussianState, _check_qou_params, gaussian_heat_flow, qou_mean_photon
 from .phase_space import GridPdf, classical_heat_flow, gaussian_pdf, moments, resolving_spacing
 
@@ -174,7 +172,7 @@ def _kraus_tables(d: int, t: float):
     the cutoff: loss only lowers the photon number, the amplifier only raises it):
     c[l, m] = <m|A_l|m + l> = sqrt(C(m + l, l)) G^(-m/2) (t/G)^(l/2) and
     b[l, m] = <m + l|B_l|m> = c[l, m] / sqrt(G), both 0 where m + l >= d."""
-    lf = gammaln(np.arange(1.0, 2.0 * d))  # log m!
+    lf = log_factorials(2 * d - 1)
     l, m = np.ogrid[:d, :d]
     lg, lx = math.log1p(t), math.log(t) - math.log1p(t)
     c = np.where(l + m < d, np.exp(0.5 * (lf[l + m] - lf[l] - lf[m] + l * lx - m * lg)), 0.0)
@@ -258,16 +256,23 @@ def _noise_channel(f: GridPdf, rho: FockState) -> FockState:
 def _sector_tensor(dims, transmissivity: float) -> np.ndarray:
     """G[j, b, k] = <j, b|U|k, j + b - k> (0 where j + b - k is no level of mode B) for the
     beam splitter U = exp(theta (a^dag b - a b^dag)) on cutoffs dims, cos(theta)^2 = transmissivity:
-    one block per photon-number sector n = j + b, exact on the truncated space."""
+    one block per photon-number sector n = j + b, exact on the truncated space. A block's
+    generator theta (L - L^T), L its subdiagonal, is -i theta D J D* with D = diag(i^k) and
+    J = L + L^T = V diag(mu) V^T real symmetric tridiagonal, so the block is
+    I + D V (e^(-i theta mu) - 1) V^T D*: one eigh per sector, the identity exactly at theta = 0."""
     if not 0.0 <= transmissivity <= 1.0:
         raise ParameterError(f"transmissivity must be in [0, 1], got {transmissivity}")
     d1, d2 = dims
     theta = math.acos(math.sqrt(transmissivity))
     G = np.zeros((d1, d2, d1))
+    powers_of_i = np.array([1, 1j, -1, -1j])
     for n in range(d1 + d2 - 1):
         ks = np.arange(max(0, n - d2 + 1), min(d1 - 1, n) + 1)
         val = np.sqrt((ks[:-1] + 1.0) * (n - ks[:-1]))
-        G[ks[:, None], n - ks[:, None], ks] = expm(theta * (np.diag(val, -1) - np.diag(val, 1)))
+        mu, V = np.linalg.eigh(np.diag(val, -1) + np.diag(val, 1))
+        DD = powers_of_i[(ks[:, None] - ks) % 4]  # D[a] D*[b] = i^(a - b)
+        block = (DD * ((V * (np.exp(-1j * theta * mu) - 1.0)) @ V.T)).real
+        G[ks[:, None], n - ks[:, None], ks] = np.eye(ks.size) + block
     return G
 
 

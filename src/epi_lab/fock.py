@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import gammaln, xlogy
 
 from .errors import (
     DimensionMismatchError,
@@ -38,6 +37,20 @@ MAX_CUTOFF = 128
 # complex entries, two-mode cutoffs up to 90
 MAX_DENSE_BYTES = 2 ** 30
 SQRT2 = math.sqrt(2.0)
+
+
+def log_factorials(n: int) -> np.ndarray:
+    """log m! for m < n, each from math.lgamma."""
+    return np.array([math.lgamma(m + 1.0) for m in range(n)])
+
+
+def xlogx(w) -> np.ndarray:
+    """w log w elementwise for w >= 0, 0 where w = 0: one masked log."""
+    w = np.asarray(w, dtype=float)
+    out = np.zeros_like(w)
+    np.log(w, out=out, where=w > 0)
+    out *= w
+    return out
 
 
 def annihilation(d: int) -> np.ndarray:
@@ -385,7 +398,7 @@ def _coherent_amplitudes(alpha: complex, d: int) -> np.ndarray:
     """<n|alpha> = e^(-|alpha|^2/2) alpha^n / sqrt(n!) for n < d, from logs."""
     n = np.arange(d)
     log_mag = n * math.log(abs(alpha)) if alpha != 0 else np.where(n == 0, 0.0, -np.inf)
-    amps = np.exp(log_mag - 0.5 * gammaln(n + 1.0) - 0.5 * abs(alpha) ** 2)
+    amps = np.exp(log_mag - 0.5 * log_factorials(d) - 0.5 * abs(alpha) ** 2)
     phase = np.exp(1j * np.angle(alpha) * n) if alpha != 0 else np.ones(d)
     return amps * phase
 
@@ -465,7 +478,7 @@ def displacement_batch(xis: np.ndarray, d: int) -> np.ndarray:
     x = np.abs(alpha) ** 2
     k = np.arange(d)[:, None]
     upper = np.exp(-0.5 * x) * (-np.conj(alpha)) ** k  # [k, point]
-    lg = gammaln(np.arange(1, d + 1, dtype=float))  # log n!
+    lg = log_factorials(d)
     out = np.zeros((alpha.size, d, d), dtype=complex)
     L_prev, L = np.zeros((d, alpha.size)), np.ones((d, alpha.size))  # L_(n-1)^(k), L_n^(k)
     for n in range(d):
@@ -497,7 +510,7 @@ def von_neumann_entropy(rho: FockState) -> float:
             f"eigenvalue {w.min():.3e} below clamp; cutoff likely insufficient"
         )
     w = np.clip(w, 0.0, None)
-    return float(-xlogy(w, w).sum())
+    return float(-xlogx(w).sum())
 
 
 def relative_entropy(rho: FockState, sigma: FockState) -> float:

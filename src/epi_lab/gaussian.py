@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import xlogy
 
 from .errors import (
     DomainError,
@@ -22,6 +21,7 @@ from .errors import (
     ParameterError,
     PhysicalityError,
 )
+from .fock import xlogx
 
 SYMMETRY_TOL = 1e-10
 PHYSICALITY_TOL = 1e-9
@@ -66,7 +66,7 @@ def g_function(N: float) -> float:
     """Entropy of a thermal state with mean photon number N (natural log)."""
     if N < 0:
         raise DomainError(f"g is undefined for N = {N} < 0")
-    return float(xlogy(N + 1.0, N + 1.0) - xlogy(N, N))
+    return float(xlogx(N + 1.0) - xlogx(N))
 
 
 @dataclass

@@ -17,10 +17,9 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.fft import irfftn, next_fast_len, rfftn
-from scipy.special import xlogy
 
 from .errors import DomainError, GridTooSmallError, NegativeTimeError, SpacingMismatchError
+from .fock import xlogx
 
 TWO_PI = 2.0 * math.pi
 MASS_TOL = 1e-6
@@ -207,8 +206,8 @@ def shannon_entropy(f: GridPdf) -> float:
     form: normalizing a first would cancel two terms of size ~log w."""
     if f.factor is not None:
         a = f.factor
-        return float(-2.0 * f.cell_weight * a.sum() * xlogy(a, a).sum())
-    return float(-xlogy(f.values, f.values).sum() * f.cell_weight)
+        return float(-2.0 * f.cell_weight * a.sum() * xlogx(a).sum())
+    return float(-xlogx(f.values).sum() * f.cell_weight)
 
 
 def energy(f: GridPdf) -> float:
@@ -256,7 +255,11 @@ def classical_convolution(g: GridPdf, f: GridPdf) -> GridPdf:
     L = g.size + f.size - 1
     if L > MAX_GRID:
         raise GridTooSmallError(f"convolution output side {L} exceeds cap {MAX_GRID}")
-    # the real FFTs scipy.signal.fftconvolve runs, without importing scipy.signal
+    # the real FFTs scipy.signal.fftconvolve runs, bit for bit (numpy.fft rounds
+    # differently), without importing scipy.signal; scipy.fft is imported here,
+    # so only a run that convolves pays for it
+    from scipy.fft import irfftn, next_fast_len, rfftn
+
     shape = [next_fast_len(L, True)] * 2
     vals = irfftn(rfftn(g.values, shape) * rfftn(f.values, shape), shape)[:L, :L] * g.cell_weight
     np.maximum(vals, 0.0, out=vals)

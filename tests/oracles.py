@@ -2,7 +2,8 @@
 (closed form, matrix exponential and the scalar Laguerre recurrence), the
 Gaussian noise on one diagonal built entry by entry, displaced Fock states
 and densities, untagged copies of densities and their shared cells, the
-per-mode photon number, the dense beam-splitter dilation, a one-mode
+per-mode photon number, the beam splitter's sector blocks by matrix
+exponential, the dense beam-splitter dilation, a one-mode
 superoperator's action and the dense two-mode squeezed vacuum. They stay
 independent oracles for the program's channels, heat flows, moments and
 diagonal storage.
@@ -12,7 +13,6 @@ import math
 
 import numpy as np
 from scipy.linalg import expm
-from scipy.special import gammaln
 
 from epi_lab import channels as ch
 from epi_lab import fock as fk
@@ -43,7 +43,7 @@ def displacement_batch_scalar(xis, d: int) -> np.ndarray:
     x = np.abs(alpha) ** 2
     expo = np.exp(-0.5 * x)
     out = np.zeros((alpha.size, d, d), dtype=complex)
-    lg = gammaln(np.arange(1, d + 1, dtype=float))  # log n!
+    lg = np.array([math.lgamma(n + 1.0) for n in range(d)])  # log n!
     for k in range(d):
         Lprev, Lcur = np.ones(alpha.size), 1.0 + k - x
         for n in range(d - k):
@@ -62,7 +62,7 @@ def diagonal_map(d: int, k: int, t: float) -> np.ndarray:
     output element (i + k, i). Pure loss of transmissivity 1/G, then the
     quantum-limited amplifier of gain G = 1 + t."""
     n = d - k
-    lf = gammaln(np.arange(1.0, d + 1.0))  # log m!
+    lf = np.array([math.lgamma(m + 1.0) for m in range(d)])  # log m!
     h = 0.5 * (lf[k:] + lf[:n])  # (log (i + k)! + log i!) / 2
     i, j = np.ogrid[:n, :n]
     s = np.abs(i - j)
@@ -118,6 +118,20 @@ def shared_cells(f: ps.GridPdf, g: ps.GridPdf):
     lo_i, lo_j = max(0, i), max(0, j)
     hi_i, hi_j = min(f.size, i + g.size), min(f.size, j + g.size)
     return f.values[lo_i:hi_i, lo_j:hi_j], g.values[lo_i - i:hi_i - i, lo_j - j:hi_j - j]
+
+
+def sector_tensor_expm(dims, transmissivity: float) -> np.ndarray:
+    """The beam splitter's sector tensor G[j, b, k] = <j, b|U|k, j + b - k> of
+    `ch._sector_tensor`, one matrix exponential of the generator
+    theta (a^dag b - a b^dag) per photon-number sector n = j + b."""
+    d1, d2 = dims
+    theta = math.acos(math.sqrt(transmissivity))
+    G = np.zeros((d1, d2, d1))
+    for n in range(d1 + d2 - 1):
+        ks = np.arange(max(0, n - d2 + 1), min(d1 - 1, n) + 1)
+        val = np.sqrt((ks[:-1] + 1.0) * (n - ks[:-1]))
+        G[ks[:, None], n - ks[:, None], ks] = expm(theta * (np.diag(val, -1) - np.diag(val, 1)))
+    return G
 
 
 def beam_splitter_dense(rho_ab: fk.FockState, transmissivity: float) -> fk.FockState:

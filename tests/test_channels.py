@@ -23,6 +23,7 @@ from oracles import (
     displace_state,
     displaced,
     mean_energy,
+    sector_tensor_expm,
     shared_cells,
     superoperator_output,
     untagged,
@@ -281,10 +282,27 @@ class TestExtendedChannel:
             ch.extended_channel(noise, ch.Register([0.4, 0.6], [rho, rho]))
 
 
+# full and truncated sectors, mode A's cutoff above, below and equal to B's
+SECTOR_DIMS = [(12, 12), (40, 24), (24, 40), (64, 64)]
+
+
 class TestBeamSplitter:
     def test_unitary_orthogonal(self):
         U = ch.beam_splitter_unitary((12, 12), 0.3)
         assert np.abs(U @ U.T - np.eye(144)).max() <= 1e-12
+
+    @pytest.mark.parametrize("lam", [0.0, 0.3, 0.5])
+    @pytest.mark.parametrize("dims", SECTOR_DIMS, ids="{0[0]}x{0[1]}".format)
+    def test_sector_tensor_matches_the_matrix_exponential(self, dims, lam):
+        # one eigh of the tridiagonal generator per sector against one expm
+        assert np.abs(ch._sector_tensor(dims, lam) - sector_tensor_expm(dims, lam)).max() <= 2e-12
+
+    @pytest.mark.parametrize("dims", SECTOR_DIMS, ids="{0[0]}x{0[1]}".format)
+    def test_sector_tensor_is_the_identity_at_full_transmission(self, dims):
+        # G[j, b, k] = <j, b|k, j + b - k> = delta_jk, bit for bit
+        d1, d2 = dims
+        identity = np.broadcast_to(np.eye(d1)[:, None, :], (d1, d2, d1))
+        assert np.array_equal(ch._sector_tensor(dims, 1.0), identity)
 
     def test_identity_and_swap(self):
         a, b = fk.coherent(0.7, 16), fk.thermal(0.4, 16, label="B")

@@ -160,14 +160,37 @@ class TestConvolutionBackend:
         assert out.origin == expected.origin
         assert np.array_equal(out.values, expected.values)
 
+    @staticmethod
+    def _fresh_interpreter(code: str) -> list:
+        """Output lines of `code` run in a new interpreter that imports epi_lab from the tree."""
+        src = str(Path(ps.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        return out.stdout.splitlines()
+
     def test_cli_import_leaves_scipy_signal_out(self):
         # scipy.signal costs most of the command's start-up; a fresh
         # interpreter must not load it
-        src = str(Path(ps.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
         code = "import sys, epi_lab.cli; print('scipy.signal' in sys.modules)"
-        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-        assert out.stdout.strip() == "False"
+        assert self._fresh_interpreter(code) == ["False"]
+
+    def test_cli_start_up_and_fock_commands_load_no_scipy(self):
+        # start-up, the beam splitter, the Fock damping channel and the
+        # Gaussian noise on a two-mode state run on numpy alone; only
+        # `classical_convolution` imports scipy.fft
+        code = (
+            "import contextlib, io, sys\n"
+            "import epi_lab.cli as cli\n"
+            "scipy = lambda: sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+            "print(scipy())\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    codes = [cli.run(argv) for argv in (\n"
+            "        ['bs-epi', '--state', 'thermal:0.5', '--cutoff', '32'],\n"
+            "        ['qou', '--state', 'fock:1', '--cutoff', '20'],\n"
+            "        ['epi', '--state', 'tmsv:0.5', '--noise', 'gauss:0.3', '--cutoff', '24'])]\n"
+            "print(codes, scipy())\n"
+        )
+        assert self._fresh_interpreter(code) == ["[]", "[0, 0, 0] []"]
 
 class TestHeatFlow:
     def test_zero_time(self):
