@@ -287,8 +287,8 @@ def beam_splitter_unitary(dims, transmissivity: float) -> np.ndarray:
 
 
 def _factor(rho: FockState) -> np.ndarray:
-    """F with F F^dag = rho, over the eigenpairs above dim * eps * max (the solver's
-    backward error, the rule of `fk._packed`); real when rho is."""
+    """F with F F^dag = rho, over the eigenpairs above dim * eps * max (the dense
+    solver's backward error); real when rho is."""
     w, v = np.linalg.eigh(rho.matrix if rho.matrix.imag.any() else rho.matrix.real)
     keep = w > rho.dim * np.finfo(float).eps * w.max()
     return v[:, keep] * np.sqrt(w[keep])

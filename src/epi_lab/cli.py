@@ -176,7 +176,8 @@ def build_parser() -> argparse.ArgumentParser:
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     p.add_argument("command", choices=COMMANDS)
-    p.add_argument("--state", default="tmsv:0.66", help="state spec (see grammar)")
+    p.add_argument("--state", help="state spec (see grammar); default thermal:1.0 for bs-epi, "
+                                    "tmsv:0.66 for every other command")
     p.add_argument("--state-b", default="vacuum", help="second input for bs-epi")
     p.add_argument("--noise", default="gauss:0.5", help="noise spec (see grammar)")
     p.add_argument("--noise-b", default="gauss:0.5", help="second noise for classical-epi")
@@ -229,6 +230,8 @@ def parse_config(argv):
         raise UsageError("invalid arguments") from exc
     if extra:
         raise UsageError(f"unrecognized arguments: {' '.join(extra)}")
+    if args.state is None:
+        args.state = "thermal:1.0" if args.command == "bs-epi" else "tmsv:0.66"
     return args
 
 

@@ -10,8 +10,8 @@ squeezed vacuum and its Gaussian noise on A) is a `PhaseCovariantState`,
 stored by its A-diagonals in O(d^3) numbers. The functionals here and the
 Gaussian noise channel on A run on that storage; every other consumer reads
 `matrix` or acts on one mode through `map_mode`, both of which go through
-`densify`. A dense two-mode matrix that is block diagonal in n_A - n_M is
-packed into the same storage before its spectrum is solved (`_packed`).
+`densify`. Spectra are solved one n_A - n_M charge block at a time on the
+storage and by one dense solve on every dense matrix.
 """
 
 from __future__ import annotations
@@ -295,40 +295,12 @@ def _eigvalsh(mat: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(mat)
 
 
-def _packed(rho: FockState):
-    """(rho in the diagonal storage or None, the off-block Frobenius norm that
-    decided it). A dense two-mode matrix on equal cutoffs is gathered into the
-    storage when its entries outside it have norm at most dim * eps, the dense
-    solver's own backward error, so by Weyl no eigenvalue moves further than a
-    dense solve would. One mode (1x1 photon-number blocks) and unequal cutoffs
-    give (None, None). The norm sums the dropped entries one A level of rows at
-    a time: ||mat||^2 - ||kept||^2 would lose ~1e-8 to cancellation."""
-    if isinstance(rho, PhaseCovariantState):
-        return rho, 0.0
-    if rho.n_modes == 1 or rho.mode_dims[0] != rho.mode_dims[1]:
-        return None, None
-    d, mat = rho.mode_dims[0], rho.matrix
-    m, b = np.indices((d, d))
-    off2 = 0.0
-    for a in range(d):
-        rows = mat[a * d:(a + 1) * d].reshape(d, d, d).copy()  # <a, m|rho|b, n> as [m, b, n]
-        n = b + m - a  # the stored entries: b - n = a - m
-        kept = (n >= 0) & (n < d)
-        rows[m[kept], b[kept], n[kept]] = 0.0
-        off2 += np.vdot(rows, rows).real
-    norm = math.sqrt(off2)
-    if norm > rho.dim * np.finfo(float).eps:
-        return None, norm
-    return PhaseCovariantState(d, mat[_dense_index(d)], rho.mode_labels, rho.trace_drift), norm
-
-
 def _spectrum(rho: FockState) -> np.ndarray:
-    """Ascending eigenvalues, by charge blocks when `_packed` packs rho, else
-    dense; `trace_norm_distance` calls it, not the traced `eigenvalues`."""
-    packed, _ = _packed(rho)
-    if packed is None:
+    """Ascending eigenvalues, by charge blocks on the diagonal storage, else one
+    dense solve; `trace_norm_distance` calls it, not the traced `eigenvalues`."""
+    if not isinstance(rho, PhaseCovariantState):
         return _eigvalsh(rho.matrix)
-    return np.sort(np.concatenate([_eigvalsh(b) for b in packed.charge_blocks()]))
+    return np.sort(np.concatenate([_eigvalsh(b) for b in rho.charge_blocks()]))
 
 
 def eigenvalues(rho: FockState) -> np.ndarray:
@@ -336,12 +308,11 @@ def eigenvalues(rho: FockState) -> np.ndarray:
 
 
 def spectral_path(rho: FockState) -> dict:
-    """How `eigenvalues(rho)` solves: `eigensolve` is "blocked" (by charge
-    sectors) or "dense", `off_block_norm` the norm that decided it (see
-    `_packed`), `storage` "diagonals" or "dense"."""
-    packed, norm = _packed(rho)
-    return {"eigensolve": "dense" if packed is None else "blocked", "off_block_norm": norm,
-            "storage": "diagonals" if isinstance(rho, PhaseCovariantState) else "dense"}
+    """How `eigenvalues(rho)` solves: by charge sectors on the diagonal storage
+    (`off_block_norm` 0.0), else by one dense solve (`off_block_norm` None)."""
+    if isinstance(rho, PhaseCovariantState):
+        return {"eigensolve": "blocked", "off_block_norm": 0.0, "storage": "diagonals"}
+    return {"eigensolve": "dense", "off_block_norm": None, "storage": "dense"}
 
 
 # ---------------------------------------------------------------------------

@@ -119,10 +119,8 @@ class GaussianState:
         return GaussianState(self.mean[idx], self.cov[np.ix_(idx, idx)], tuple(labels))
 
 
-def vacuum_state(n_modes: int = 1, labels=None) -> GaussianState:
-    if labels is None:
-        labels = ("A",) if n_modes == 1 else tuple(f"m{i}" for i in range(n_modes))
-    return GaussianState(np.zeros(2 * n_modes), 0.5 * np.eye(2 * n_modes), tuple(labels))
+def vacuum_state() -> GaussianState:
+    return GaussianState(np.zeros(2), 0.5 * np.eye(2))
 
 
 def thermal_state(N: float, label: str = "A") -> GaussianState:

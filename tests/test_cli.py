@@ -77,6 +77,15 @@ class TestConfigFile:
         args = cli.parse_config(["epi", "--config", str(conf), "--state", "vacuum"])
         assert args.state == "vacuum"
 
+    def test_state_default_depends_on_the_command(self, tmp_path):
+        # the beam splitter takes one-mode inputs, so it cannot default to a TMSV
+        assert cli.parse_config(["bs-epi"]).state == "thermal:1.0"
+        assert cli.parse_config(["epi"]).state == "tmsv:0.66"
+        conf = tmp_path / "run.conf"
+        conf.write_text("state = fock:1\n")
+        assert cli.parse_config(["bs-epi", "--config", str(conf)]).state == "fock:1"
+        assert cli.parse_config(["bs-epi", "--state", "vacuum"]).state == "vacuum"
+
     def test_malformed_line_names_offender(self, tmp_path):
         conf = tmp_path / "run.conf"
         conf.write_text("state thermal:1.0\n")
@@ -91,6 +100,11 @@ class TestConfigFile:
 
 
 class TestExitCodes:
+    @pytest.mark.parametrize("cmd", cli.COMMANDS)
+    def test_every_command_runs_on_its_defaults(self, cmd):
+        code, _, err = run_cli([cmd])
+        assert code == 0, err
+
     def test_capacity_ok(self):
         code, out, _ = run_cli(["capacity", "--E", "1", "--noise", "gauss:0.5"])
         assert code == 0
