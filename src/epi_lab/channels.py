@@ -257,22 +257,36 @@ def _sector_tensor(dims, transmissivity: float) -> np.ndarray:
     """G[j, b, k] = <j, b|U|k, j + b - k> (0 where j + b - k is no level of mode B) for the
     beam splitter U = exp(theta (a^dag b - a b^dag)) on cutoffs dims, cos(theta)^2 = transmissivity:
     one block per photon-number sector n = j + b, exact on the truncated space. A block's
-    generator theta (L - L^T), L its subdiagonal, is -i theta D J D* with D = diag(i^k) and
-    J = L + L^T = V diag(mu) V^T real symmetric tridiagonal, so the block is
-    I + D V (e^(-i theta mu) - 1) V^T D*: one eigh per sector, the identity exactly at theta = 0."""
+    generator theta (L - L^T), L its subdiagonal, couples even and odd local levels only: in
+    (even, odd) order it is theta [[0, P], [-P^T, 0]] with P bidiagonal, and with P = U S W^T
+    the block is [[I - 2 U sin^2(theta S / 2) U^T, U sin(theta S) W^T], [-W sin(theta S) U^T,
+    I - 2 W sin^2(theta S / 2) W^T]]. Every sector's P is zero-padded to one size for one batched
+    SVD (padding has S = 0 and adds exactly nothing); the identity exactly at theta = 0."""
     if not 0.0 <= transmissivity <= 1.0:
         raise ParameterError(f"transmissivity must be in [0, 1], got {transmissivity}")
     d1, d2 = dims
     theta = math.acos(math.sqrt(transmissivity))
-    G = np.zeros((d1, d2, d1))
-    powers_of_i = np.array([1, 1j, -1, -1j])
-    for n in range(d1 + d2 - 1):
-        ks = np.arange(max(0, n - d2 + 1), min(d1 - 1, n) + 1)
-        val = np.sqrt((ks[:-1] + 1.0) * (n - ks[:-1]))
-        mu, V = np.linalg.eigh(np.diag(val, -1) + np.diag(val, 1))
-        DD = powers_of_i[(ks[:, None] - ks) % 4]  # D[a] D*[b] = i^(a - b)
-        block = (DD * ((V * (np.exp(-1j * theta * mu) - 1.0)) @ V.T)).real
-        G[ks[:, None], n - ks[:, None], ks] = np.eye(ks.size) + block
+    h = (min(d1, d2) + 1) // 2
+    n = np.arange(d1 + d2 - 1)
+    k0, k1 = np.maximum(0, n - d2 + 1), np.minimum(d1 - 1, n)  # sector n: levels k0..k1 of mode A
+    lev = k0[:, None] + np.arange(2 * h - 1)  # L[i + 1, i] = sqrt((k + 1)(n - k)), k = k0 + i
+    val = np.sqrt(np.where(lev < k1[:, None], (lev + 1) * (n[:, None] - lev), 0))
+    a = np.arange(h)
+    P = np.zeros((n.size, h, h))  # P[a, a'] = (L - L^T)[2a, 2a' + 1]
+    P[:, a, a], P[:, a[1:], a[:-1]] = -val[:, ::2], val[:, 1::2]
+    U, S, Wt = np.linalg.svd(P)
+    c, s = -2 * np.sin(theta * S[:, None] / 2) ** 2, np.sin(theta * S[:, None])
+    B = np.zeros((n.size, h, 2, h, 2))  # B[n, a, p, a', p'] = block[2a + p, 2a' + p']
+    B[:, a, 0, a, 0] = B[:, a, 1, a, 1] = 1.0
+    B[:, :, 0, :, 0] += (U * c) @ U.transpose(0, 2, 1)
+    B[:, :, 0, :, 1] += (U * s) @ Wt  # added to zeros, so no -0.0 at theta = 0
+    B[:, :, 1, :, 0] -= B[:, :, 0, :, 1].transpose(0, 2, 1)
+    B[:, :, 1, :, 1] += (Wt.transpose(0, 2, 1) * c) @ Wt
+    del P, U, Wt  # freed before the gather, which holds B, G and its column index
+    j, b, k = np.ogrid[:d1, :d2, :d1]
+    k0, k1 = k0[j + b], k1[j + b]
+    G = B.reshape(-1, 2 * h)[2 * h * (j + b) + j - k0, np.clip(k - k0, 0, 2 * h - 1)]
+    G[(k < k0) | (k > k1)] = 0.0
     return G
 
 

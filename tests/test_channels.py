@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -282,19 +283,23 @@ class TestExtendedChannel:
             ch.extended_channel(noise, ch.Register([0.4, 0.6], [rho, rho]))
 
 
-# full and truncated sectors, mode A's cutoff above, below and equal to B's
-SECTOR_DIMS = [(12, 12), (40, 24), (24, 40), (64, 64)]
+# full and truncated sectors, mode A's cutoff above, below and equal to B's; one-level
+# modes, and odd and even min(dims), which set the padded half size of the sector blocks
+SECTOR_DIMS = [(1, 1), (1, 9), (9, 1), (2, 5), (5, 2), (12, 12), (17, 17), (30, 17), (28, 11),
+               (40, 24), (24, 40), (64, 64)]
 
 
 class TestBeamSplitter:
-    def test_unitary_orthogonal(self):
-        U = ch.beam_splitter_unitary((12, 12), 0.3)
-        assert np.abs(U @ U.T - np.eye(144)).max() <= 1e-12
+    @pytest.mark.parametrize("lam", [0.0, 0.3, 0.84])
+    @pytest.mark.parametrize("dims", SECTOR_DIMS, ids="{0[0]}x{0[1]}".format)
+    def test_unitary_orthogonal(self, dims, lam):
+        U = ch.beam_splitter_unitary(dims, lam)
+        assert np.abs(U @ U.T - np.eye(dims[0] * dims[1])).max() <= 1e-12
 
     @pytest.mark.parametrize("lam", [0.0, 0.3, 0.5])
     @pytest.mark.parametrize("dims", SECTOR_DIMS, ids="{0[0]}x{0[1]}".format)
     def test_sector_tensor_matches_the_matrix_exponential(self, dims, lam):
-        # one eigh of the tridiagonal generator per sector against one expm
+        # one batched SVD of the padded half-size generators against one expm per sector
         assert np.abs(ch._sector_tensor(dims, lam) - sector_tensor_expm(dims, lam)).max() <= 2e-12
 
     @pytest.mark.parametrize("dims", SECTOR_DIMS, ids="{0[0]}x{0[1]}".format)
@@ -303,6 +308,31 @@ class TestBeamSplitter:
         d1, d2 = dims
         identity = np.broadcast_to(np.eye(d1)[:, None, :], (d1, d2, d1))
         assert np.array_equal(ch._sector_tensor(dims, 1.0), identity)
+
+    def test_sector_tensor_makes_one_factorization(self, monkeypatch):
+        # every sector in one batched call, so no per-sector loop
+        calls = []
+
+        def counted(solver):
+            def call(*args, **kwargs):
+                calls.append(solver.__name__)
+                return solver(*args, **kwargs)
+            return call
+
+        monkeypatch.setattr(np.linalg, "svd", counted(np.linalg.svd))
+        monkeypatch.setattr(np.linalg, "eigh", counted(np.linalg.eigh))
+        ch._sector_tensor((40, 40), 0.5)
+        assert calls == ["svd"]
+
+    def test_sector_tensor_peak_memory(self):
+        # the padded blocks and the gather index stay within a few copies of G
+        tracemalloc.start()
+        try:
+            G = ch._sector_tensor((128, 128), 0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6 * G.nbytes
 
     def test_identity_and_swap(self):
         a, b = fk.coherent(0.7, 16), fk.thermal(0.4, 16, label="B")
