@@ -13,10 +13,14 @@ matrix product (`apply_one_mode_kernel`). `qou_superoperator` is the
 damping oracle; the displacement quadrature serves densities with no
 Gaussian form and the oracle tests. Its sums run in fixed chunk order, so
 repeated runs on one machine agree bit for bit.
+
+`heat_flow` dispatches on the side's type and `extended_channel` on the
+noise's: each type registers one implementation right below the function.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -239,16 +243,6 @@ def gaussian_noise_channel(rho: FockState, t: float, center=(0.0, 0.0), target: 
     return _finish(fk.conjugate_mode(D, x, k))
 
 
-def _noise_channel(f: GridPdf, rho: FockState) -> FockState:
-    """The channel of the density f on rho: in closed form when f is tagged
-    Gaussian, else by quadrature. Both validate f and its grid, which still
-    gives S(R|M)."""
-    if f.gaussian is None:
-        return classical_noise_channel(f, rho)
-    _check_quadrature(f)
-    return gaussian_noise_channel(rho, *f.gaussian)
-
-
 # ---------------------------------------------------------------------------
 # beam splitter and the damping semigroup
 
@@ -406,26 +400,23 @@ class Register:
     def mode_dims(self) -> tuple:
         return self.parts[0].mode_dims
 
-    def tail_mass(self) -> float:
-        return max(s.tail_mass() for s in self.parts)
 
-
+@functools.singledispatch
 def heat_flow(x, t: float):
     """X after the heat flow for time t, the isotropic Gaussian noise of
-    per-axis variance t, on any side: in closed form on the first mode of a
-    GaussianState and on a tagged Gaussian GridPdf, by `gaussian_noise_channel`
-    on the first mode of a FockState, by FFT convolution on any other GridPdf
-    (both in `classical_heat_flow`), and label by label on a Register. t = 0
-    is the identity; t < 0 raises NegativeTimeError."""
-    if isinstance(x, Register):
-        return Register(x.probs, [heat_flow(part, t) for part in x.parts])
-    if isinstance(x, GaussianState):
-        return gaussian_heat_flow(x, t, x.mode_labels[0])
-    if isinstance(x, FockState):
-        return gaussian_noise_channel(x, t)
-    if isinstance(x, GridPdf):
-        return classical_heat_flow(x, t)
+    per-axis variance t, on the first mode of a state, on a density (by
+    `classical_heat_flow`) or label by label on a Register. t = 0 is the
+    identity; t < 0 raises NegativeTimeError."""
     raise DomainError(f"unsupported side type {type(x).__name__}")
+
+@heat_flow.register(Register)
+def _(x, t): return Register(x.probs, [heat_flow(part, t) for part in x.parts])
+@heat_flow.register(GaussianState)
+def _(x, t): return gaussian_heat_flow(x, t, x.mode_labels[0])
+@heat_flow.register(FockState)
+def _(x, t): return gaussian_noise_channel(x, t)
+@heat_flow.register(GridPdf)
+def _(x, t): return classical_heat_flow(x, t)
 
 
 # perfbench/tracing.py wraps these names; the program calls `heat_flow`
@@ -443,17 +434,26 @@ def check_shared_register(noise: Register, state: Register):
         raise DomainError("noise and input registers have different label probabilities")
 
 
+@functools.singledispatch
 def extended_channel(noise, state):
     """Memory extension of the classical-noise channel, the output C with its
     memory M: the channel of a GridPdf acting on a FockState, or the per-label
     channels f_m * rho_m, as an A register, of an R register acting on the A
-    register with the same labels. A density tagged Gaussian (from
-    `gaussian_pdf`) runs `gaussian_noise_channel`, any other density
-    `classical_noise_channel`; `channel_path` names the outcome."""
-    if isinstance(noise, GridPdf) and isinstance(state, FockState):
-        return _noise_channel(noise, state)
+    register with the same labels; `check_shared_register` refuses any other
+    pair. `_noise_channel` picks the path, which `channel_path` names."""
     check_shared_register(noise, state)
     return Register(state.probs, [_noise_channel(f, s) for f, s in zip(noise.parts, state.parts)])
+
+@extended_channel.register(GridPdf)
+def _noise_channel(f: GridPdf, rho: FockState) -> FockState:
+    """The channel of the density f on the state rho, also for each label of a
+    register pair: in closed form when f is tagged Gaussian, else by
+    quadrature. Both validate f and its grid, which still gives S(R|M)."""
+    check_shared_register(Register([1.0], [f]), Register([1.0], [rho]))  # the pair as one label
+    if f.gaussian is None:
+        return classical_noise_channel(f, rho)
+    _check_quadrature(f)
+    return gaussian_noise_channel(rho, *f.gaussian)
 
 
 def channel_path(noise) -> str:

@@ -10,6 +10,7 @@ outright; a report passes iff margin >= -tolerance.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import time
@@ -134,7 +135,7 @@ class Instance:
             return a, ms.heat_flow(a, t), 1.0 + math.log(t), {}
         a, r = self.a(), self.r()
         out = ch.extended_channel(r, a)
-        diag = {"tail_mass": max(a.tail_mass(), out.tail_mass()), "cutoff": a.mode_dims[0],
+        diag = {"tail_mass": max(ms.provenance(x)["tail_mass"] for x in (a, out)), "cutoff": a.mode_dims[0],
                 "channel": ch.channel_path(r)}
         return a, out, ms.entropy(r), diag
 
@@ -272,7 +273,7 @@ def check_scaling(state, t_list, sigma_sq: float, name: str) -> CheckReport:
     return make_report(
         "scaling", {"instance": name, "t_list": list(t_list)},
         devs[-1], bound, margin, 0.0,
-        {**_grid(state), "deviations": devs, "sigma_sq": sigma_sq},
+        {**ms.provenance(state), "deviations": devs, "sigma_sq": sigma_sq},
     )
 
 
@@ -301,10 +302,7 @@ def check_tightness_noise_entropy(b: float) -> CheckReport:
     """The sampled noise density must reproduce S(R|M) = b to 1e-9."""
     f = ps.gaussian_pdf(math.exp(b - 1.0))
     dev = abs(ps.shannon_entropy(f) - b)
-    return make_report(
-        "tightness-noise-entropy", {"b": b}, dev, 1e-9, 1e-9 - dev, 0.0,
-        {"spacing": f.spacing, "grid": f.size},
-    )
+    return make_report("tightness-noise-entropy", {"b": b}, dev, 1e-9, 1e-9 - dev, 0.0, ms.provenance(f))
 
 
 def check_tightness_epi(a: float, b: float, k: float) -> CheckReport:
@@ -322,28 +320,12 @@ def check_tightness_epi(a: float, b: float, k: float) -> CheckReport:
 # isoperimetric inequalities
 
 
-def _tail(x) -> dict:
-    """The tail_mass diagnostic of a side with a Fock cutoff; {} without one."""
-    tail = ms.tail_mass(x)
-    return {} if tail is None else {"tail_mass": tail}
-
-
-def _grid(x) -> dict:
-    """The grid side and spacing of a density (lists, one entry per label, for
-    a Register of densities); {} for a side without a grid."""
-    if isinstance(x, ps.GridPdf):
-        return {"grid": x.size, "spacing": x.spacing}
-    if isinstance(x, ch.Register) and isinstance(x.parts[0], ps.GridPdf):
-        return {"grid": [f.size for f in x.parts], "spacing": [f.spacing for f in x.parts]}
-    return {}
-
-
 def check_isoperimetric(instance, name: str) -> CheckReport:
     """(1/n) J(X|M) exp S(X|M) >= e, with a 1e-2 relative slack, for any side
     X with its memory M."""
     j, s = ms.fisher(instance), ms.entropy(instance)
     lhs = j.value * math.exp(s)
-    diag = {**_tail(instance), **_grid(instance), "J": j.value, "S": s,
+    diag = {**ms.provenance(instance), "J": j.value, "S": s,
             "fisher_uncertainty": j.uncertainty, "ratio_to_e": lhs / math.e}
     return make_report(
         "isoperimetric", {"instance": name}, lhs, math.e, lhs - math.e, 1e-2 * math.e, diag
@@ -394,7 +376,7 @@ def check_fisher_isoperimetric(instance, name: str) -> CheckReport:
     tol = 3.0 * uncertainty
     return make_report(
         "fisher-isoperimetric", {"instance": name, "h": h}, val, 1.0, val - 1.0, tol,
-        {**_grid(instance), "inv_J": [f0, f2, f1], "uncertainty": uncertainty},
+        {**ms.provenance(instance), "inv_J": [f0, f2, f1], "uncertainty": uncertainty},
     )
 
 
@@ -412,9 +394,12 @@ def check_concavity_entropy_power(instance, t_grid, name: str) -> CheckReport:
         (powers[i + 1] - 2 * powers[i] + powers[i - 1]) / h ** 2 for i in range(1, len(powers) - 1)
     ]
     worst = max(quotients)
+    prov = ms.provenance(instance)
+    if "tail_mass" in prov:  # the last output's tail, but the input's grid
+        prov["tail_mass"] = ms.provenance(outs[-1])["tail_mass"]
     return make_report(
         "concavity", {"instance": name, "t_grid": t_grid}, worst, 0.0, -worst, 1e-3,
-        {**_tail(outs[-1]), **_grid(instance), "powers": powers, "h": h},
+        {**prov, "powers": powers, "h": h},
     )
 
 
@@ -436,7 +421,7 @@ def check_debruijn_regularity(state, t_list, name: str) -> CheckReport:
     margin = min(margins)
     return make_report(
         "debruijn-regularity", {"instance": name, "t_list": list(t_list)},
-        min(deltas), 0.0, margin, 0.0, {**_grid(state), "delta": deltas, "slack": slack},
+        min(deltas), 0.0, margin, 0.0, {**ms.provenance(state), "delta": deltas, "slack": slack},
     )
 
 
@@ -493,28 +478,35 @@ def check_capacity_monotone(E_list, noise_t: float) -> CheckReport:
 # damping semigroup decay
 
 
+@functools.singledispatch
+def _qou_decay(state, mu: float, lam: float, t_list):
+    """(D0, D(t) along t_list, tolerance, diagnostics, path) for `check_qou_decay`:
+    through the Fock channel, or in closed form for a GaussianState."""
+    omega = fk.thermal(ga.qou_mean_photon(mu, lam), state.mode_dims[0])
+    d0 = fk.relative_entropy(state, omega)
+    outs = [ch.qou_channel_fock(state, t, mu, lam) for t in t_list]
+    ds = [fk.relative_entropy(out, omega) for out in outs]
+    return d0, ds, 1e-4, {"tail_mass": max(s.tail_mass() for s in [state, *outs])}, "fock"
+
+@_qou_decay.register(ga.GaussianState)
+def _(state, mu, lam, t_list):
+    d0 = ga.relative_entropy_to_thermal_product(state, mu, lam)
+    ds = [ga.relative_entropy_to_thermal_product(ga.gaussian_qou_evolution(state, t, mu, lam), mu, lam)
+          for t in t_list]
+    return d0, ds, GAUSS_TOL, {}, "gaussian"
+
+
 def check_qou_decay(state, mu: float, lam: float, t_list) -> CheckReport:
     """Relative entropy against the fixed-point product must decay at least
     exponentially with rate mu^2 - lam^2: in closed form for a Gaussian
     state, through the Fock channel for a Fock state."""
     rate = mu ** 2 - lam ** 2
-    gaussian = isinstance(state, ga.GaussianState)
-    if gaussian:
-        d0 = ga.relative_entropy_to_thermal_product(state, mu, lam)
-        ds = [ga.relative_entropy_to_thermal_product(ga.gaussian_qou_evolution(state, t, mu, lam), mu, lam)
-              for t in t_list]
-        tol, diag, path = GAUSS_TOL, {}, "gaussian"
-    else:
-        omega = fk.thermal(ga.qou_mean_photon(mu, lam), state.mode_dims[0])
-        d0 = fk.relative_entropy(state, omega)
-        outs = [ch.qou_channel_fock(state, t, mu, lam) for t in t_list]
-        ds = [fk.relative_entropy(out, omega) for out in outs]
-        tol, diag, path = 1e-4, {"tail_mass": max(s.tail_mass() for s in [state, *outs])}, "fock"
+    d0, ds, tol, diag, path = _qou_decay(state, mu, lam, t_list)
     margins = [math.exp(-rate * t) * d0 - d for t, d in zip(t_list, ds)]
     diag.update({"D0": d0, "D_t": ds, "rate": rate})
     return make_report(
         "qou-decay",
-        {"mu": mu, "lambda": lam, "t_list": list(t_list), "path": path, "bipartite": gaussian},
+        {"mu": mu, "lambda": lam, "t_list": list(t_list), "path": path, "bipartite": path == "gaussian"},
         min(ds), d0, min(margins), tol, diag,
     )
 
@@ -524,7 +516,7 @@ def check_qou_fixed_point(mu: float, lam: float, t: float) -> CheckReport:
     dist = fk.trace_norm_distance(ch.qou_channel_fock(omega, t, mu, lam), omega)
     return make_report(
         "qou-fixed-point", {"mu": mu, "lambda": lam, "t": t}, dist, 1e-5, 1e-5 - dist, 0.0,
-        {"cutoff": omega.mode_dims[0], "tail_mass": omega.tail_mass()},
+        {"cutoff": omega.mode_dims[0], **ms.provenance(omega)},
     )
 
 
@@ -533,8 +525,8 @@ def check_qou_semigroup(state: fk.FockState, mu: float, lam: float, s: float, t:
     one_step = ch.qou_channel_fock(state, s + t, mu, lam)
     dist = fk.trace_norm_distance(two_step, one_step)
     return make_report(
-        "qou-semigroup", {"mu": mu, "lambda": lam, "s": s, "t": t}, dist, 1e-5, 1e-5 - dist,
-        0.0, {"tail_mass": one_step.tail_mass()},
+        "qou-semigroup", {"mu": mu, "lambda": lam, "s": s, "t": t}, dist, 1e-5, 1e-5 - dist, 0.0,
+        ms.provenance(one_step),
     )
 
 
@@ -549,7 +541,7 @@ def check_qou_gaussian_fock_agreement(r: float, t: float, mu: float, lam: float)
     dev = max(np.abs(cov_f - gs_out.cov).max(), np.abs(mean_f - gs_out.mean).max())
     return make_report(
         "qou-gaussian-fock-agreement", {"r": r, "t": t, "mu": mu, "lambda": lam},
-        dev, 1e-4, 1e-4 - dev, 0.0, {"tail_mass": out.tail_mass(), "cutoff": cutoff},
+        dev, 1e-4, 1e-4 - dev, 0.0, {**ms.provenance(out), "cutoff": cutoff},
     )
 
 
@@ -564,10 +556,8 @@ def check_beam_splitter_epi(rho_a: fk.FockState, rho_b: fk.FockState, lam: float
     rhs = lam * math.exp(fk.von_neumann_entropy(rho_a)) + (1 - lam) * math.exp(
         fk.von_neumann_entropy(rho_b)
     )
-    return make_report(
-        "bs-epi", {"instance": name, "lambda": lam}, lhs, rhs, lhs - rhs, 1e-4,
-        {"tail_mass": out.tail_mass()},
-    )
+    return make_report("bs-epi", {"instance": name, "lambda": lam}, lhs, rhs, lhs - rhs, 1e-4,
+                       ms.provenance(out))
 
 
 def check_classical_epi(g: ps.GridPdf, f: ps.GridPdf, name: str) -> CheckReport:
@@ -612,7 +602,7 @@ def check_crossrep(name: str) -> CheckReport:
     worst = max(devs.values())
     return make_report(
         "oracle-crossrep", {"state": name, "cutoff": st.mode_dims},
-        worst, 1e-6, 1e-6 - worst, 0.0, {**devs, "tail_mass": st.tail_mass(), **fk.spectral_path(st)},
+        worst, 1e-6, 1e-6 - worst, 0.0, {**devs, **ms.provenance(st), **fk.spectral_path(st)},
     )
 
 
@@ -626,7 +616,7 @@ def check_convolution_oracle(t: float, cutoff: int = 60) -> CheckReport:
     elapsed = (time.perf_counter() - start) * 1000.0
     return make_report(
         "conv-vacuum-entropy", {"t": t, "cutoff": cutoff}, s, ga.g_function(t), 1e-4 - dev, 0.0,
-        {"tail_mass": out.tail_mass(), "grid": f.size, "spacing": f.spacing,
+        {**ms.provenance(out), **ms.provenance(f),
          "trace_drift": out.trace_drift, "channel": ch.channel_path(f), "channel_ms": elapsed},
     )
 

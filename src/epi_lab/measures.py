@@ -6,16 +6,20 @@ input A or the classical noise R:
 - `fisher(x, h0)`: J(X|M), the derivative of S(X|M) along the heat flow at
   t = 0 (de Bruijn), by forward differences with Richardson extrapolation;
 - `entropy_gain(x, t)`: S(X|M) gained along the heat flow in time t, the
-  integral of J(X|M) over [0, t].
+  integral of J(X|M) over [0, t];
+- `provenance(x)`: how the side is represented (Fock tail, grid), for reports.
 
 A side is a GaussianState or a FockState (A, whose second mode, if any, is
 M), a GridPdf (R independent of A and M), or a `Register` of either (M a
-classical register, taken label by label). The type dispatch lives here and
-in `heat_flow`; callers pass any side.
+classical register, taken label by label); callers pass any side. `entropy`
+and `provenance` (and `heat_flow` in `channels`) dispatch on its type: each
+side type registers one implementation right below the function, calling it
+by module-level name so that a wrapper installed on that name sees the call.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -39,19 +43,21 @@ class FisherEstimate:
         self.uncertainty = abs(float(self.uncertainty))
 
 
+@functools.singledispatch
 def entropy(x) -> float:
     """S(X|M): the entropy of a one-mode state or of a density, the
     conditional entropy of the first mode given the second of a two-mode
     state, and the label average sum_m p_m S(X_m) of a Register."""
-    if isinstance(x, Register):
-        return float(sum(p * entropy(part) for p, part in zip(x.probs, x.parts)))
-    if isinstance(x, GridPdf):
-        return shannon_entropy(x)
-    if isinstance(x, GaussianState):
-        return gaussian_entropy(x) if x.n_modes == 1 else gaussian_conditional_entropy(x, *x.mode_labels)
-    if isinstance(x, fk.FockState):
-        return fk.von_neumann_entropy(x) if x.n_modes == 1 else fk.conditional_entropy(x, *x.mode_labels)
     raise DomainError(f"unsupported side type {type(x).__name__}")
+
+@entropy.register(Register)
+def _(x): return float(sum(p * entropy(part) for p, part in zip(x.probs, x.parts)))
+@entropy.register(GridPdf)
+def _(x): return shannon_entropy(x)
+@entropy.register(GaussianState)
+def _(x): return gaussian_entropy(x) if x.n_modes == 1 else gaussian_conditional_entropy(x, *x.mode_labels)
+@entropy.register(fk.FockState)
+def _(x): return fk.von_neumann_entropy(x) if x.n_modes == 1 else fk.conditional_entropy(x, *x.mode_labels)
 
 
 def entropy_gain(x, t: float) -> float:
@@ -63,12 +69,23 @@ def entropy_gain(x, t: float) -> float:
     return entropy(heat_flow(x, t)) - entropy(x)
 
 
-def tail_mass(x):
-    """Fock truncation tail of a side (the largest over a register's labels);
-    None for a Gaussian state or a density, which have no cutoff."""
-    if isinstance(x, fk.FockState) or isinstance(x, Register) and isinstance(x.parts[0], fk.FockState):
-        return x.tail_mass()
-    return None
+@functools.singledispatch
+def provenance(x) -> dict:
+    """How a side is represented, for report diagnostics: the Fock truncation
+    tail of a state, the grid side and spacing of a density, the largest tail
+    or the per-label lists of a Register; {} for a Gaussian state."""
+    raise DomainError(f"unsupported side type {type(x).__name__}")
+
+@provenance.register(Register)
+def _(x):
+    parts = [provenance(part) for part in x.parts]
+    return {k: max(p[k] for p in parts) if k == "tail_mass" else [p[k] for p in parts] for k in parts[0]}
+@provenance.register(GridPdf)
+def _(x): return {"grid": x.size, "spacing": x.spacing}
+@provenance.register(GaussianState)
+def _(x): return {}
+@provenance.register(fk.FockState)
+def _(x): return {"tail_mass": x.tail_mass()}
 
 
 def _richardson(f0: float, values, h0: float) -> FisherEstimate:
@@ -85,13 +102,20 @@ def _richardson(f0: float, values, h0: float) -> FisherEstimate:
     return est
 
 
+@functools.singledispatch
 def _check_fisher_grid(x, h0: float):
     """Refuse an untagged density whose grid does not resolve the smallest
-    Fisher step h0/4 (a tagged Gaussian flows in closed form on any grid)."""
-    fine = resolving_spacing(h0 / 4) * (1 + 1e-12)
-    for f in x.parts if isinstance(x, Register) else (x,):
-        if isinstance(f, GridPdf) and f.gaussian is None and f.spacing > fine:
-            raise QuadratureError(f"spacing {f.spacing:.4g} too coarse for Fisher step h0={h0}")
+    Fisher step h0/4 (a tagged Gaussian flows in closed form on any grid);
+    a state has no grid to refuse."""
+
+@_check_fisher_grid.register(Register)
+def _(x, h0):
+    for part in x.parts:
+        _check_fisher_grid(part, h0)
+@_check_fisher_grid.register(GridPdf)
+def _(f, h0):
+    if f.gaussian is None and f.spacing > resolving_spacing(h0 / 4) * (1 + 1e-12):
+        raise QuadratureError(f"spacing {f.spacing:.4g} too coarse for Fisher step h0={h0}")
 
 
 def fisher(x, h0: float = 1e-2) -> FisherEstimate:

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -197,7 +198,19 @@ class TestEntropyAndHeatFlowA:
         # a density is a side too (the noise R), so only a non-side is refused
         with pytest.raises(DomainError):
             ms.entropy("not a state")
+        with pytest.raises(DomainError):
+            ms.heat_flow("not a state", 0.1)
 
+
+# (module, name, a call that must reach that module attribute): the
+# implementations behind the entropy and heat-flow registrations
+BY_NAME = {
+    "shannon_entropy": (ms, lambda: ms.entropy(ps.gaussian_pdf(0.3))),
+    "gaussian_entropy": (ms, lambda: ms.entropy(ga.thermal_state(0.8))),
+    "classical_heat_flow": (ch, lambda: ms.heat_flow(ps.gaussian_pdf(0.3), 0.1)),
+    "gaussian_heat_flow": (ch, lambda: ms.heat_flow(ga.thermal_state(0.8), 0.1)),
+    "gaussian_noise_channel": (ch, lambda: ms.heat_flow(fk.thermal(0.8, 40), 0.1)),
+}
 
 # one part of each register kind, with the array that holds it
 PARTS = {
@@ -217,6 +230,37 @@ class TestOneVocabulary:
         assert ms.fisher(reg) == ms.fisher(x)
         (out_reg,), out = ms.heat_flow(reg, 0.3).parts, ms.heat_flow(x, 0.3)
         assert np.array_equal(array(out_reg), array(out))
+
+    @pytest.mark.parametrize("name", sorted(BY_NAME))
+    def test_registrations_call_by_module_name(self, monkeypatch, name):
+        # a wrapper on every module attribute bound to the implementation, as
+        # perfbench's tracer installs its spans, sees the call; a registration
+        # that holds the function object itself would bypass it
+        module, call = BY_NAME[name]
+        orig, calls = getattr(module, name), []
+
+        def counting(*args, **kwargs):
+            calls.append(name)
+            return orig(*args, **kwargs)
+
+        for mod in [m for n, m in list(sys.modules.items()) if n.partition(".")[0] == "epi_lab"]:
+            for attr, value in list(vars(mod).items()):
+                if value is orig:
+                    monkeypatch.setattr(mod, attr, counting)
+        call()
+        assert calls == [name]
+
+    def test_provenance_of_each_side(self):
+        st, other = fk.fock(1, 40), fk.thermal(0.8, 40)
+        f, g = ps.gaussian_pdf(0.3, spacing=0.05), ps.gaussian_pdf(0.5, spacing=0.1)
+        assert ms.provenance(ga.tmsv_state(0.3)) == {}
+        assert ms.provenance(other) == {"tail_mass": other.tail_mass()}
+        assert ms.provenance(f) == {"grid": f.size, "spacing": 0.05}
+        # a register: the largest tail of its labels, or lists of their grids
+        assert st.tail_mass() < other.tail_mass()
+        assert ms.provenance(ch.Register([0.5, 0.5], [st, other])) == {"tail_mass": other.tail_mass()}
+        assert ms.provenance(ch.Register([0.5, 0.5], [f, g])) == {"grid": [f.size, g.size],
+                                                                  "spacing": [0.05, 0.1]}
 
     def test_mixed_or_quantum_noise_parts_refused(self):
         with pytest.raises(UnsupportedFamilyError):
