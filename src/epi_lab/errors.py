@@ -25,10 +25,6 @@ class NonPositiveError(EpiLabError):
     """Matrix expected to be positive definite is not."""
 
 
-class PairingError(EpiLabError):
-    """Eigenvalues of the symplectic spectrum cannot be paired."""
-
-
 class PhysicalityError(EpiLabError):
     """Covariance matrix violates the uncertainty bound."""
 

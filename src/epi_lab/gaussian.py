@@ -17,7 +17,6 @@ from .errors import (
     LabelError,
     NegativeTimeError,
     NonPositiveError,
-    PairingError,
     ParameterError,
     PhysicalityError,
 )
@@ -25,22 +24,19 @@ from .fock import xlogx
 
 SYMMETRY_TOL = 1e-10
 PHYSICALITY_TOL = 1e-9
-PAIRING_TOL = 1e-8
 
 
 def symplectic_form(n_modes: int) -> np.ndarray:
     """Block-diagonal symplectic form with 2x2 blocks ((0, 1), (-1, 0))."""
-    block = np.array([[0.0, 1.0], [-1.0, 0.0]])
-    return np.kron(np.eye(n_modes), block)
+    upper = np.diag(np.resize([1.0, 0.0], 2 * n_modes - 1), 1)
+    return upper - upper.T
 
 
-def symplectic_eigenvalues(cov: np.ndarray, pair_tol: float = PAIRING_TOL) -> np.ndarray:
-    """Symplectic spectrum of a positive definite covariance matrix.
-
-    The eigenvalues of inv(Delta) @ cov come in +/- conjugate pairs; the
-    absolute values are paired by magnitude and one representative (the pair
-    mean) is returned per mode, in descending order.
-    """
+def symplectic_eigenvalues(cov: np.ndarray) -> np.ndarray:
+    """Symplectic spectrum nu_1 >= ... >= nu_n of a positive definite covariance:
+    with cov = L L^T (Cholesky), i Delta cov is similar to the Hermitian
+    i L^T Delta L, whose eigenvalues are +/- nu_k (Serafini, Quantum Continuous
+    Variables, 2017), so one eigvalsh gives them with no pairing to tune."""
     cov = np.asarray(cov, dtype=float)
     n2 = cov.shape[0]
     if cov.shape != (n2, n2) or n2 % 2:
@@ -48,18 +44,11 @@ def symplectic_eigenvalues(cov: np.ndarray, pair_tol: float = PAIRING_TOL) -> np
     scale = max(1.0, float(np.abs(cov).max()))
     if np.abs(cov - cov.T).max() > SYMMETRY_TOL * scale:
         raise DomainError("covariance matrix is not symmetric")
-    if np.linalg.eigvalsh(cov).min() <= 0:
-        raise NonPositiveError("covariance matrix is not positive definite")
-    delta = symplectic_form(n2 // 2)
-    # inv(Delta) = -Delta for this block convention
-    mags = np.sort(np.abs(np.linalg.eigvals(-delta @ cov)))[::-1]
-    nus = []
-    for i in range(0, n2, 2):
-        a, b = mags[i], mags[i + 1]
-        if abs(a - b) > pair_tol * max(a, b, 1e-300):
-            raise PairingError(f"cannot pair symplectic spectrum values {a!r} and {b!r}")
-        nus.append(0.5 * (a + b))
-    return np.array(nus)
+    try:
+        low = np.linalg.cholesky(cov)
+    except np.linalg.LinAlgError:
+        raise NonPositiveError("covariance matrix is not positive definite") from None
+    return np.linalg.eigvalsh(1j * low.T @ symplectic_form(n2 // 2) @ low)[::-1][: n2 // 2]
 
 
 def g_function(N: float) -> float:
@@ -88,11 +77,8 @@ class GaussianState:
             raise LabelError("mode_labels must name each (Q, P) pair exactly once")
         if len(set(self.mode_labels)) != len(self.mode_labels):
             raise LabelError("mode_labels must be distinct")
-        scale = max(1.0, float(np.abs(self.cov).max()))
-        if np.abs(self.cov - self.cov.T).max() > SYMMETRY_TOL * scale:
-            raise DomainError("covariance matrix is not symmetric")
-        self.cov = 0.5 * (self.cov + self.cov.T)
         nu_min = symplectic_eigenvalues(self.cov).min()
+        self.cov = 0.5 * (self.cov + self.cov.T)
         if nu_min < 0.5 - PHYSICALITY_TOL:
             raise PhysicalityError(f"minimum symplectic eigenvalue {nu_min} < 1/2")
 
@@ -149,16 +135,23 @@ def gaussian_conditional_entropy(state: GaussianState, target: str, memory: str)
     return gaussian_entropy(joint) - gaussian_entropy(state.marginal(memory))
 
 
+def _scale_mode(state: GaussianState, target: str, s: float, block: np.ndarray) -> GaussianState:
+    """One-mode map: the target mode's mean and covariance rows and columns
+    scale by s, then its covariance block gains `block`."""
+    idx = state.indices(state.mode_labels[0] if target is None else target)
+    mean, cov = state.mean.copy(), state.cov.copy()
+    mean[idx] *= s
+    cov[idx] *= s
+    cov[:, idx] *= s
+    cov[np.ix_(idx, idx)] += block
+    return GaussianState(mean, cov, state.mode_labels)
+
+
 def gaussian_heat_flow(state: GaussianState, t: float, target: str = None) -> GaussianState:
     """Additive-noise evolution: adds t * I to the target mode's covariance block."""
     if t < 0:
         raise NegativeTimeError(f"heat flow requires t >= 0, got {t}")
-    if target is None:
-        target = state.mode_labels[0]
-    idx = state.indices(target)
-    cov = state.cov.copy()
-    cov[np.ix_(idx, idx)] += t * np.eye(2)
-    return GaussianState(state.mean.copy(), cov, state.mode_labels)
+    return _scale_mode(state, target, 1.0, t * np.eye(2))
 
 
 def tmsv_covariance(r: float) -> np.ndarray:
@@ -243,32 +236,19 @@ def gaussian_qou_evolution(
     """Damping-semigroup evolution of one mode, as a beam splitter of
     transmissivity eta = exp(-(mu^2 - lam^2) t) against the thermal fixed point.
 
-    The target covariance block becomes eta * block + (1 - eta) * steady,
-    cross blocks scale by sqrt(eta) and the target mean by sqrt(eta).
+    The target mean and covariance rows and columns scale by sqrt(eta), so its
+    block becomes eta * block, and the block gains (1 - eta) * steady.
     """
     _check_qou_params(mu, lam)
     if t < 0:
         raise NegativeTimeError(f"qOU evolution requires t >= 0, got {t}")
-    if target is None:
-        target = state.mode_labels[0]
     eta = math.exp(-(mu ** 2 - lam ** 2) * t)
-    idx = state.indices(target)
-    rest = [i for i in range(2 * state.n_modes) if i not in idx]
-    cov = state.cov.copy()
-    cov[np.ix_(idx, idx)] = eta * cov[np.ix_(idx, idx)] + (1 - eta) * qou_steady_covariance(mu, lam)
-    if rest:
-        cov[np.ix_(idx, rest)] *= math.sqrt(eta)
-        cov[np.ix_(rest, idx)] *= math.sqrt(eta)
-    mean = state.mean.copy()
-    mean[idx] *= math.sqrt(eta)
-    return GaussianState(mean, cov, state.mode_labels)
+    return _scale_mode(state, target, math.sqrt(eta), (1 - eta) * qou_steady_covariance(mu, lam))
 
 
 def mean_photon_number(state: GaussianState, label: str = None) -> float:
     """tr[n_hat rho] for one mode: (tr block)/2 - 1/2 + |mean|^2 / 2."""
-    if label is None:
-        label = state.mode_labels[0]
-    idx = state.indices(label)
+    idx = state.indices(state.mode_labels[0] if label is None else label)
     block = state.cov[np.ix_(idx, idx)]
     return float(np.trace(block) / 2.0 - 0.5 + np.dot(state.mean[idx], state.mean[idx]) / 2.0)
 

@@ -162,6 +162,14 @@ class TestExitCodes:
         code, _, err = run_cli(["stam", "--state", "thermal:0.5", "--noise", f"file:{path}"])
         assert code == 2 and "QuadratureError" in err
 
+    def test_stam_on_unresolved_file_noise_is_2(self, tmp_path):
+        # a delta on a fine grid passes the spacing check, but its Fisher
+        # ladder does not converge (J is infinite)
+        path = tmp_path / "noise.grid"
+        ps.save_gridpdf(ps.delta_pdf(0.0125), path)
+        code, _, err = run_cli(["stam", "--state", "thermal:0.5", "--noise", f"file:{path}"])
+        assert code == 2 and "ConvergenceError" in err
+
     def test_numeric_error_is_2(self):
         code, _, err = run_cli(["qou", "--state", "fock:1", "--mu", "1", "--lambda", "1.5"])
         assert code == 2 and "ParameterError" in err

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import expm
 
 from epi_lab import gaussian as ga
 from epi_lab import phase_space as ps
@@ -72,13 +73,25 @@ class TestSymplecticEigenvalues:
         with pytest.raises(DomainError):
             ga.symplectic_eigenvalues(np.array([[1.0, 0.5], [0.0, 1.0]]))
 
-    def test_tight_pairing_tolerance_accepts_valid_spectra(self):
-        # conjugate pairs come out of the eigensolver with equal magnitude,
-        # so even a zero tolerance must accept a genuine covariance
-        rng = np.random.default_rng(5)
-        cov = random_physical_state(rng).cov
-        nus = ga.symplectic_eigenvalues(cov, pair_tol=1e-12)
-        assert len(nus) == 2
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_williamson_spectra(self, n):
+        # cov = S diag(nu_1, nu_1, ..., nu_n, nu_n) S^T with the symplectic
+        # S = expm(Delta H), H symmetric: Williamson's theorem with known nu
+        rng = np.random.default_rng(40 + n)
+        for _ in range(5):
+            g = rng.standard_normal((2 * n, 2 * n))
+            h = 0.8 * rng.random() * (g + g.T) / np.linalg.norm(g + g.T, 2)
+            sym = expm(ga.symplectic_form(n) @ h)
+            nus = np.sort(0.5 + 3.0 * rng.random(n))[::-1]
+            cov = sym @ np.diag(np.repeat(nus, 2)) @ sym.T
+            found = ga.symplectic_eigenvalues(0.5 * (cov + cov.T))
+            assert np.abs(found - nus).max() <= 1e-12 * nus.max()
+
+    @pytest.mark.parametrize("k", [2, 4, 8, 16, 24, 32, 40])
+    def test_tightness_range(self, k):
+        # the rounded TMSV covariance drifts off the vacuum bound like eps k^4
+        nus = ga.symplectic_eigenvalues(ga.tightness_state(k).cov)
+        assert np.abs(nus - 0.5).max() <= 1e-9
 
 
 class TestGFunction:

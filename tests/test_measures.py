@@ -10,7 +10,13 @@ from epi_lab import fock as fk
 from epi_lab import gaussian as ga
 from epi_lab import measures as ms
 from epi_lab import phase_space as ps
-from epi_lab.errors import DomainError, NegativeTimeError, QuadratureError, UnsupportedFamilyError
+from epi_lab.errors import (
+    ConvergenceError,
+    DomainError,
+    NegativeTimeError,
+    QuadratureError,
+    UnsupportedFamilyError,
+)
 from oracles import untagged
 
 
@@ -165,6 +171,14 @@ class TestFisherEstimates:
     def test_unsupported_type(self):
         with pytest.raises(DomainError):
             ms.fisher("not a state")
+
+    def test_unresolved_estimate_raises_convergence_error(self):
+        # a delta has J = infinity: its ladder reads 3696 +/- 469, over the 5 % guard
+        for f in (ps.delta_pdf(0.0125), ps.uniform_square_pdf(1.0, 0.0125)):
+            with pytest.raises(ConvergenceError):
+                ms.fisher(f)
+        with pytest.raises(ConvergenceError):
+            ms.FisherEstimate(float("inf"), 0.0)
 
 
 PAIRS = {
