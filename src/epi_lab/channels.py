@@ -37,7 +37,7 @@ from .errors import (
 )
 from .fock import FockState, displacement_batch, log_factorials, thermal, thermal_cutoff
 from .gaussian import GaussianState, _check_qou_params, gaussian_heat_flow, qou_mean_photon
-from .phase_space import GridPdf, classical_heat_flow, gaussian_pdf, moments, resolving_spacing
+from .phase_space import GridPdf, classical_heat_flow, gaussian_pdf, largest_variance, resolving_spacing
 
 CHUNK = 1024
 TRACE_DRIFT_LIMIT = 1e-4
@@ -50,8 +50,7 @@ CENTER_PAD = 16
 def _check_quadrature(f: GridPdf):
     """Validate the density f, then require its grid spacing to resolve it."""
     f.validate()
-    _, cov = moments(f)
-    t_eq = float(np.linalg.eigvalsh(cov).max())
+    t_eq = largest_variance(f)
     limit = resolving_spacing(t_eq)
     if f.spacing > limit * (1 + 1e-12):
         raise QuadratureError(
@@ -405,8 +404,8 @@ class Register:
 def heat_flow(x, t: float):
     """X after the heat flow for time t, the isotropic Gaussian noise of
     per-axis variance t, on the first mode of a state, on a density (by
-    `classical_heat_flow`) or label by label on a Register. t = 0 is the
-    identity; t < 0 raises NegativeTimeError."""
+    `classical_heat_flow`) or label by label on a Register. t = 0 returns an
+    exact copy and t < 0 raises NegativeTimeError (`entropy_gain` relies on both)."""
     raise DomainError(f"unsupported side type {type(x).__name__}")
 
 @heat_flow.register(Register)

@@ -75,9 +75,7 @@ def parse_state_spec(spec: str, cutoff: int, seed: int):
             return fk.cat(_finite(arg), cutoff), None
         if kind == "random":
             return fk.random_mixed(int(arg), cutoff, seed), None
-    except (ValueError, EpiLabError) as exc:
-        if isinstance(exc, EpiLabError) and not isinstance(exc, UsageError):
-            raise
+    except (ValueError, UsageError) as exc:
         raise UsageError(f"bad state spec {spec!r}: {exc}") from exc
     raise UsageError(f"unknown state constructor {kind!r} in {spec!r}")
 
@@ -236,7 +234,10 @@ def parse_config(argv):
 
 
 def _lam_value(args):
+    """The --lambda value: a finite number, or "optimal", which only linear-epi takes."""
     if args.lam == "optimal":
+        if args.command != "linear-epi":
+            raise UsageError(f"{args.command} needs a numeric --lambda")
         return "optimal"
     try:
         return _finite(args.lam)
@@ -257,7 +258,7 @@ def run_command(args) -> list:
         return hn.check_stam(parse_instance(args.state, args.noise, args))
     if cmd == "scaling":
         r = parse_instance(args.state, args.noise, args).r()
-        sigma = max(float(np.linalg.eigvalsh(ps.moments(f)[1]).max()) for f in ch.Register.of(r).parts)
+        sigma = max(ps.largest_variance(f) for f in ch.Register.of(r).parts)
         return [hn.check_scaling(r, t_list, sigma, args.state)]
     if cmd == "tightness":
         k_list = _parse_floats(args.k_list)
@@ -276,22 +277,15 @@ def run_command(args) -> list:
     if cmd == "capacity":
         f = parse_noise_spec(args.noise, args.grid_spacing)
         val = hn.capacity_bound(args.E, f)
-        rep = hn.make_report(
-            "capacity-bound", {"E": args.E, "noise": args.noise}, val, 0.0, val, 0.0,
-            {"E0": ps.energy(f) / 2.0, "S0": ps.shannon_entropy(f)},
-        )
-        return [rep]
+        return [hn.make_report("capacity-bound", {"E": args.E, "noise": args.noise}, val, 0.0, val, 0.0,
+                               hn.capacity_terms(f))]
     if cmd == "qou":
         lam = _lam_value(args)
-        if lam == "optimal":
-            raise UsageError("qou needs a numeric --lambda")
         r = _tmsv_r(args.state)
         state = parse_state_spec(args.state, args.cutoff, args.seed)[0] if r is None else ga.tmsv_state(r)
         return [hn.check_qou_decay(state, args.mu, lam, t_list)]
     if cmd == "bs-epi":
         lam = _lam_value(args)
-        if lam == "optimal":
-            raise UsageError("bs-epi needs a numeric --lambda")
         st_a, _ = parse_state_spec(args.state, args.cutoff, args.seed)
         st_b, _ = parse_state_spec(args.state_b, args.cutoff, args.seed)
         return [hn.check_beam_splitter_epi(st_a, st_b, lam, f"{args.state}|{args.state_b}")]

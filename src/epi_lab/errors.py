@@ -41,11 +41,7 @@ class TailError(EpiLabError):
     """Fock truncation leaves too much population in the top level."""
 
 
-class StateInvariantError(EpiLabError):
-    """Density operator violates hermiticity, trace or positivity bounds."""
-
-
-class NegativeEigenvalueError(StateInvariantError):
+class NegativeEigenvalueError(EpiLabError):
     """Eigenvalue below the negativity clamp threshold."""
 
 

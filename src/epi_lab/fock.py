@@ -65,6 +65,16 @@ def quadrature_ops(d: int):
     return q, p
 
 
+def _check_modes(dims, labels) -> tuple:
+    """The labels as a tuple; refuses cutoffs outside [1, MAX_CUTOFF] or not one label per mode."""
+    if any(d < 1 or d > MAX_CUTOFF for d in dims):
+        raise DomainError(f"mode cutoffs must be in [1, {MAX_CUTOFF}]")
+    labels = tuple(labels)
+    if len(labels) != len(dims):
+        raise LabelError("one label per mode required")
+    return labels
+
+
 @dataclass
 class FockState:
     """Density operator on one or two truncated bosonic modes; `trace_drift`
@@ -79,13 +89,9 @@ class FockState:
         self.mode_dims = tuple(int(d) for d in self.mode_dims)
         if not 1 <= len(self.mode_dims) <= 2:
             raise DomainError("FockState supports one or two modes")
-        if any(d < 1 or d > MAX_CUTOFF for d in self.mode_dims):
-            raise DomainError(f"mode cutoffs must be in [1, {MAX_CUTOFF}]")
         if self.mode_labels is None:
             self.mode_labels = ("A",) if len(self.mode_dims) == 1 else ("A", "M")
-        self.mode_labels = tuple(self.mode_labels)
-        if len(self.mode_labels) != len(self.mode_dims):
-            raise LabelError("one label per mode required")
+        self.mode_labels = _check_modes(self.mode_dims, self.mode_labels)
         dim = int(np.prod(self.mode_dims))
         self.matrix = np.asarray(self.matrix, dtype=complex)
         if self.matrix.shape != (dim, dim):
@@ -185,12 +191,8 @@ class PhaseCovariantState(FockState):
 
     def __init__(self, d: int, diagonals, mode_labels=("A", "M"), trace_drift: float = 0.0):
         d = int(d)
-        if not 1 <= d <= MAX_CUTOFF:
-            raise DomainError(f"mode cutoffs must be in [1, {MAX_CUTOFF}]")
         self.mode_dims = (d, d)
-        self.mode_labels = tuple(mode_labels)
-        if len(self.mode_labels) != 2:
-            raise LabelError("one label per mode required")
+        self.mode_labels = _check_modes(self.mode_dims, mode_labels)
         self.diagonals = np.asarray(diagonals, dtype=complex)
         if self.diagonals.shape != (_offsets(d)[-1],):
             raise DimensionMismatchError(f"{self.diagonals.shape} entries do not fit cutoff {d}")
@@ -397,8 +399,7 @@ def two_mode_squeezed_vacuum(r: float, d: int, labels=("A", "M")) -> PhaseCovari
     X_q[i, i] = c_{i + |q|} c_i."""
     if r < 0:
         raise DomainError("squeezing parameter must be nonnegative")
-    if not 1 <= d <= MAX_CUTOFF:  # checked before the storage is allocated
-        raise DomainError(f"mode cutoffs must be in [1, {MAX_CUTOFF}]")
+    _check_modes((d, d), labels)  # before the storage is allocated
     c = math.tanh(r) ** np.arange(d)
     c /= np.linalg.norm(c)
     state = PhaseCovariantState(d, np.zeros(_offsets(d)[-1], dtype=complex), labels)

@@ -201,11 +201,10 @@ def tightness_family(k: float, a: float, b: float):
     Returns (rho_AM, f, rho_CM): the two-mode state heat-flowed by exp(a-1)
     on A, the Gaussian noise density with variance exp(b-1) as a grid pdf,
     and the channel output state whose A-block gains exp(a-1) + exp(b-1).
+    `tightness_covariance` refuses k < 1.
     """
     from .phase_space import gaussian_pdf
 
-    if k < 1:
-        raise DomainError(f"tightness family requires k >= 1, got {k}")
     ta, tb = math.exp(a - 1.0), math.exp(b - 1.0)
     rho_am = gaussian_heat_flow(tightness_state(k), ta, "A")
     f = gaussian_pdf(tb)

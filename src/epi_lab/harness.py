@@ -14,7 +14,7 @@ import functools
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable
 
 import numpy as np
@@ -29,6 +29,7 @@ from .errors import DomainError
 GAUSS_TOL = 1e-9
 FOCK_TOL = 1e-3
 PATH_AGREEMENT_TOL = 1e-4
+_KEY = {"passed": "pass"}  # the one report field whose dict key is not its name
 
 
 @dataclass
@@ -45,29 +46,14 @@ class CheckReport:
     diagnostics: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "check_name": self.check_name,
-            "params": self.params,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "margin": self.margin,
-            "tolerance": self.tolerance,
-            "pass": self.passed,
-            "diagnostics": self.diagnostics,
-        }
+        """One key per field, `passed` written as "pass"."""
+        return {_KEY.get(f.name, f.name): getattr(self, f.name) for f in fields(self)}
 
     @classmethod
     def from_dict(cls, d: dict) -> "CheckReport":
-        return cls(
-            check_name=d["check_name"],
-            params=d["params"],
-            lhs=d["lhs"],
-            rhs=d["rhs"],
-            margin=d["margin"],
-            tolerance=d["tolerance"],
-            passed=d["pass"],
-            diagnostics=d.get("diagnostics", {}),
-        )
+        """The inverse of `to_dict`: missing diagnostics read as {}, unknown keys are ignored."""
+        names = {_KEY.get(f.name, f.name): f.name for f in fields(cls)}
+        return cls(**{names[k]: v for k, v in d.items() if k in names})
 
 
 def make_report(name, params, lhs, rhs, margin, tolerance, diagnostics=None) -> CheckReport:
@@ -444,24 +430,26 @@ def check_debruijn_consistency(reg: ch.Register, t: float) -> CheckReport:
 # capacity bound
 
 
+def capacity_terms(f: ps.GridPdf) -> dict:
+    """The noise terms of the capacity bound: E0 = energy(f)/2 and S0 = S(f)."""
+    return {"E0": ps.energy(f) / 2.0, "S0": ps.shannon_entropy(f)}
+
+
 def capacity_bound(E: float, f: ps.GridPdf) -> float:
     """Entanglement-assisted capacity bound g(E + E0) - log(e^{-g(E)} + e^{S0})
-    with E0 = energy(f)/2 and S0 the noise entropy (single mode)."""
+    with the noise terms of `capacity_terms` (single mode)."""
     if E <= 0:
         raise DomainError("energy budget must be positive")
-    e0 = ps.energy(f) / 2.0
-    s0 = ps.shannon_entropy(f)
-    return ga.g_function(E + e0) - math.log(math.exp(-ga.g_function(E)) + math.exp(s0))
+    terms = capacity_terms(f)
+    return ga.g_function(E + terms["E0"]) - math.log(math.exp(-ga.g_function(E)) + math.exp(terms["S0"]))
 
 
 def check_capacity_value(E: float, noise_t: float, expected: float) -> CheckReport:
     f = ps.gaussian_pdf(noise_t)
     val = capacity_bound(E, f)
     dev = abs(val - expected)
-    return make_report(
-        "capacity-value", {"E": E, "noise_t": noise_t}, val, expected, 1e-6 - dev, 0.0,
-        {"E0": ps.energy(f) / 2.0, "S0": ps.shannon_entropy(f)},
-    )
+    return make_report("capacity-value", {"E": E, "noise_t": noise_t}, val, expected, 1e-6 - dev, 0.0,
+                       capacity_terms(f))
 
 
 def check_capacity_monotone(E_list, noise_t: float) -> CheckReport:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 from . import fock as fk
 from .channels import Register, check_shared_register, heat_flow
-from .errors import ConvergenceError, DomainError, NegativeTimeError, QuadratureError
+from .errors import ConvergenceError, DomainError, QuadratureError
 from .gaussian import GaussianState, gaussian_conditional_entropy, gaussian_entropy
 from .phase_space import GridPdf, resolving_spacing, shannon_entropy
 
@@ -61,11 +61,8 @@ def _(x): return fk.von_neumann_entropy(x) if x.n_modes == 1 else fk.conditional
 
 
 def entropy_gain(x, t: float) -> float:
-    """S(X|M) after the heat flow for time t minus S(X|M) before."""
-    if t < 0:
-        raise NegativeTimeError(f"requires t >= 0, got {t}")
-    if t == 0:
-        return 0.0
+    """S(X|M) after the heat flow for time t minus S(X|M) before. `heat_flow`
+    refuses t < 0 and flows t = 0 to an exact copy, whose gain is exactly 0.0."""
     return entropy(heat_flow(x, t)) - entropy(x)
 
 

@@ -243,6 +243,11 @@ def moments(f: GridPdf):
     return np.array([mx, my]), np.array([[cxx, cxy], [cxy, cyy]])
 
 
+def largest_variance(f: GridPdf) -> float:
+    """The largest eigenvalue of the covariance of f: its variance along its widest axis."""
+    return float(np.linalg.eigvalsh(moments(f)[1]).max())
+
+
 def classical_convolution(g: GridPdf, f: GridPdf) -> GridPdf:
     """Density of the sum of independent samples from g and f.
 

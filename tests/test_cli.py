@@ -331,6 +331,19 @@ class TestExitCodes:
             assert file["reports"] == gauss["reports"]
             assert "tail_mass" not in file["reports"][0]["diagnostics"]
 
+class TestOptimalLambda:
+    @pytest.mark.parametrize("cmd", ["qou", "bs-epi"])
+    def test_only_linear_epi_takes_optimal(self, cmd):
+        code, _, err = run_cli([cmd, "--lambda", "optimal", "--cutoff", "12"])
+        assert code == 2
+        assert f"{cmd} needs a numeric --lambda" in err
+
+    def test_linear_epi_takes_optimal(self):
+        code, out, _ = run_cli(["linear-epi", "--lambda", "optimal", "--cutoff", "24"])
+        assert code == 0
+        assert json.loads(out)["reports"][0]["params"]["lambda"] == "optimal"
+
+
 class TestOutputs:
     def test_json_out_file(self, tmp_path):
         path = tmp_path / "rep.json"

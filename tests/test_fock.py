@@ -11,6 +11,7 @@ from epi_lab import phase_space as ps
 from epi_lab.errors import (
     DimensionMismatchError,
     DomainError,
+    LabelError,
     NegativeEigenvalueError,
     TailError,
 )
@@ -466,3 +467,16 @@ class TestDiagonalStorage:
     def test_storage_size_is_checked(self):
         with pytest.raises(DimensionMismatchError):
             fk.PhaseCovariantState(4, np.zeros(10))
+
+    @pytest.mark.parametrize("d", [0, fk.MAX_CUTOFF + 1])
+    def test_cutoff_is_checked(self, d):
+        with pytest.raises(DomainError, match="mode cutoffs must be in"):
+            fk.PhaseCovariantState(d, np.zeros(1))
+
+    def test_labels_are_checked(self):
+        with pytest.raises(LabelError, match="one label per mode"):
+            fk.PhaseCovariantState(2, np.zeros(fk._offsets(2)[-1]), ("A", "M", "B"))
+
+    def test_squeezed_cutoff_is_checked_before_allocation(self):
+        with pytest.raises(DomainError, match="mode cutoffs must be in"):
+            fk.two_mode_squeezed_vacuum(0.3, fk.MAX_CUTOFF + 1)

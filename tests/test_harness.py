@@ -51,6 +51,12 @@ class TestCheckReport:
         back = hn.CheckReport.from_dict(json.loads(json.dumps(rep.to_dict())))
         assert back == rep
 
+    def test_from_dict_defaults_diagnostics_and_ignores_extra_keys(self):
+        d = hn.make_report("demo", {"t": 0.5}, 1.0, 0.5, 0.5, 1e-9, {"cells": 10}).to_dict()
+        del d["diagnostics"]
+        assert hn.CheckReport.from_dict(d).diagnostics == {}
+        assert hn.CheckReport.from_dict({**d, "extra": 1}).diagnostics == {}
+
     def test_numpy_params_become_plain(self):
         rep = hn.make_report("demo", {"v": np.float64(0.5), "l": np.arange(2)}, 0, 0, 0, 0)
         assert json.dumps(rep.params)  # serializable

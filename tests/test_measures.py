@@ -77,9 +77,28 @@ class TestConditionalEntropyRM:
             prev = cur
 
 
+SIDES = {
+    "gaussian-1": lambda: ga.thermal_state(0.5),
+    "gaussian-2": lambda: ga.tmsv_state(0.4),
+    "fock-1": lambda: fk.thermal(0.5, 20),
+    "fock-2": lambda: fk.two_mode_squeezed_vacuum(0.3, 12),
+    "fock-2-dense": lambda: fk.densify(fk.two_mode_squeezed_vacuum(0.3, 12)),
+    "grid-tagged": lambda: ps.gaussian_pdf(0.5, spacing=0.1),
+    "grid-untagged": lambda: untagged(ps.gaussian_pdf(0.5, spacing=0.1)),
+    "fock-register": small_register,
+}
+
+
 class TestIntegralFisher:
     def test_zero_time(self):
         assert ms.entropy_gain(small_noise(), 0.0) == 0.0
+
+    @pytest.mark.parametrize("side", sorted(SIDES))
+    def test_heat_flow_owns_the_time_domain(self, side):
+        x = SIDES[side]()
+        with pytest.raises(NegativeTimeError):
+            ms.entropy_gain(x, -0.5)
+        assert ms.entropy_gain(x, 0.0) == 0.0  # t = 0 flows to an exact copy
 
     def test_negative_time(self):
         with pytest.raises(NegativeTimeError):
