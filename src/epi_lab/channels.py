@@ -36,7 +36,7 @@ from .errors import (
     UnsupportedFamilyError,
 )
 from .fock import FockState, displacement_batch, log_factorials, thermal, thermal_cutoff
-from .gaussian import GaussianState, _check_qou_params, gaussian_heat_flow, qou_mean_photon
+from .gaussian import GaussianState, _qou_transmissivity, gaussian_heat_flow, qou_mean_photon
 from .phase_space import GridPdf, classical_heat_flow, gaussian_pdf, largest_variance, resolving_spacing
 
 CHUNK = 1024
@@ -333,17 +333,15 @@ def qou_environment(mu: float, lam: float) -> FockState:
 
 def qou_channel_fock(rho: FockState, t: float, mu: float, lam: float) -> FockState:
     """Damping-semigroup evolution of the first mode: a beam splitter (G of `_sector_tensor`)
-    of transmissivity exp(-(mu^2 - lam^2) t) against the thermal fixed point w. It keeps
+    of transmissivity `_qou_transmissivity` against the thermal fixed point w. It keeps
     n_A + n_E, so `fk.map_diagonals` applies it to each diagonal q of the mode as one matrix,
     maps(q)[y, c] = sum_b w[y + b - c] G[y + q, b, c + q] G[y, b, c]."""
-    _check_qou_params(mu, lam)
-    if t < 0:
-        raise NegativeTimeError(f"qOU evolution requires t >= 0, got {t}")
+    eta = _qou_transmissivity(t, mu, lam)
     if t == 0:
         return rho.copy()
     d = rho.mode_dims[0]
     w = np.real(np.diag(qou_environment(mu, lam).matrix))
-    G = _sector_tensor((d, w.size), math.exp(-(mu ** 2 - lam ** 2) * t))
+    G = _sector_tensor((d, w.size), eta)
     y, b, c = np.ogrid[:d, :w.size, :d]
     Gw = G * w[np.clip(y + b - c, 0, w.size - 1)]  # G is 0 where clipped
     out = fk.map_diagonals(rho, lambda q: np.einsum("ybc,ybc->yc", G[q:, :, q:], Gw[:d - q, :, :d - q]))
@@ -356,7 +354,7 @@ def qou_channel_fock(rho: FockState, t: float, mu: float, lam: float) -> FockSta
 
 def qou_superoperator(d: int, t: float, mu: float, lam: float) -> np.ndarray:
     """One-mode damping-channel superoperator (vec action, row-major)."""
-    eta = math.exp(-(mu ** 2 - lam ** 2) * t)
+    eta = _qou_transmissivity(t, mu, lam)
     w = np.real(np.diag(qou_environment(mu, lam).matrix))
     T = beam_splitter_unitary((d, w.size), eta).reshape(d, w.size, d, w.size)
     K = np.einsum("xeai,i,yebi->xyab", T, w, T.conj(), optimize=True)
@@ -382,7 +380,7 @@ class Register:
         self.probs = np.asarray(self.probs, dtype=float)
         if not self.parts or len(self.probs) != len(self.parts):
             raise DomainError("one probability per register label required")
-        if self.probs.min() < 0 or abs(self.probs.sum() - 1.0) > 1e-6:
+        if not (self.probs.min() >= 0 and abs(self.probs.sum() - 1.0) <= 1e-6):  # NaN fails too
             raise DomainError("probabilities must be nonnegative and sum to 1")
         if not any(all(isinstance(x, kind) for x in self.parts) for kind in (FockState, GridPdf)):
             names = sorted({type(x).__name__ for x in self.parts})

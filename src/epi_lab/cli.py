@@ -272,8 +272,7 @@ def run_command(args) -> list:
         state = a() if gs is None else gs
         if cmd == "isoperimetric":
             return [hn.check_isoperimetric(state, args.state)]
-        grid = [round(0.05 * i, 10) for i in range(11)]
-        return [hn.check_concavity_entropy_power(state, grid, args.state)]
+        return [hn.check_concavity_entropy_power(state, args.state)]
     if cmd == "capacity":
         f = parse_noise_spec(args.noise, args.grid_spacing)
         val = hn.capacity_bound(args.E, f)

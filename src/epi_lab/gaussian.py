@@ -41,8 +41,10 @@ def symplectic_eigenvalues(cov: np.ndarray) -> np.ndarray:
     n2 = cov.shape[0]
     if cov.shape != (n2, n2) or n2 % 2:
         raise DomainError(f"covariance must be 2n x 2n, got {cov.shape}")
-    scale = max(1.0, float(np.abs(cov).max()))
-    if np.abs(cov - cov.T).max() > SYMMETRY_TOL * scale:
+    peak = float(np.abs(cov).max())
+    if not math.isfinite(peak):
+        raise DomainError("covariance matrix has a non-finite entry")
+    if np.abs(cov - cov.T).max() > SYMMETRY_TOL * max(1.0, peak):
         raise DomainError("covariance matrix is not symmetric")
     try:
         low = np.linalg.cholesky(cov)
@@ -73,6 +75,8 @@ class GaussianState:
         n2 = self.mean.size
         if n2 % 2 or self.cov.shape != (n2, n2):
             raise DomainError("mean must have length 2n and cov shape (2n, 2n)")
+        if not all(map(math.isfinite, self.mean.tolist())):
+            raise DomainError("mean must be finite")
         if len(self.mode_labels) != n2 // 2:
             raise LabelError("mode_labels must name each (Q, P) pair exactly once")
         if len(set(self.mode_labels)) != len(self.mode_labels):
@@ -229,19 +233,25 @@ def _check_qou_params(mu: float, lam: float):
         raise ParameterError(f"requires mu > lambda > 0, got mu={mu}, lambda={lam}")
 
 
+def _qou_transmissivity(t: float, mu: float, lam: float) -> float:
+    """Transmissivity exp(-(mu^2 - lam^2) t) of the damping semigroup at time t;
+    raises ParameterError unless mu > lam > 0, then NegativeTimeError for t < 0."""
+    _check_qou_params(mu, lam)
+    if t < 0:
+        raise NegativeTimeError(f"qOU evolution requires t >= 0, got {t}")
+    return math.exp(-(mu ** 2 - lam ** 2) * t)
+
+
 def gaussian_qou_evolution(
     state: GaussianState, t: float, mu: float, lam: float, target: str = None
 ) -> GaussianState:
     """Damping-semigroup evolution of one mode, as a beam splitter of
-    transmissivity eta = exp(-(mu^2 - lam^2) t) against the thermal fixed point.
+    transmissivity eta = `_qou_transmissivity` against the thermal fixed point.
 
     The target mean and covariance rows and columns scale by sqrt(eta), so its
     block becomes eta * block, and the block gains (1 - eta) * steady.
     """
-    _check_qou_params(mu, lam)
-    if t < 0:
-        raise NegativeTimeError(f"qOU evolution requires t >= 0, got {t}")
-    eta = math.exp(-(mu ** 2 - lam ** 2) * t)
+    eta = _qou_transmissivity(t, mu, lam)
     return _scale_mode(state, target, math.sqrt(eta), (1 - eta) * qou_steady_covariance(mu, lam))
 
 

@@ -71,6 +71,21 @@ def make_report(name, params, lhs, rhs, margin, tolerance, diagnostics=None) -> 
     )
 
 
+def _within(name, params, dev, bound, diagnostics=None) -> CheckReport:
+    """lhs = dev must stay under rhs = bound: margin = bound - dev, tolerance 0."""
+    return make_report(name, params, dev, bound, bound - dev, 0.0, diagnostics)
+
+
+def _agree(name, params, x, ref, bound, diagnostics=None) -> CheckReport:
+    """lhs = x must agree with rhs = ref within bound: margin = bound - |x - ref|, tolerance 0."""
+    return make_report(name, params, x, ref, bound - abs(x - ref), 0.0, diagnostics)
+
+
+def _falls(xs) -> list:
+    """x_i - x_{i+1} along xs: all >= 0 iff the sequence never rises."""
+    return [a - b for a, b in zip(xs, xs[1:])]
+
+
 def _plain(v):
     if isinstance(v, (np.floating, np.integer)):
         return v.item()
@@ -167,9 +182,8 @@ def check_conditional_epi(instance: Instance) -> list:
                                    s_a, s_r, s_c[path], PATH_TOL[path], diag))
     if len(s_c) == 2:
         fc, gc = s_c["fock"], s_c["gaussian"]
-        reports.append(make_report("cond-epi-path-agreement", instance.params, fc, gc,
-                                   PATH_AGREEMENT_TOL - abs(fc - gc), 0.0,
-                                   {"tail_mass": diag["tail_mass"]}))
+        reports.append(_agree("cond-epi-path-agreement", instance.params, fc, gc, PATH_AGREEMENT_TOL,
+                              {"tail_mass": diag["tail_mass"]}))
     return reports
 
 
@@ -233,10 +247,8 @@ def stam_matched_equality_report(stam_report: CheckReport) -> CheckReport:
     """Matched Gaussian instances approach Stam equality; the relative gap
     must stay below 2e-2."""
     rel = abs(stam_report.margin) / stam_report.rhs
-    return make_report(
-        "stam-matched-equality", dict(stam_report.params), rel, 2e-2, 2e-2 - rel, 0.0,
-        {"stam_margin": stam_report.margin, "stam_rhs": stam_report.rhs},
-    )
+    return _within("stam-matched-equality", dict(stam_report.params), rel, 2e-2,
+                   {"stam_margin": stam_report.margin, "stam_rhs": stam_report.rhs})
 
 
 # ---------------------------------------------------------------------------
@@ -254,13 +266,9 @@ def check_scaling(state, t_list, sigma_sq: float, name: str) -> CheckReport:
         s = ms.entropy(ms.heat_flow(state, t))
         devs.append(abs(s - math.log(t) - 1.0))
     bound = math.log1p(sigma_sq / t_list[-1]) + 0.02
-    margins = [devs[i] - devs[i + 1] for i in range(len(devs) - 1)]
-    margin = min([bound - devs[-1]] + margins)
-    return make_report(
-        "scaling", {"instance": name, "t_list": list(t_list)},
-        devs[-1], bound, margin, 0.0,
-        {**ms.provenance(state), "deviations": devs, "sigma_sq": sigma_sq},
-    )
+    return make_report("scaling", {"instance": name, "t_list": list(t_list)}, devs[-1], bound,
+                       min([bound - devs[-1]] + _falls(devs)), 0.0,
+                       {**ms.provenance(state), "deviations": devs, "sigma_sq": sigma_sq})
 
 
 # ---------------------------------------------------------------------------
@@ -276,19 +284,16 @@ def check_tightness(a: float, b: float, k_list) -> CheckReport:
         _, _, rho_cm = ga.tightness_family(k, a, b)
         s_c = ga.gaussian_conditional_entropy(rho_cm, "A", "M")
         gaps.append(abs(math.exp(s_c) - target))
-    margins = [gaps[i] - gaps[i + 1] for i in range(len(gaps) - 1)]
-    margin = min([0.01 - gaps[-1]] + margins)
-    return make_report(
-        "tightness", {"a": a, "b": b, "k_list": list(k_list)},
-        gaps[-1], 0.01, margin, 0.0, {"gaps": gaps, "target": target},
-    )
+    bound = 0.01
+    return make_report("tightness", {"a": a, "b": b, "k_list": list(k_list)}, gaps[-1], bound,
+                       min([bound - gaps[-1]] + _falls(gaps)), 0.0, {"gaps": gaps, "target": target})
 
 
 def check_tightness_noise_entropy(b: float) -> CheckReport:
     """The sampled noise density must reproduce S(R|M) = b to 1e-9."""
     f = ps.gaussian_pdf(math.exp(b - 1.0))
     dev = abs(ps.shannon_entropy(f) - b)
-    return make_report("tightness-noise-entropy", {"b": b}, dev, 1e-9, 1e-9 - dev, 0.0, ms.provenance(f))
+    return _within("tightness-noise-entropy", {"b": b}, dev, 1e-9, ms.provenance(f))
 
 
 def check_tightness_epi(a: float, b: float, k: float) -> CheckReport:
@@ -322,10 +327,7 @@ def check_isoperimetric_saturation(iso_report: CheckReport) -> CheckReport:
     """Classical Gaussian instances saturate J exp(S) = e within 1e-2; reads
     the isoperimetric report of the instance."""
     gap = abs(iso_report.lhs - math.e)
-    return make_report(
-        "isoperimetric-saturation", dict(iso_report.params), gap, 1e-2, 1e-2 - gap, 0.0,
-        iso_report.diagnostics,
-    )
+    return _within("isoperimetric-saturation", dict(iso_report.params), gap, 1e-2, iso_report.diagnostics)
 
 
 def check_isoperimetric_ratio_monotone(nus) -> CheckReport:
@@ -335,12 +337,9 @@ def check_isoperimetric_ratio_monotone(nus) -> CheckReport:
         j = ms.fisher(ga.thermal_state(nu - 0.5))
         s = ga.g_function(nu - 0.5)
         ratios.append(j.value * math.exp(s) / math.e)
-    margins = [ratios[i] - ratios[i + 1] for i in range(len(ratios) - 1)]
-    margin = min(margins + [ratios[-1] - 1.0])
-    return make_report(
-        "isoperimetric-ratio-monotone", {"nu_list": list(nus)}, ratios[-1], 1.0, margin,
-        GAUSS_TOL, {"ratios": ratios},
-    )
+    limit = 1.0
+    return make_report("isoperimetric-ratio-monotone", {"nu_list": list(nus)}, ratios[-1], limit,
+                       min(_falls(ratios + [limit])), GAUSS_TOL, {"ratios": ratios})
 
 
 def check_fisher_isoperimetric(instance, name: str) -> CheckReport:
@@ -370,11 +369,14 @@ def check_fisher_isoperimetric(instance, name: str) -> CheckReport:
 # concavity of the entropy power along heat flow
 
 
-def check_concavity_entropy_power(instance, t_grid, name: str) -> CheckReport:
-    """Second difference quotient of exp S(X|M)(t) must stay below 1e-3."""
-    t_grid = list(t_grid)
-    h = t_grid[1] - t_grid[0]
-    outs = [ms.heat_flow(instance, t) for t in t_grid]
+# the heat-flow times of the concavity check: 0 to 0.5 in steps of 0.05
+CONCAVITY_GRID = tuple(round(0.05 * i, 10) for i in range(11))
+
+
+def check_concavity_entropy_power(instance, name: str) -> CheckReport:
+    """Second difference quotient of exp S(X|M)(t) along CONCAVITY_GRID must stay below 1e-3."""
+    h = CONCAVITY_GRID[1] - CONCAVITY_GRID[0]
+    outs = [ms.heat_flow(instance, t) for t in CONCAVITY_GRID]
     powers = [math.exp(ms.entropy(o)) for o in outs]
     quotients = [
         (powers[i + 1] - 2 * powers[i] + powers[i - 1]) / h ** 2 for i in range(1, len(powers) - 1)
@@ -384,7 +386,7 @@ def check_concavity_entropy_power(instance, t_grid, name: str) -> CheckReport:
     if "tail_mass" in prov:  # the last output's tail, but the input's grid
         prov["tail_mass"] = ms.provenance(outs[-1])["tail_mass"]
     return make_report(
-        "concavity", {"instance": name, "t_grid": t_grid}, worst, 0.0, -worst, 1e-3,
+        "concavity", {"instance": name, "t_grid": list(CONCAVITY_GRID)}, worst, 0.0, -worst, 1e-3,
         {**prov, "powers": powers, "h": h},
     )
 
@@ -398,8 +400,7 @@ def check_debruijn_regularity(state, t_list, name: str) -> CheckReport:
     GridPdfs), must be nonnegative, nondecreasing, and midpoint-concave."""
     deltas = [ms.entropy_gain(state, t) for t in t_list]
     slack = 1e-6
-    margins = [deltas[0] + slack]
-    margins += [deltas[i + 1] - deltas[i] + slack for i in range(len(deltas) - 1)]
+    margins = [deltas[0] + slack] + [x + slack for x in _falls(deltas[::-1])]
     margins += [
         deltas[i] - 0.5 * (deltas[i - 1] + deltas[i + 1]) + slack
         for i in range(1, len(deltas) - 1)
@@ -420,10 +421,7 @@ def check_debruijn_consistency(reg: ch.Register, t: float) -> CheckReport:
     nodes = np.linspace(0.0, t, 17)
     weights = np.array([1.0] + [4.0, 2.0] * 7 + [4.0, 1.0]) * (nodes[1] / 3.0)
     rhs = float(weights @ [ms.fisher(ms.heat_flow(reg, s)).value for s in nodes])
-    gap = abs(lhs - rhs)
-    return make_report(
-        "debruijn-consistency", {"t": t}, lhs, rhs, 1e-4 - gap, 0.0, {"gap": gap}
-    )
+    return _agree("debruijn-consistency", {"t": t}, lhs, rhs, 1e-4, {"gap": abs(lhs - rhs)})
 
 
 # ---------------------------------------------------------------------------
@@ -447,19 +445,14 @@ def capacity_bound(E: float, f: ps.GridPdf) -> float:
 def check_capacity_value(E: float, noise_t: float, expected: float) -> CheckReport:
     f = ps.gaussian_pdf(noise_t)
     val = capacity_bound(E, f)
-    dev = abs(val - expected)
-    return make_report("capacity-value", {"E": E, "noise_t": noise_t}, val, expected, 1e-6 - dev, 0.0,
-                       capacity_terms(f))
+    return _agree("capacity-value", {"E": E, "noise_t": noise_t}, val, expected, 1e-6, capacity_terms(f))
 
 
 def check_capacity_monotone(E_list, noise_t: float) -> CheckReport:
     f = ps.gaussian_pdf(noise_t)
     vals = [capacity_bound(E, f) for E in E_list]
-    margins = [vals[i + 1] - vals[i] for i in range(len(vals) - 1)]
-    return make_report(
-        "capacity-monotone", {"E_list": list(E_list), "noise_t": noise_t},
-        vals[-1], vals[0], min(margins), GAUSS_TOL, {"values": vals},
-    )
+    return make_report("capacity-monotone", {"E_list": list(E_list), "noise_t": noise_t}, vals[-1], vals[0],
+                       min(_falls(vals[::-1])), GAUSS_TOL, {"values": vals})
 
 
 # ---------------------------------------------------------------------------
@@ -490,7 +483,7 @@ def check_qou_decay(state, mu: float, lam: float, t_list) -> CheckReport:
     state, through the Fock channel for a Fock state."""
     rate = mu ** 2 - lam ** 2
     d0, ds, tol, diag, path = _qou_decay(state, mu, lam, t_list)
-    margins = [math.exp(-rate * t) * d0 - d for t, d in zip(t_list, ds)]
+    margins = [ga._qou_transmissivity(t, mu, lam) * d0 - d for t, d in zip(t_list, ds)]
     diag.update({"D0": d0, "D_t": ds, "rate": rate})
     return make_report(
         "qou-decay",
@@ -502,20 +495,16 @@ def check_qou_decay(state, mu: float, lam: float, t_list) -> CheckReport:
 def check_qou_fixed_point(mu: float, lam: float, t: float) -> CheckReport:
     omega = ch.qou_environment(mu, lam)
     dist = fk.trace_norm_distance(ch.qou_channel_fock(omega, t, mu, lam), omega)
-    return make_report(
-        "qou-fixed-point", {"mu": mu, "lambda": lam, "t": t}, dist, 1e-5, 1e-5 - dist, 0.0,
-        {"cutoff": omega.mode_dims[0], **ms.provenance(omega)},
-    )
+    return _within("qou-fixed-point", {"mu": mu, "lambda": lam, "t": t}, dist, 1e-5,
+                   {"cutoff": omega.mode_dims[0], **ms.provenance(omega)})
 
 
 def check_qou_semigroup(state: fk.FockState, mu: float, lam: float, s: float, t: float) -> CheckReport:
     two_step = ch.qou_channel_fock(ch.qou_channel_fock(state, s, mu, lam), t, mu, lam)
     one_step = ch.qou_channel_fock(state, s + t, mu, lam)
     dist = fk.trace_norm_distance(two_step, one_step)
-    return make_report(
-        "qou-semigroup", {"mu": mu, "lambda": lam, "s": s, "t": t}, dist, 1e-5, 1e-5 - dist, 0.0,
-        ms.provenance(one_step),
-    )
+    return _within("qou-semigroup", {"mu": mu, "lambda": lam, "s": s, "t": t}, dist, 1e-5,
+                   ms.provenance(one_step))
 
 
 def check_qou_gaussian_fock_agreement(r: float, t: float, mu: float, lam: float) -> CheckReport:
@@ -527,10 +516,8 @@ def check_qou_gaussian_fock_agreement(r: float, t: float, mu: float, lam: float)
     mean_f, cov_f = fk.moments_of_state(out)
     gs_out = ga.gaussian_qou_evolution(ga.tmsv_state(r), t, mu, lam, "A")
     dev = max(np.abs(cov_f - gs_out.cov).max(), np.abs(mean_f - gs_out.mean).max())
-    return make_report(
-        "qou-gaussian-fock-agreement", {"r": r, "t": t, "mu": mu, "lambda": lam},
-        dev, 1e-4, 1e-4 - dev, 0.0, {**ms.provenance(out), "cutoff": cutoff},
-    )
+    return _within("qou-gaussian-fock-agreement", {"r": r, "t": t, "mu": mu, "lambda": lam}, dev, 1e-4,
+                   {**ms.provenance(out), "cutoff": cutoff})
 
 
 # ---------------------------------------------------------------------------
@@ -587,11 +574,8 @@ def check_crossrep(name: str) -> CheckReport:
         devs["conditional_entropy"] = abs(s - s_m - ga.gaussian_conditional_entropy(gs, "A", "M"))
     mean_f, cov_f = fk.moments_of_state(st)
     devs["moments"] = max(np.abs(mean_f - gs.mean).max(), np.abs(cov_f - gs.cov).max())
-    worst = max(devs.values())
-    return make_report(
-        "oracle-crossrep", {"state": name, "cutoff": st.mode_dims},
-        worst, 1e-6, 1e-6 - worst, 0.0, {**devs, **ms.provenance(st), **fk.spectral_path(st)},
-    )
+    return _within("oracle-crossrep", {"state": name, "cutoff": st.mode_dims}, max(devs.values()), 1e-6,
+                   {**devs, **ms.provenance(st), **fk.spectral_path(st)})
 
 
 def check_convolution_oracle(t: float, cutoff: int = 60) -> CheckReport:
@@ -600,13 +584,10 @@ def check_convolution_oracle(t: float, cutoff: int = 60) -> CheckReport:
     f = ps.gaussian_pdf(t)
     out = ch.extended_channel(f, fk.vacuum(cutoff))
     s = fk.von_neumann_entropy(out)
-    dev = abs(s - ga.g_function(t))
     elapsed = (time.perf_counter() - start) * 1000.0
-    return make_report(
-        "conv-vacuum-entropy", {"t": t, "cutoff": cutoff}, s, ga.g_function(t), 1e-4 - dev, 0.0,
-        {**ms.provenance(out), **ms.provenance(f),
-         "trace_drift": out.trace_drift, "channel": ch.channel_path(f), "channel_ms": elapsed},
-    )
+    return _agree("conv-vacuum-entropy", {"t": t, "cutoff": cutoff}, s, ga.g_function(t), 1e-4,
+                  {**ms.provenance(out), **ms.provenance(f),
+                   "trace_drift": out.trace_drift, "channel": ch.channel_path(f), "channel_ms": elapsed})
 
 
 # ---------------------------------------------------------------------------
@@ -724,15 +705,12 @@ def default_suite(seed: int = 7):
     add("fisher-isoperimetric[classical]", lambda: [check_fisher_isoperimetric(
         ps.gaussian_pdf(0.8, spacing=0.0125), "classical-gauss-0.8")])
 
-    t_grid = [round(0.05 * i, 10) for i in range(11)]
-    add("concavity[gauss-thermal]", lambda: [check_concavity_entropy_power(
-        ga.thermal_state(1.5), t_grid, "gauss-thermal-2")])
-    add("concavity[gauss-tmsv]", lambda: [check_concavity_entropy_power(
-        ga.tmsv_state(0.66), t_grid, "gauss-tmsv")])
-    add("concavity[fock-vacuum]", lambda: [check_concavity_entropy_power(
-        fk.vacuum(40), t_grid, "fock-vacuum")])
-    add("concavity[register]", lambda: [check_concavity_entropy_power(
-        _corpus_register_epi().a(), t_grid, "register")])
+    add("concavity[gauss-thermal]",
+        lambda: [check_concavity_entropy_power(ga.thermal_state(1.5), "gauss-thermal-2")])
+    add("concavity[gauss-tmsv]", lambda: [check_concavity_entropy_power(ga.tmsv_state(0.66), "gauss-tmsv")])
+    add("concavity[fock-vacuum]", lambda: [check_concavity_entropy_power(fk.vacuum(40), "fock-vacuum")])
+    add("concavity[register]",
+        lambda: [check_concavity_entropy_power(_corpus_register_epi().a(), "register")])
 
     reg_t = [round(0.1 * i, 10) for i in range(1, 21)]
     add("debruijn-regularity[register]", lambda: [check_debruijn_regularity(

@@ -454,6 +454,11 @@ class TestCQStateMachinery:
         with pytest.raises(DomainError):
             ch.Register([1.0], [])
 
+    @pytest.mark.parametrize("probs", [[math.nan, 0.5], [0.5, math.nan], [math.nan, math.nan]])
+    def test_register_refuses_nan_probabilities(self, probs):
+        with pytest.raises(DomainError):
+            ch.Register(probs, [fk.vacuum(8), fk.vacuum(8)])
+
     def test_register_noise_labels_keep_their_own_grids(self):
         # mixed spacings and an off-lattice center: each label is on its own grid
         f = ps.gaussian_pdf(0.4, spacing=0.1)

@@ -318,6 +318,22 @@ class TestStateValidation:
         with pytest.raises(PhysicalityError):
             ga.GaussianState(np.zeros(2), 0.4 * np.eye(2), ("A",))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_covariance_rejected(self, bad):
+        cov = 0.5 * np.eye(2)
+        cov[0, 1] = bad
+        with pytest.raises(DomainError, match="non-finite"):
+            ga.symplectic_eigenvalues(cov)
+
+    def test_nan_thermal_occupation_rejected(self):
+        with pytest.raises(DomainError):
+            ga.thermal_state(float("nan"))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_mean_rejected(self, bad):
+        with pytest.raises(DomainError, match="finite"):
+            ga.GaussianState([bad, 0.0], 0.5 * np.eye(2))
+
     def test_label_count(self):
         with pytest.raises(LabelError):
             ga.GaussianState(np.zeros(4), np.eye(4), ("A",))

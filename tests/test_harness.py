@@ -14,7 +14,7 @@ from epi_lab import gaussian as ga
 from epi_lab import harness as hn
 from epi_lab import measures as ms
 from epi_lab import phase_space as ps
-from epi_lab.errors import DomainError
+from epi_lab.errors import DomainError, NegativeTimeError, ParameterError
 from oracles import untagged
 
 
@@ -209,7 +209,7 @@ class TestGridProvenance:
         reg = small_register().r()
         reports = [hn.check_isoperimetric(f, "f"), hn.check_fisher_isoperimetric(f, "f"),
                    hn.check_scaling(f, [5.0, 20.0], 0.7, "f"),
-                   hn.check_concavity_entropy_power(f, [0.0, 0.1, 0.2], "f"),
+                   hn.check_concavity_entropy_power(f, "f"),
                    hn.check_debruijn_regularity(f, [0.1, 0.2, 0.3], "f")]
         for rep in reports:
             assert (rep.diagnostics["grid"], rep.diagnostics["spacing"]) == (f.size, 0.1)
@@ -324,6 +324,58 @@ class TestSerializationAndDeterminism:
     def test_suite_entries_have_unique_names(self):
         names = [name for name, _ in hn.default_suite(7)]
         assert len(names) == len(set(names))
+
+
+# the documented bound of every report built by `_within` and by `_agree`
+WITHIN_BOUNDS = {"stam-matched-equality": 2e-2, "tightness-noise-entropy": 1e-9,
+                 "isoperimetric-saturation": 1e-2, "qou-fixed-point": 1e-5, "qou-semigroup": 1e-5,
+                 "qou-gaussian-fock-agreement": 1e-4, "oracle-crossrep": 1e-6}
+AGREE_BOUNDS = {"cond-epi-path-agreement": hn.PATH_AGREEMENT_TOL, "capacity-value": 1e-6,
+                "debruijn-consistency": 1e-4, "conv-vacuum-entropy": 1e-4}
+
+
+class TestReportContract:
+    @pytest.fixture(scope="class")
+    def suite(self):
+        return hn.run_suite(7)
+
+    def test_within_reports_print_the_bound_they_judge_by(self, suite):
+        reports = [r for r in suite if r.check_name in WITHIN_BOUNDS]
+        assert {r.check_name for r in reports} == set(WITHIN_BOUNDS)
+        for r in reports:
+            assert r.rhs == WITHIN_BOUNDS[r.check_name]
+            assert r.margin == r.rhs - r.lhs and r.tolerance == 0.0
+
+    def test_agree_reports_judge_by_their_bound(self, suite):
+        reports = [r for r in suite if r.check_name in AGREE_BOUNDS]
+        assert {r.check_name for r in reports} == set(AGREE_BOUNDS)
+        for r in reports:
+            assert r.margin + abs(r.lhs - r.rhs) == pytest.approx(AGREE_BOUNDS[r.check_name], abs=1e-15)
+            assert r.tolerance == 0.0
+
+    def test_falls_is_the_successive_difference(self):
+        assert hn._falls([3.0, 1.0, 2.0]) == [2.0, -1.0]
+        assert hn._falls([1.0]) == []
+
+    def test_transmissivity_refuses_parameters_before_time(self):
+        with pytest.raises(ParameterError):
+            ga._qou_transmissivity(-1.0, 0.5, 1.0)
+        with pytest.raises(NegativeTimeError):
+            ga._qou_transmissivity(-1.0, 1.0, 0.5)
+        assert ga._qou_transmissivity(0.0, 1.0, 0.5) == 1.0
+        for evolve in (lambda t, mu, lam: ga.gaussian_qou_evolution(ga.vacuum_state(), t, mu, lam),
+                       lambda t, mu, lam: ch.qou_channel_fock(fk.vacuum(8), t, mu, lam),
+                       lambda t, mu, lam: ch.qou_superoperator(8, t, mu, lam)):
+            with pytest.raises(ParameterError):
+                evolve(-1.0, 0.5, 1.0)
+            with pytest.raises(NegativeTimeError):
+                evolve(-1.0, 1.0, 0.5)
+
+    def test_qou_channel_at_zero_time_is_an_exact_copy(self):
+        rho = fk.random_mixed(3, 12, 7)
+        out = ch.qou_channel_fock(rho, 0.0, 1.0, 0.5)
+        assert out is not rho and out.matrix is not rho.matrix
+        assert np.array_equal(out.matrix, rho.matrix) and out.mode_labels == rho.mode_labels
 
 
 class TestReportRevalidation:
