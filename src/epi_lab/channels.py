@@ -140,7 +140,7 @@ def quantum_heat_flow_fock(
     rho: FockState, t: float, target: str = None, spacing: float = None, extent: float = None
 ) -> FockState:
     """Convolution with the isotropic Gaussian of variance t on one mode."""
-    if t < 0:
+    if not t >= 0:  # NaN fails too
         raise NegativeTimeError(f"heat flow requires t >= 0, got {t}")
     if t == 0:
         return rho.copy()
@@ -155,8 +155,8 @@ def quantum_heat_flow_fock_multi(
     displacement batch; errors vary smoothly along t_list, which
     finite-difference consumers rely on."""
     t_list = list(t_list)
-    if any(t < 0 for t in t_list):
-        raise NegativeTimeError("heat flow requires t >= 0")
+    if any(not t >= 0 for t in t_list):
+        raise NegativeTimeError(f"heat flow requires t >= 0, got {t_list}")
     positive = [t for t in t_list if t > 0]
     if not positive:
         return [rho.copy() for _ in t_list]
@@ -219,7 +219,7 @@ def gaussian_noise_channel(rho: FockState, t: float, center=(0.0, 0.0), target: 
     projects it back. t = 0 without a center returns a copy; the output goes
     through the same trace-drift and tail checks as the quadrature channel.
     """
-    if t < 0:
+    if not t >= 0:  # NaN fails too
         raise NegativeTimeError(f"heat flow requires t >= 0, got {t}")
     shifted = bool(center[0] or center[1])
     if t == 0 and not shifted:

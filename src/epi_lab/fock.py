@@ -409,7 +409,7 @@ def two_mode_squeezed_vacuum(r: float, d: int, labels=("A", "M")) -> PhaseCovari
     return state
 
 
-def random_mixed(rank: int, d: int, seed: int, label: str = "A", support: int = None) -> FockState:
+def random_mixed(rank: int, d: int, seed: int, support: int = None) -> FockState:
     """rho = G G^dag / tr with G an i.i.d. standard-complex-Gaussian matrix.
 
     G occupies the bottom `support` levels (default d - 2) so the truncation
@@ -426,7 +426,7 @@ def random_mixed(rank: int, d: int, seed: int, label: str = "A", support: int = 
     block = g @ g.conj().T
     mat = np.zeros((d, d), dtype=complex)
     mat[:support, :support] = block / np.trace(block).real
-    state = FockState((d,), mat, (label,))
+    state = FockState((d,), mat)
     state.check_tail()
     return state
 
@@ -537,10 +537,10 @@ def moments_of_state(rho: FockState):
     """First moments and covariance of the quadratures (Q1, P1, ...).
 
     Works blockwise: same-mode second moments come from the mode marginals,
-    cross-mode terms contract one-mode operators against the joint tensor,
-    so nothing is ever multiplied at the joint dimension. On the diagonal
-    storage the cross terms all follow from z = <a_A a_M>, summed over slab
-    -1; the means and every other cross expectation vanish by symmetry.
+    so nothing is ever multiplied at the joint dimension, and the cross terms
+    all follow from z = <a_A a_M> and w = <a_A^dag a_M>. On the diagonal
+    storage z is summed over slab -1 and w vanishes by symmetry; on a dense
+    state both contract the annihilators against the joint tensor.
     """
     mode_ops = [quadrature_ops(d) for d in rho.mode_dims]
     if rho.n_modes == 1:
@@ -561,21 +561,17 @@ def moments_of_state(rho: FockState):
                 sym = 0.5 * (a @ b + b @ a)
                 val = expectation(red, sym) - mean[2 * k + i] * mean[2 * k + j]
                 cov[2 * k + i, 2 * k + j] = cov[2 * k + j, 2 * k + i] = val
-    if isinstance(rho, PhaseCovariantState):
-        root = np.sqrt(np.arange(1.0, rho.mode_dims[0]))
-        z = root @ rho.diagonals_at(-1) @ root  # X_-1[i, j] = <i, j|rho|i + 1, j + 1>
-        # <Q_A Q_M> = Re z, <Q_A P_M> = <P_A Q_M> = Im z, <P_A P_M> = -Re z
-        cov[:2, 2:] = [[z.real, z.imag], [z.imag, -z.real]]
+    if rho.n_modes == 2:
+        if isinstance(rho, PhaseCovariantState):
+            root = np.sqrt(np.arange(1.0, rho.mode_dims[0]))
+            z, w = root @ rho.diagonals_at(-1) @ root, 0.0  # X_-1[i, j] = <i, j|rho|i + 1, j + 1>
+        else:  # tr_M[rho (1 x a_M)] in one pass over the joint tensor, then against a_A and a_A^dag
+            a, b = (annihilation(d) for d in rho.mode_dims)
+            z, w = np.einsum("ab,kba->k", np.einsum("ambn,nm->ab", rho.tensor(), b), np.stack([a, a.T]))
+        # (Q_A, P_A) x (Q_M, P_M): modes A and M commute, so no symmetrization is needed
+        cross = [[(z + w).real, (z + w).imag], [(z - w).imag, (w - z).real]]
+        cov[:2, 2:] = np.subtract(cross, np.outer(mean[:2], mean[2:]))
         cov[2:, :2] = cov[:2, 2:].T
-    elif rho.n_modes == 2:
-        t = rho.tensor()
-        for j, b in enumerate(mode_ops[1]):
-            # y = tr_1[rho (1 x B)]: one pass over the joint tensor per B
-            y = np.einsum("ambn,nm->ab", t, b)  # tensordot would copy t transposed
-            for i, a in enumerate(mode_ops[0]):
-                # A on mode 0 and B on mode 1 commute, so no symmetrization needed
-                val = float(np.real(np.einsum("ab,ba->", a, y)))
-                cov[i, 2 + j] = cov[2 + j, i] = val - mean[i] * mean[2 + j]
     return mean, cov
 
 

@@ -113,14 +113,14 @@ def vacuum_state() -> GaussianState:
     return GaussianState(np.zeros(2), 0.5 * np.eye(2))
 
 
-def thermal_state(N: float, label: str = "A") -> GaussianState:
+def thermal_state(N: float) -> GaussianState:
     if N < 0:
         raise DomainError("mean photon number must be nonnegative")
-    return GaussianState(np.zeros(2), (N + 0.5) * np.eye(2), (label,))
+    return GaussianState(np.zeros(2), (N + 0.5) * np.eye(2))
 
 
-def coherent_state(alpha: complex, label: str = "A") -> GaussianState:
-    return GaussianState(math.sqrt(2) * np.array([alpha.real, alpha.imag]), 0.5 * np.eye(2), (label,))
+def coherent_state(alpha: complex) -> GaussianState:
+    return GaussianState(math.sqrt(2) * np.array([alpha.real, alpha.imag]), 0.5 * np.eye(2))
 
 
 def gaussian_entropy(state: GaussianState) -> float:
@@ -153,7 +153,7 @@ def _scale_mode(state: GaussianState, target: str, s: float, block: np.ndarray) 
 
 def gaussian_heat_flow(state: GaussianState, t: float, target: str = None) -> GaussianState:
     """Additive-noise evolution: adds t * I to the target mode's covariance block."""
-    if t < 0:
+    if not t >= 0:  # NaN fails too
         raise NegativeTimeError(f"heat flow requires t >= 0, got {t}")
     return _scale_mode(state, target, 1.0, t * np.eye(2))
 
@@ -235,51 +235,44 @@ def _check_qou_params(mu: float, lam: float):
 
 def _qou_transmissivity(t: float, mu: float, lam: float) -> float:
     """Transmissivity exp(-(mu^2 - lam^2) t) of the damping semigroup at time t;
-    raises ParameterError unless mu > lam > 0, then NegativeTimeError for t < 0."""
+    raises ParameterError unless mu > lam > 0, then NegativeTimeError unless t >= 0."""
     _check_qou_params(mu, lam)
-    if t < 0:
+    if not t >= 0:  # NaN fails too
         raise NegativeTimeError(f"qOU evolution requires t >= 0, got {t}")
     return math.exp(-(mu ** 2 - lam ** 2) * t)
 
 
-def gaussian_qou_evolution(
-    state: GaussianState, t: float, mu: float, lam: float, target: str = None
-) -> GaussianState:
-    """Damping-semigroup evolution of one mode, as a beam splitter of
+def gaussian_qou_evolution(state: GaussianState, t: float, mu: float, lam: float) -> GaussianState:
+    """Damping-semigroup evolution of the first mode, as a beam splitter of
     transmissivity eta = `_qou_transmissivity` against the thermal fixed point.
 
-    The target mean and covariance rows and columns scale by sqrt(eta), so its
+    The mode's mean and covariance rows and columns scale by sqrt(eta), so its
     block becomes eta * block, and the block gains (1 - eta) * steady.
     """
     eta = _qou_transmissivity(t, mu, lam)
-    return _scale_mode(state, target, math.sqrt(eta), (1 - eta) * qou_steady_covariance(mu, lam))
+    return _scale_mode(state, None, math.sqrt(eta), (1 - eta) * qou_steady_covariance(mu, lam))
 
 
-def mean_photon_number(state: GaussianState, label: str = None) -> float:
-    """tr[n_hat rho] for one mode: (tr block)/2 - 1/2 + |mean|^2 / 2."""
-    idx = state.indices(state.mode_labels[0] if label is None else label)
-    block = state.cov[np.ix_(idx, idx)]
-    return float(np.trace(block) / 2.0 - 0.5 + np.dot(state.mean[idx], state.mean[idx]) / 2.0)
+def mean_photon_number(state: GaussianState) -> float:
+    """tr[n_hat rho] for the first mode: (tr block)/2 - 1/2 + |mean|^2 / 2."""
+    mean, block = state.mean[:2], state.cov[:2, :2]
+    return float(np.trace(block) / 2.0 - 0.5 + np.dot(mean, mean) / 2.0)
 
 
-def relative_entropy_to_thermal_product(
-    state: GaussianState, mu: float, lam: float, target: str = None
-) -> float:
-    """D(rho_AM || omega_A x rho_M) against the damping-semigroup fixed point.
+def relative_entropy_to_thermal_product(state: GaussianState, mu: float, lam: float) -> float:
+    """D(rho_AM || omega_A x rho_M) against the damping-semigroup fixed point,
+    with A the first mode and M the second, if there is one.
 
     Because log omega is affine in the number operator, the divergence reduces
     to -S(A|M) - log(1 - q) - <n_hat>_A log q with q = lam^2 / mu^2.
     """
     _check_qou_params(mu, lam)
-    if target is None:
-        target = state.mode_labels[0]
+    if state.n_modes > 2:
+        raise LabelError("expected at most one memory mode")
     q = (lam / mu) ** 2
     if state.n_modes == 1:
         s_cond = gaussian_entropy(state)
     else:
-        memory = [lab for lab in state.mode_labels if lab != target]
-        if len(memory) != 1:
-            raise LabelError("expected exactly one memory mode")
-        s_cond = gaussian_conditional_entropy(state, target, memory[0])
-    n_avg = mean_photon_number(state, target)
+        s_cond = gaussian_conditional_entropy(state, *state.mode_labels)
+    n_avg = mean_photon_number(state)
     return float(-s_cond - math.log1p(-q) - n_avg * math.log(q))

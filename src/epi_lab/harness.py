@@ -93,8 +93,6 @@ def _plain(v):
         return [_plain(x) for x in v.tolist()]
     if isinstance(v, (list, tuple)):
         return [_plain(x) for x in v]
-    if isinstance(v, dict):
-        return {k: _plain(x) for k, x in v.items()}
     return v
 
 
@@ -514,7 +512,7 @@ def check_qou_gaussian_fock_agreement(r: float, t: float, mu: float, lam: float)
     tm = fk.two_mode_squeezed_vacuum(r, cutoff)
     out = ch.qou_channel_fock(tm, t, mu, lam)
     mean_f, cov_f = fk.moments_of_state(out)
-    gs_out = ga.gaussian_qou_evolution(ga.tmsv_state(r), t, mu, lam, "A")
+    gs_out = ga.gaussian_qou_evolution(ga.tmsv_state(r), t, mu, lam)
     dev = max(np.abs(cov_f - gs_out.cov).max(), np.abs(mean_f - gs_out.mean).max())
     return _within("qou-gaussian-fock-agreement", {"r": r, "t": t, "mu": mu, "lambda": lam}, dev, 1e-4,
                    {**ms.provenance(out), "cutoff": cutoff})
@@ -578,14 +576,14 @@ def check_crossrep(name: str) -> CheckReport:
                    {**devs, **ms.provenance(st), **fk.spectral_path(st)})
 
 
-def check_convolution_oracle(t: float, cutoff: int = 60) -> CheckReport:
-    """vacuum * f_{Z,t} must reproduce the thermal entropy g(t) within 1e-4."""
+def check_convolution_oracle(t: float) -> CheckReport:
+    """vacuum * f_{Z,t} at cutoff 60 must reproduce the thermal entropy g(t) within 1e-4."""
     start = time.perf_counter()
     f = ps.gaussian_pdf(t)
-    out = ch.extended_channel(f, fk.vacuum(cutoff))
+    out = ch.extended_channel(f, fk.vacuum(60))
     s = fk.von_neumann_entropy(out)
     elapsed = (time.perf_counter() - start) * 1000.0
-    return _agree("conv-vacuum-entropy", {"t": t, "cutoff": cutoff}, s, ga.g_function(t), 1e-4,
+    return _agree("conv-vacuum-entropy", {"t": t, "cutoff": out.mode_dims[0]}, s, ga.g_function(t), 1e-4,
                   {**ms.provenance(out), **ms.provenance(f),
                    "trace_drift": out.trace_drift, "channel": ch.channel_path(f), "channel_ms": elapsed})
 

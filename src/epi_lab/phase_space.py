@@ -160,7 +160,7 @@ def gaussian_pdf(t: float, center=(0.0, 0.0), spacing: float = None, extent: flo
     of (numerically zero) cells is added so the boundary-tail budget holds
     even at coarse spacings.
     """
-    if t <= 0:
+    if not t > 0:  # NaN fails too
         raise DomainError(f"gaussian_pdf requires t > 0, got {t}")
     sigma = math.sqrt(t)
     if spacing is None:
@@ -181,23 +181,23 @@ def gaussian_pdf(t: float, center=(0.0, 0.0), spacing: float = None, extent: flo
     return GridPdf(origin, spacing, gaussian=(float(t), center), factor=g).normalized()
 
 
-def delta_pdf(spacing: float, center=(0.0, 0.0), pad: int = 2) -> GridPdf:
-    """Single-cell spike, the narrowest density representable on the grid."""
-    L = 2 * pad + 1
-    vals = np.zeros((L, L))
-    vals[pad, pad] = TWO_PI / spacing ** 2
-    return GridPdf((center[0] - pad * spacing, center[1] - pad * spacing), spacing, vals)
+def delta_pdf(spacing: float) -> GridPdf:
+    """Single-cell spike at the origin inside two empty rings, the narrowest
+    density representable on the grid."""
+    vals = np.zeros((5, 5))
+    vals[2, 2] = TWO_PI / spacing ** 2
+    return GridPdf((-2 * spacing, -2 * spacing), spacing, vals)
 
 
-def uniform_square_pdf(width: float, spacing: float, center=(0.0, 0.0), pad: int = 2) -> GridPdf:
-    """Uniform density on a square of side `width`, zero-padded at the rim."""
+def uniform_square_pdf(width: float, spacing: float) -> GridPdf:
+    """Uniform density on a square of side `width` centered at the origin,
+    inside two empty rings."""
     inner = max(int(round(width / spacing)), 1)
-    L = inner + 2 * pad
+    L = inner + 4
     vals = np.zeros((L, L))
-    vals[pad : pad + inner, pad : pad + inner] = 1.0
+    vals[2 : 2 + inner, 2 : 2 + inner] = 1.0
     half = (L - 1) / 2.0
-    f = GridPdf((center[0] - half * spacing, center[1] - half * spacing), spacing, vals)
-    return f.normalized()
+    return GridPdf((-half * spacing, -half * spacing), spacing, vals).normalized()
 
 
 def shannon_entropy(f: GridPdf) -> float:
@@ -281,7 +281,7 @@ def classical_heat_flow(f: GridPdf, t: float) -> GridPdf:
     """Convolution with the isotropic Gaussian of variance t; t = 0 is the
     identity. A density tagged (s, center) flows in closed form to the tagged
     Gaussian of variance s + t at its spacing; any other is convolved by FFT."""
-    if t < 0:
+    if not t >= 0:  # NaN fails too
         raise NegativeTimeError(f"heat flow requires t >= 0, got {t}")
     if t == 0:
         if f.factor is not None:
@@ -312,10 +312,8 @@ def load_gridpdf(path) -> GridPdf:
         magic = fh.readline().split()
         if magic[:1] != ["gridpdf"]:
             raise DomainError(f"{path}: not a gridpdf file")
-        fields = {}
-        for _ in range(3):
-            parts = fh.readline().split()
-            fields[parts[0]] = parts[1:]
+        lines = (fh.readline().split() for _ in range(3))
+        fields = {parts[0]: parts[1:] for parts in lines if parts}  # a blank line is a missing field
         try:
             origin = (float(fields["origin"][0]), float(fields["origin"][1]))
             spacing = float(fields["spacing"][0])

@@ -7,6 +7,7 @@ criteria; the determinism criterion performs a second full run.
 
 import json
 import math
+from pathlib import Path
 
 import mpmath as mp
 import pytest
@@ -183,6 +184,52 @@ def test_criterion_13_determinism(suite_run, tmp_path, capsys):
     ok = canon1 == canon2
     _emit(capsys, 13, "determinism", ok,
           f"two seed-7 runs agree on {len(canon1)} canonical bytes")
+
+
+# The canonical seed-7 payload as recorded, whose sha256 is the canonical sha
+# on an AVX-512 (SkylakeX) OpenBLAS kernel. A change that moves values on
+# purpose re-records it:
+#   PYTHONPATH=src python -c 'import sys; from epi_lab import harness as hn;
+#   sys.stdout.write(hn.canonical_json(hn.suite_payload(hn.run_suite(7), 7)))' \
+#     > tests/data/suite_seed7_canonical.json
+RECORDED = Path(__file__).parent / "data" / "suite_seed7_canonical.json"
+# numbers may move between OpenBLAS kernels (by at most 6.8e-12 across SkylakeX,
+# Haswell, Zen, Sandybridge and Prescott), so they are compared to a bound, not bytes
+RECORDED_TOL = 1e-10
+
+
+def _deviation(run, ref, where):
+    """(largest |x - y| / max(1, |y|), where) over the numbers of run and ref,
+    which must otherwise agree exactly: the same keys, lengths, strings,
+    booleans and integers."""
+    if isinstance(ref, dict):
+        assert run.keys() == ref.keys(), where
+        return max((_deviation(run[k], ref[k], f"{where}.{k}") for k in ref), default=(0.0, where))
+    if isinstance(ref, list):
+        assert len(run) == len(ref), where
+        return max((_deviation(x, y, f"{where}[{i}]") for i, (x, y) in enumerate(zip(run, ref))),
+                   default=(0.0, where))
+    if type(ref) is float and type(run) is float:
+        if run == ref or (math.isnan(run) and math.isnan(ref)):
+            return 0.0, where
+        return abs(run - ref) / max(1.0, abs(ref)), where
+    assert type(run) is type(ref) and run == ref, where
+    return 0.0, where
+
+
+def test_reports_match_the_recorded_payload(suite_run, capsys):
+    run = hn.canonical_payload(suite_run["payload"])
+    ref = json.loads(RECORDED.read_text())
+    ids = [(r["check_name"], r["params"]) for r in ref["reports"]]
+    assert [(r["check_name"], r["params"]) for r in run["reports"]] == ids
+    assert [r["pass"] for r in run["reports"]] == [r["pass"] for r in ref["reports"]]
+    assert {**run, "reports": None} == {**ref, "reports": None}
+    dev, where = max(_deviation(x, y, f"{y['check_name']} {y['params']}")
+                     for x, y in zip(run["reports"], ref["reports"]))
+    with capsys.disabled():
+        print(f"[acceptance] {len(ids)} reports against the recorded payload: largest deviation "
+              f"{dev:.2e}{f' at {where}' if dev else ''}, bound {RECORDED_TOL:.0e}")
+    assert dev <= RECORDED_TOL, where
 
 
 def test_suite_exit_code(suite_run, capsys):

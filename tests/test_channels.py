@@ -404,7 +404,7 @@ class TestQouChannel:
     def test_two_mode_kernel_matches_gaussian(self):
         tm = fk.two_mode_squeezed_vacuum(0.5, 20)
         out = ch.qou_channel_fock(tm, 0.8, 1.0, 0.5)
-        gs = ga.gaussian_qou_evolution(ga.tmsv_state(0.5), 0.8, 1.0, 0.5, "A")
+        gs = ga.gaussian_qou_evolution(ga.tmsv_state(0.5), 0.8, 1.0, 0.5)
         mean, cov = fk.moments_of_state(out)
         assert np.abs(cov - gs.cov).max() <= 1e-4
         assert np.abs(mean - gs.mean).max() <= 1e-8
@@ -447,12 +447,39 @@ class TestQouChannel:
         assert np.abs(out.matrix - expected).max() <= 1e-13
 
 
+# every entry point that takes a time, with the error a NaN time must raise there
+NAN_TIME_CALLS = {
+    "gaussian_noise_channel": (NegativeTimeError, lambda: ch.gaussian_noise_channel(fk.vacuum(8), math.nan)),
+    "gaussian_heat_flow": (NegativeTimeError, lambda: ga.gaussian_heat_flow(ga.vacuum_state(), math.nan)),
+    "gaussian_qou_evolution": (NegativeTimeError,
+                               lambda: ga.gaussian_qou_evolution(ga.vacuum_state(), math.nan, 1.0, 0.5)),
+    "qou_channel_fock": (NegativeTimeError, lambda: ch.qou_channel_fock(fk.vacuum(8), math.nan, 1.0, 0.5)),
+    "classical_heat_flow": (NegativeTimeError, lambda: ps.classical_heat_flow(ps.delta_pdf(0.1), math.nan)),
+    "quantum_heat_flow_fock": (NegativeTimeError, lambda: ch.quantum_heat_flow_fock(fk.vacuum(8), math.nan)),
+    "quantum_heat_flow_fock_multi": (NegativeTimeError,
+                                     lambda: ch.quantum_heat_flow_fock_multi(fk.vacuum(8), [0.1, math.nan])),
+    "gaussian_pdf": (DomainError, lambda: ps.gaussian_pdf(math.nan)),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(NAN_TIME_CALLS))
+def test_nan_time_is_refused(entry):
+    # NaN fails every comparison, so a `t < 0` test would let it through
+    error, call = NAN_TIME_CALLS[entry]
+    with pytest.raises(error, match="nan"):
+        call()
+
+
 class TestCQStateMachinery:
     def test_register_validation(self):
         with pytest.raises(DomainError):
             ch.Register([0.7, 0.7], [fk.vacuum(8), fk.vacuum(8)])
         with pytest.raises(DomainError):
             ch.Register([1.0], [])
+
+    def test_register_refuses_unequal_cutoffs(self):
+        with pytest.raises(DomainError, match="share their dims"):
+            ch.Register([0.5, 0.5], [fk.vacuum(8), fk.vacuum(9)])
 
     @pytest.mark.parametrize("probs", [[math.nan, 0.5], [0.5, math.nan], [math.nan, math.nan]])
     def test_register_refuses_nan_probabilities(self, probs):

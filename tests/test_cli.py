@@ -144,6 +144,13 @@ class TestExitCodes:
             code, _, err = run_cli(argv)
             assert code == 2 and "usage error" in err, argv
 
+    def test_unreadable_input_paths_are_2(self, tmp_path):
+        missing = tmp_path / "missing"
+        for argv, message in ((["capacity", "--config", str(missing)], "cannot read config file"),
+                              (["capacity", "--noise", f"file:{missing}"], "cannot read noise file")):
+            code, _, err = run_cli(argv)
+            assert code == 2 and f"usage error: {message}" in err, argv
+
     def test_grid_extent_is_not_a_flag(self):
         # a Gaussian grid reaches 8 sigma by itself; there is no extent to set
         code, _, err = run_cli(["epi", "--grid-extent", "inf", "--cutoff", "20"])
@@ -276,6 +283,14 @@ class TestExitCodes:
                                 "--noise", f"gauss:0.3@0.37,0.11|file:{path}", "--cutoff", "32"])
         assert code == 0, err
 
+    def test_register_shares_a_single_noise_entry(self):
+        # one --noise entry serves every label, as if written once per label
+        shared, each = (run_cli(["epi", "--state", "register:p=0.5,fock:1|cat:2.0", "--noise", noise])
+                        for noise in ("gauss:0.4", "gauss:0.4|gauss:0.4"))
+        assert shared[0] == 0, shared[2]
+        (rep,) = json.loads(shared[1])["reports"]
+        assert rep["params"]["labels"] == 2 and [rep] == json.loads(each[1])["reports"]
+
     def test_linear_epi_on_one_mode_gaussian_input(self):
         code, out, _ = run_cli(["linear-epi", "--state", "thermal:1.0", "--noise", "gauss:0.5",
                                 "--cutoff", "40"])
@@ -337,6 +352,11 @@ class TestOptimalLambda:
         code, _, err = run_cli([cmd, "--lambda", "optimal", "--cutoff", "12"])
         assert code == 2
         assert f"{cmd} needs a numeric --lambda" in err
+
+    def test_lambda_must_be_a_number_or_optimal(self):
+        code, _, err = run_cli(["linear-epi", "--lambda", "abc"])
+        assert code == 2
+        assert "--lambda must be a number or 'optimal', got 'abc'" in err
 
     def test_linear_epi_takes_optimal(self):
         code, out, _ = run_cli(["linear-epi", "--lambda", "optimal", "--cutoff", "24"])

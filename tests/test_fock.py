@@ -351,6 +351,16 @@ class TestCrossRepresentation:
         assert np.abs(mean - gs.mean).max() <= 1e-6
         assert np.abs(cov - gs.cov).max() <= 1e-6
 
+    def test_dense_two_mode_coherent_product(self):
+        # z = alpha beta and w = conj(alpha) beta are both nonzero, on unequal cutoffs
+        alpha, beta = 1.0 + 0.5j, -0.7 + 0.8j
+        st = fk.tensor_product(fk.coherent(alpha, 40), fk.coherent(beta, 30), labels=("A", "M"))
+        gs = ga.GaussianState(np.concatenate([ga.coherent_state(x).mean for x in (alpha, beta)]),
+                              0.5 * np.eye(4), ("A", "M"))
+        mean, cov = fk.moments_of_state(st)
+        assert np.abs(mean - gs.mean).max() <= 1e-10
+        assert np.abs(cov - gs.cov).max() <= 1e-10
+
     def test_copy_keeps_trace_drift(self):
         st = fk.thermal(1.0, 30)
         st.trace_drift = 3e-9

@@ -257,7 +257,7 @@ class TestQouEvolution:
 
     def test_zero_time(self):
         state = ga.tmsv_state(0.7)
-        out = ga.gaussian_qou_evolution(state, 0.0, 1.0, 0.5, "A")
+        out = ga.gaussian_qou_evolution(state, 0.0, 1.0, 0.5)
         assert np.allclose(out.cov, state.cov)
 
     def test_long_time_limit(self):
@@ -269,9 +269,9 @@ class TestQouEvolution:
     def test_semigroup(self):
         state = ga.tmsv_state(0.8)
         one = ga.gaussian_qou_evolution(
-            ga.gaussian_qou_evolution(state, 0.4, 1.0, 0.5, "A"), 0.6, 1.0, 0.5, "A"
+            ga.gaussian_qou_evolution(state, 0.4, 1.0, 0.5), 0.6, 1.0, 0.5
         )
-        two = ga.gaussian_qou_evolution(state, 1.0, 1.0, 0.5, "A")
+        two = ga.gaussian_qou_evolution(state, 1.0, 1.0, 0.5)
         assert np.allclose(one.cov, two.cov, atol=1e-14)
 
     def test_bad_params(self):
@@ -299,7 +299,7 @@ class TestRelativeEntropyToThermalProduct:
         assert d0 > 0
         rate = 1.0 - 0.25
         for t in (0.5, 1.0, 2.0):
-            out = ga.gaussian_qou_evolution(state, t, 1.0, 0.5, "A")
+            out = ga.gaussian_qou_evolution(state, t, 1.0, 0.5)
             dt = ga.relative_entropy_to_thermal_product(out, 1.0, 0.5)
             assert dt <= math.exp(-rate * t) * d0 + 1e-8
 
@@ -308,7 +308,7 @@ class TestRelativeEntropyToThermalProduct:
         for _ in range(5):
             state = random_physical_state(rng)
             d0 = ga.relative_entropy_to_thermal_product(state, 1.2, 0.4)
-            out = ga.gaussian_qou_evolution(state, 0.7, 1.2, 0.4, "A")
+            out = ga.gaussian_qou_evolution(state, 0.7, 1.2, 0.4)
             dt = ga.relative_entropy_to_thermal_product(out, 1.2, 0.4)
             assert dt <= math.exp(-(1.2 ** 2 - 0.4 ** 2) * 0.7) * d0 + 1e-8
 

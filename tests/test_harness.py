@@ -133,7 +133,7 @@ class TestExactChannelRouting:
         assert rep.diagnostics["channel"] == "quadrature"
 
     def test_convolution_oracle_records_the_channel(self):
-        rep = hn.check_convolution_oracle(0.2, cutoff=30)
+        rep = hn.check_convolution_oracle(0.2)
         assert rep.passed and rep.diagnostics["channel"] == "exact"
 
 
@@ -317,8 +317,8 @@ class TestSerializationAndDeterminism:
         assert text.splitlines()[0] == "check_name,t,lhs,rhs,margin,tolerance,pass"
 
     def test_check_is_bit_reproducible(self):
-        a = hn.check_convolution_oracle(0.2, cutoff=30)
-        b = hn.check_convolution_oracle(0.2, cutoff=30)
+        a = hn.check_convolution_oracle(0.2)
+        b = hn.check_convolution_oracle(0.2)
         assert a.lhs == b.lhs and a.margin == b.margin
 
     def test_suite_entries_have_unique_names(self):

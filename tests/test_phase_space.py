@@ -66,6 +66,14 @@ class TestEntropyAndMoments:
         m = (3.0) ** 2 / (2 * math.pi)
         assert ps.shannon_entropy(f) == pytest.approx(math.log(m), rel=1e-9)
 
+    def test_delta_and_uniform_sit_at_the_origin(self):
+        # each density centered at the origin inside two empty rings
+        f = ps.delta_pdf(0.1)
+        assert f.origin == (-0.2, -0.2) and f.size == 5 and f.values[2, 2] == f.values.sum()
+        f = ps.uniform_square_pdf(3.0, 0.05)
+        assert f.size == 60 + 4 and f.origin == (-(f.size - 1) / 2 * 0.05,) * 2
+        assert f.boundary_ring_mass() == 0.0 and f.values[2:-2, 2:-2].min() > 0
+
     def test_gaussian_tag(self):
         f = ps.gaussian_pdf(0.6, center=(0.3, -0.2))
         assert f.gaussian == (0.6, (0.3, -0.2))
@@ -279,6 +287,18 @@ class TestSerialization:
         path = tmp_path / "bad.grid"
         path.write_text("something else\n")
         with pytest.raises(DomainError):
+            ps.load_gridpdf(path)
+
+    @pytest.mark.parametrize("header", [
+        "origin 0.0\nspacing 0.1\nsize 1\n",  # one origin coordinate
+        "origin 0.0 0.0\nspacing x\nsize 1\n",  # not a number
+        "\nspacing 0.1\nsize 1\n",  # a blank line
+        "origin 0.0 0.0\nspacing 0.1\n",  # no size line: the first value row takes its place
+    ])
+    def test_malformed_header(self, tmp_path, header):
+        path = tmp_path / "bad.grid"
+        path.write_text(f"gridpdf 1\n{header}1.0\n")
+        with pytest.raises(DomainError, match="malformed gridpdf header"):
             ps.load_gridpdf(path)
 
     def test_size_mismatch(self, tmp_path):
