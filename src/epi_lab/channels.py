@@ -2,17 +2,19 @@
 extension over a classical register, the heat flow on every side type, beam
 splitters, and the one-mode damping (quantum Ornstein-Uhlenbeck) semigroup.
 
-A channel on one mode acts through `fk.map_mode`, any other mode riding
-along as a batch. Gaussian noise comes from two Kraus tables: a one-mode
-state runs the Kraus sums on its whole matrix (padded, displaced and cut back
-in the same call for a shifted center); on a two-mode state it maps each
-diagonal by one small matrix gathered from the tables (`fk.map_diagonals`),
-as damping does, and a shifted center pads and displaces the mode
-(`fk.conjugate_mode`). A quadrature superoperator on a two-mode state is one
-matrix product (`apply_one_mode_kernel`). `qou_superoperator` is the
-damping oracle; the displacement quadrature serves densities with no
-Gaussian form and the oracle tests. Its sums run in fixed chunk order, so
-repeated runs on one machine agree bit for bit.
+A channel on one mode acts through `fk.map_mode`, any other mode riding along
+as a batch. Gaussian noise comes from two Kraus tables: a one-mode state runs
+the Kraus sums on its whole matrix (padded, displaced and cut back in the same
+call for a shifted center); on a two-mode state it maps each diagonal by one
+small matrix gathered from the tables (`fk.map_diagonals`), and a shifted
+center pads and displaces the mode (`fk.conjugate_mode`). Damping, and a beam
+splitter against a diagonal input (thermal, Fock, vacuum), map each diagonal by
+one matrix too (`_environment_maps`); against coherences a beam splitter runs
+on the inputs' factors. A quadrature superoperator on a two-mode state is one
+matrix product (`apply_one_mode_kernel`). `qou_superoperator` is the damping
+oracle; the displacement quadrature serves densities with no Gaussian form and
+the oracle tests. Its sums run in fixed chunk order, so repeated runs on one
+machine agree bit for bit.
 
 `heat_flow` dispatches on the side's type and `extended_channel` on the
 noise's: each type registers one implementation right below the function.
@@ -246,19 +248,9 @@ def gaussian_noise_channel(rho: FockState, t: float, center=(0.0, 0.0), target: 
 # beam splitter and the damping semigroup
 
 
-def _sector_tensor(dims, transmissivity: float) -> np.ndarray:
-    """G[j, b, k] = <j, b|U|k, j + b - k> (0 where j + b - k is no level of mode B) for the
-    beam splitter U = exp(theta (a^dag b - a b^dag)) on cutoffs dims, cos(theta)^2 = transmissivity:
-    one block per photon-number sector n = j + b, exact on the truncated space. A block's
-    generator theta (L - L^T), L its subdiagonal, couples even and odd local levels only: in
-    (even, odd) order it is theta [[0, P], [-P^T, 0]] with P bidiagonal, and with P = U S W^T
-    the block is [[I - 2 U sin^2(theta S / 2) U^T, U sin(theta S) W^T], [-W sin(theta S) U^T,
-    I - 2 W sin^2(theta S / 2) W^T]]. Every sector's P is zero-padded to one size for one batched
-    SVD (padding has S = 0 and adds exactly nothing); the identity exactly at theta = 0."""
-    if not 0.0 <= transmissivity <= 1.0:
-        raise ParameterError(f"transmissivity must be in [0, 1], got {transmissivity}")
-    d1, d2 = dims
-    theta = math.acos(math.sqrt(transmissivity))
+@functools.lru_cache(maxsize=16)
+def _sector_factors(d1: int, d2: int):
+    """`_sector_tensor`'s theta-free half, read-only: sector levels k0..k1 of mode A, the SVD of P."""
     h = (min(d1, d2) + 1) // 2
     n = np.arange(d1 + d2 - 1)
     k0, k1 = np.maximum(0, n - d2 + 1), np.minimum(d1 - 1, n)  # sector n: levels k0..k1 of mode A
@@ -267,15 +259,35 @@ def _sector_tensor(dims, transmissivity: float) -> np.ndarray:
     a = np.arange(h)
     P = np.zeros((n.size, h, h))  # P[a, a'] = (L - L^T)[2a, 2a' + 1]
     P[:, a, a], P[:, a[1:], a[:-1]] = -val[:, ::2], val[:, 1::2]
-    U, S, Wt = np.linalg.svd(P)
+    factors = (k0, k1, *np.linalg.svd(P))
+    for x in factors:
+        x.flags.writeable = False
+    return factors
+
+
+def _sector_tensor(dims, transmissivity: float) -> np.ndarray:
+    """G[j, b, k] = <j, b|U|k, j + b - k> (0 where j + b - k is no level of mode B) for the
+    beam splitter U = exp(theta (a^dag b - a b^dag)) on cutoffs dims, cos(theta)^2 = transmissivity:
+    one block per photon-number sector n = j + b, exact on the truncated space. A block's
+    generator theta (L - L^T), L its subdiagonal, couples even and odd local levels only: in
+    (even, odd) order it is theta [[0, P], [-P^T, 0]] with P bidiagonal, and with P = U S W^T
+    the block is [[I - 2 U sin^2(theta S / 2) U^T, U sin(theta S) W^T], [-W sin(theta S) U^T,
+    I - 2 W sin^2(theta S / 2) W^T]]. Every sector's P is zero-padded to one size for one batched
+    SVD per cutoffs (`_sector_factors`; padding adds exactly nothing); the identity at theta = 0."""
+    if not 0.0 <= transmissivity <= 1.0:
+        raise ParameterError(f"transmissivity must be in [0, 1], got {transmissivity}")
+    d1, d2 = dims
+    theta = math.acos(math.sqrt(transmissivity))
+    k0, k1, U, S, Wt = _sector_factors(d1, d2)
+    n, h = S.shape
     c, s = -2 * np.sin(theta * S[:, None] / 2) ** 2, np.sin(theta * S[:, None])
-    B = np.zeros((n.size, h, 2, h, 2))  # B[n, a, p, a', p'] = block[2a + p, 2a' + p']
+    a = np.arange(h)
+    B = np.zeros((n, h, 2, h, 2))  # B[n, a, p, a', p'] = block[2a + p, 2a' + p']
     B[:, a, 0, a, 0] = B[:, a, 1, a, 1] = 1.0
     B[:, :, 0, :, 0] += (U * c) @ U.transpose(0, 2, 1)
     B[:, :, 0, :, 1] += (U * s) @ Wt  # added to zeros, so no -0.0 at theta = 0
     B[:, :, 1, :, 0] -= B[:, :, 0, :, 1].transpose(0, 2, 1)
     B[:, :, 1, :, 1] += (Wt.transpose(0, 2, 1) * c) @ Wt
-    del P, U, Wt  # freed before the gather, which holds B, G and its column index
     j, b, k = np.ogrid[:d1, :d2, :d1]
     k0, k1 = k0[j + b], k1[j + b]
     G = B.reshape(-1, 2 * h)[2 * h * (j + b) + j - k0, np.clip(k - k0, 0, 2 * h - 1)]
@@ -301,14 +313,27 @@ def _factor(rho: FockState) -> np.ndarray:
     return v[:, keep] * np.sqrt(w[keep])
 
 
+def _environment_maps(d: int, w: np.ndarray, eta: float):
+    """maps(q) for `fk.map_diagonals` of a beam splitter (G of `_sector_tensor`) against diag(w) on cutoff
+    d: it keeps n_A + n_E, so maps(q)[y, c] = sum_b w[y + b - c] G[y + q, b, c + q] G[y, b, c]."""
+    G = _sector_tensor((d, w.size), eta)
+    y, b, c = np.ogrid[:d, :w.size, :d]
+    Gw = G * w[np.clip(y + b - c, 0, w.size - 1)]  # G is 0 where clipped
+    return lambda q: np.einsum("ybc,ybc->yc", G[q:, :, q:], Gw[:d - q, :, :d - q])
+
+
 def beam_splitter(rho_a: FockState, rho_b: FockState, transmissivity: float) -> FockState:
-    """Mode A of a beam splitter on rho_a x rho_b, tr_B U (rho_a x rho_b) U^T, as W W^dag with
-    W[j, (b, l, i)] = sum_k G[j, b, k] F_b[j + b - k, i] F_a[k, l], rho = F F^dag (`_factor`) and
-    G[j, b, k] = <j, b|U|k, j + b - k> (U keeps the photon number): no two-mode matrix is formed.
-    W or its intermediate above MAX_DENSE_BYTES raises DomainError before allocation."""
+    """Mode A of a beam splitter on rho_a x rho_b, tr_B U (rho_a x rho_b) U^T, with no two-mode matrix:
+    by `_environment_maps` for a diagonal rho_b, else as W W^dag, W[j, (b, l, i)] = sum_k G[j, b, k]
+    F_b[j + b - k, i] F_a[k, l] with rho = F F^dag (`_factor`), G[j, b, k] = <j, b|U|k, j + b - k>
+    (U keeps the photon number); W or its intermediate above MAX_DENSE_BYTES raises DomainError."""
     if rho_a.n_modes != 1 or rho_b.n_modes != 1:
         raise DomainError("beam splitter takes two one-mode inputs")
     d1, d2 = rho_a.dim, rho_b.dim
+    w = np.diagonal(rho_b.matrix)
+    if np.array_equal(rho_b.matrix, np.diag(w)):
+        mat = fk.map_diagonals(rho_a, _environment_maps(d1, w.real, transmissivity)).matrix
+        return FockState((d1,), fk._hermitize(mat), rho_a.mode_labels)
     fa, fb = _factor(rho_a), _factor(rho_b)
     nbytes = 16 * d1 * d2 * fb.shape[1] * max(d1, fa.shape[1])
     if nbytes > fk.MAX_DENSE_BYTES:
@@ -320,8 +345,7 @@ def beam_splitter(rho_a: FockState, rho_b: FockState, transmissivity: float) -> 
     T = fb[np.clip(j + b - k, 0, d2 - 1)]  # [j, b, k, i]; G is 0 where clipped
     T *= G[..., None]
     W = np.matmul(fa.T, T).reshape(d1, -1)
-    mat = W @ W.conj().T
-    return FockState((d1,), fk._hermitize(mat), rho_a.mode_labels)
+    return FockState((d1,), fk._hermitize(W @ W.conj().T), rho_a.mode_labels)
 
 
 def qou_environment(mu: float, lam: float) -> FockState:
@@ -332,22 +356,15 @@ def qou_environment(mu: float, lam: float) -> FockState:
 
 
 def qou_channel_fock(rho: FockState, t: float, mu: float, lam: float) -> FockState:
-    """Damping-semigroup evolution of the first mode: a beam splitter (G of `_sector_tensor`)
-    of transmissivity `_qou_transmissivity` against the thermal fixed point w. It keeps
-    n_A + n_E, so `fk.map_diagonals` applies it to each diagonal q of the mode as one matrix,
-    maps(q)[y, c] = sum_b w[y + b - c] G[y + q, b, c + q] G[y, b, c]."""
+    """Damping-semigroup evolution of the first mode: a beam splitter of transmissivity
+    `_qou_transmissivity` against the thermal fixed point, by `_environment_maps`."""
     eta = _qou_transmissivity(t, mu, lam)
     if t == 0:
         return rho.copy()
-    d = rho.mode_dims[0]
     w = np.real(np.diag(qou_environment(mu, lam).matrix))
-    G = _sector_tensor((d, w.size), eta)
-    y, b, c = np.ogrid[:d, :w.size, :d]
-    Gw = G * w[np.clip(y + b - c, 0, w.size - 1)]  # G is 0 where clipped
-    out = fk.map_diagonals(rho, lambda q: np.einsum("ybc,ybc->yc", G[q:, :, q:], Gw[:d - q, :, :d - q]))
+    out = fk.map_diagonals(rho, _environment_maps(rho.mode_dims[0], w, eta))
     if rho.n_modes == 1:
-        # not renormalized and not tail-checked: the one-mode outputs of the
-        # sweep's random qou requests exceed TAIL_TOL (see CHANGES.md, FOUND)
+        # not renormalized or tail-checked: the sweep's random qou outputs exceed TAIL_TOL
         return FockState(rho.mode_dims, fk._hermitize(out.matrix), rho.mode_labels)
     return _finish(out)
 

@@ -11,7 +11,8 @@ stored by its A-diagonals in O(d^3) numbers. The functionals here and the
 Gaussian noise channel on A run on that storage; every other consumer reads
 `matrix` or acts on one mode through `map_mode`, both of which go through
 `densify`. Spectra are solved one n_A - n_M charge block at a time on the
-storage and by one dense solve on every dense matrix.
+storage, where an all-zero block gives zeros unsolved, and by one dense solve
+on every dense matrix.
 """
 
 from __future__ import annotations
@@ -269,7 +270,7 @@ def map_diagonals(rho: FockState, maps, k: int = 0) -> FockState:
     normalized: for q >= 0, out[i + q, i] = sum_j maps(q)[i, j] rho[j + q, j]
     on mode k, and the same on out[i, i + q]. On the diagonal storage and
     mode A it is one maps(|q|) @ X_q per offset; otherwise it runs through
-    `map_mode`."""
+    `map_mode`, which builds no maps(q) for a zero diagonal (M @ 0 = 0)."""
     if isinstance(rho, PhaseCovariantState) and k == 0:
         d = rho.mode_dims[0]
         out = np.empty_like(rho.diagonals)
@@ -281,7 +282,8 @@ def map_diagonals(rho: FockState, maps, k: int = 0) -> FockState:
 
     def diagonals(x):
         out = np.zeros_like(x)
-        for q in range(x.shape[0]):
+        rows, cols = np.nonzero(x.any(axis=tuple(range(2, x.ndim))))
+        for q in np.unique(np.abs(rows - cols)):  # the nonzero diagonals
             M, i = maps(q), np.arange(x.shape[0] - q)
             out[i + q, i] = np.tensordot(M, x[i + q, i], axes=1)
             out[i, i + q] = np.tensordot(M, x[i, i + q], axes=1)
@@ -302,7 +304,8 @@ def _spectrum(rho: FockState) -> np.ndarray:
     dense solve; `trace_norm_distance` calls it, not the traced `eigenvalues`."""
     if not isinstance(rho, PhaseCovariantState):
         return _eigvalsh(rho.matrix)
-    return np.sort(np.concatenate([_eigvalsh(b) for b in rho.charge_blocks()]))
+    blocks = rho.charge_blocks()
+    return np.sort(np.concatenate([_eigvalsh(b) if b.any() else np.zeros(len(b)) for b in blocks]))
 
 
 def eigenvalues(rho: FockState) -> np.ndarray:

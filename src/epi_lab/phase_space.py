@@ -318,9 +318,9 @@ def load_gridpdf(path) -> GridPdf:
             origin = (float(fields["origin"][0]), float(fields["origin"][1]))
             spacing = float(fields["spacing"][0])
             L = int(fields["size"][0])
+            data = np.loadtxt(fh, dtype=float)
         except (KeyError, IndexError, ValueError) as exc:
-            raise DomainError(f"{path}: malformed gridpdf header") from exc
-        data = np.loadtxt(fh, dtype=float)
+            raise DomainError(f"{path}: malformed gridpdf header or values") from exc
     data = np.atleast_2d(data)
     if data.shape != (L, L):
         raise DomainError(f"{path}: expected {L}x{L} values, got {data.shape}")

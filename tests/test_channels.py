@@ -310,7 +310,9 @@ class TestBeamSplitter:
         assert np.array_equal(ch._sector_tensor(dims, 1.0), identity)
 
     def test_sector_tensor_makes_one_factorization(self, monkeypatch):
-        # every sector in one batched call, so no per-sector loop
+        # every sector in one batched call, so no per-sector loop, and one
+        # call per cutoffs: the factorization does not depend on theta
+        ch._sector_factors.cache_clear()
         calls = []
 
         def counted(solver):
@@ -323,6 +325,13 @@ class TestBeamSplitter:
         monkeypatch.setattr(np.linalg, "eigh", counted(np.linalg.eigh))
         ch._sector_tensor((40, 40), 0.5)
         assert calls == ["svd"]
+        ch._sector_tensor((40, 40), 0.2)
+        assert calls == ["svd"]
+
+    def test_cached_factors_are_read_only(self):
+        for x in ch._sector_factors(12, 9):
+            with pytest.raises(ValueError):
+                x[(0,) * x.ndim] = 1.0
 
     def test_sector_tensor_peak_memory(self):
         # the padded blocks and the gather index stay within a few copies of G
@@ -355,8 +364,14 @@ class TestBeamSplitter:
         lambda: (fk.random_mixed(3, 20, 7, support=14), fk.coherent(0.5 + 0.5j, 20)),
         lambda: (fk.thermal(1.0, 30), fk.thermal(0.5, 30)),
         lambda: (fk.random_mixed(3, 20, 7, support=14), ch.qou_environment(1.0, 0.5)),
-    ], ids=["coherent-cat", "random-coherent", "thermal-thermal", "unequal-cutoffs"])
+        lambda: (fk.fock(1, 20), fk.vacuum(20)),
+        lambda: (fk.coherent(0.6 - 0.8j, 20), fk.thermal(0.5, 20)),
+        lambda: (fk.thermal(0.5, 20), fk.coherent(0.6 - 0.8j, 20)),
+    ], ids=["coherent-cat", "random-coherent", "thermal-thermal", "unequal-cutoffs", "fock-vacuum",
+            "coherent-thermal", "thermal-coherent"])
     def test_matches_dense_dilation(self, pair, lam):
+        # a B without coherences runs the per-diagonal maps, any other B the
+        # factored path (pure B here, and A of full rank in thermal-coherent)
         a, b = pair()
         out = ch.beam_splitter(a, b, lam)
         expected = beam_splitter_dense(fk.tensor_product(a, b, labels=("A", "B")), lam)
@@ -420,10 +435,11 @@ class TestQouChannel:
         lambda: fk.cat(1.1, 20),
     ], ids=["fock1", "random", "cat"])
     def test_one_mode_matches_beam_splitter(self, make, t):
-        # the superoperator path against the dilation it is built from: the
-        # input and the thermal fixed point meet on a beam splitter
+        # the damping channel against its dense dilation: the input and the
+        # thermal fixed point meet on a beam splitter
         rho = make()
-        expected = ch.beam_splitter(rho, ch.qou_environment(1.0, 0.5), math.exp(-0.75 * t))
+        joint = fk.tensor_product(rho, ch.qou_environment(1.0, 0.5), labels=("A", "B"))
+        expected = beam_splitter_dense(joint, math.exp(-0.75 * t))
         out = ch.qou_channel_fock(rho, t, 1.0, 0.5)
         assert out.mode_dims == rho.mode_dims and out.mode_labels == rho.mode_labels
         assert np.abs(out.matrix - expected.matrix).max() <= 1e-13

@@ -242,16 +242,30 @@ class TestExitCodes:
         assert code == 2 and "DomainError" in err and "(32, 16)" in err
 
     def test_bs_epi_builds_no_two_mode_state(self):
-        # a pure B keeps the factored beam splitter small at cutoff 128, where
-        # the joint state would need 4 GiB; two thermal inputs there would
-        # need 2.4 GiB and are refused with the byte count
+        # a pure B keeps the beam splitter small at cutoff 128, where the
+        # joint state would need 4 GiB; a thermal A against a rank-64 B with
+        # coherences takes the factored path, which would need 2 GiB and is
+        # refused with the byte count
         code, out, _ = run_cli(["bs-epi", "--state", "fock:1", "--state-b", "vacuum",
                                 "--cutoff", "128", "--lambda", "0.4"])
         assert code == 0 and json.loads(out)["reports"][0]["pass"] is True
-        code, _, err = run_cli(["bs-epi", "--state", "thermal:2", "--state-b", "thermal:2",
+        code, _, err = run_cli(["bs-epi", "--state", "thermal:2", "--state-b", "random:64",
                                 "--cutoff", "128", "--lambda", "0.4"])
         assert code == 2 and "DomainError" in err
         assert re.search(r"needs \d{10} bytes, over the 1073741824 byte cap", err)
+
+    def test_bs_epi_on_thermal_inputs_at_cutoff_128(self):
+        # a B without coherences runs as per-diagonal maps, with no factor of A
+        # to hold: the factored path would need 1.5 GiB here
+        code, out, _ = run_cli(["bs-epi", "--state", "thermal:2", "--state-b", "thermal:1",
+                                "--lambda", "0.5", "--cutoff", "128"])
+        assert code == 0 and json.loads(out)["reports"][0]["pass"] is True
+
+    def test_non_numeric_noise_value_is_2(self, tmp_path):
+        bad = tmp_path / "noise.grid"
+        bad.write_text("gridpdf 1\norigin 0 0\nspacing 0.1\nsize 2\n1 x\n")
+        code, _, err = run_cli(["capacity", "--noise", f"file:{bad}"])
+        assert code == 2 and "malformed gridpdf header or values" in err
 
     def test_corrupt_noise_file_is_2(self, tmp_path):
         bad = tmp_path / "noise.grid"

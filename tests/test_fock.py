@@ -309,6 +309,16 @@ class TestBlockedSpectrum:
         assert fk.spectral_path(sigma)["eigensolve"] == "blocked"
         assert fk.trace_norm_distance(rho, sigma) == pytest.approx(dense, abs=1e-12)
 
+    def test_zero_blocks_are_not_solved(self, monkeypatch):
+        # the cutoff-75 TMSV of oracle-crossrep[tmsv]: of its 149 charge
+        # blocks only c = 0 is nonzero, and the spectrum of a zero block is zeros
+        st = fk.two_mode_squeezed_vacuum(ga.tmsv_r_for_k(2.0), 75)
+        every = np.sort(np.concatenate([fk._eigvalsh(b) for b in st.charge_blocks()]))
+        sizes, eigvalsh = [], np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: sizes.append(len(m)) or eigvalsh(m))
+        assert np.array_equal(fk._spectrum(st), every)
+        assert sizes == [75]
+
     def test_unequal_cutoffs_take_the_dense_path(self):
         st = fk.tensor_product(fk.thermal(1.0, 30), fk.thermal(0.5, 20))
         assert fk.spectral_path(st) == {"eigensolve": "dense", "off_block_norm": None, "storage": "dense"}
@@ -448,6 +458,20 @@ class TestDiagonalStorage:
             out = ch.qou_channel_fock(st, 0.5, 1.0, 0.5)
         assert isinstance(out, fk.PhaseCovariantState) and not isinstance(ref, fk.PhaseCovariantState)
         assert np.abs(out.matrix - ref.matrix).max() <= 1e-13
+
+    def test_dense_maps_skip_zero_diagonals(self):
+        # |1><1| has only its main diagonal, so only maps(0) is built, and
+        # the output equals the loop over every diagonal: M @ 0 = 0
+        rho, maps = fk.fock(1, 30), ch._diagonal_maps(30, 0.4)
+        built = []
+        out = fk.map_diagonals(rho, lambda q: built.append(q) or maps(q))
+        every = np.zeros_like(rho.matrix)
+        for q in range(30):
+            i = np.arange(30 - q)
+            every[i + q, i] = np.tensordot(maps(q), rho.matrix[i + q, i], axes=1)
+            every[i, i + q] = np.tensordot(maps(q), rho.matrix[i, i + q], axes=1)
+        assert built == [0]
+        assert np.array_equal(out.matrix, every)
 
     def test_dense_only_functionals_convert(self):
         st = fk.two_mode_squeezed_vacuum(0.4, 20)
