@@ -58,14 +58,6 @@ def annihilation(d: int) -> np.ndarray:
     return np.diag(np.sqrt(np.arange(1.0, d)), 1)
 
 
-def quadrature_ops(d: int):
-    """Q = (a + a^dag)/sqrt(2), P = -i (a - a^dag)/sqrt(2) as dense matrices."""
-    a = annihilation(d)
-    q = (a + a.T) / SQRT2
-    p = -1j * (a - a.T) / SQRT2
-    return q, p
-
-
 def _check_modes(dims, labels) -> tuple:
     """The labels as a tuple; refuses cutoffs outside [1, MAX_CUTOFF] or not one label per mode."""
     if any(d < 1 or d > MAX_CUTOFF for d in dims):
@@ -532,42 +524,36 @@ def conditional_entropy(rho: FockState, target: str, memory: str) -> float:
     return von_neumann_entropy(rho) - von_neumann_entropy(partial_trace(rho, memory))
 
 
-def expectation(rho: FockState, op: np.ndarray) -> float:
-    return float(np.real(np.einsum("ij,ji->", op, rho.matrix)))
-
-
 def moments_of_state(rho: FockState):
     """First moments and covariance of the quadratures (Q1, P1, ...).
 
-    Works blockwise: same-mode second moments come from the mode marginals,
-    so nothing is ever multiplied at the joint dimension, and the cross terms
+    Each mode's own moments are read off three diagonals of its marginal:
+    <a> = sum sqrt(k) rho[k, k-1], <a^2> = sum sqrt(k(k-1)) rho[k, k-2] and
+    s = (<a^dag a> + <a a^dag>)/2, where the truncated a a^dag is zero on the
+    top level. Then <Q> + i<P> = sqrt(2) <a>, <Q^2> = s + Re<a^2>,
+    <P^2> = s - Re<a^2> and the symmetrized <QP> is Im<a^2>. The cross terms
     all follow from z = <a_A a_M> and w = <a_A^dag a_M>. On the diagonal
-    storage z is summed over slab -1 and w vanishes by symmetry; on a dense
+    storage z is summed over slab 1 and w vanishes by symmetry; on a dense
     state both contract the annihilators against the joint tensor.
     """
-    mode_ops = [quadrature_ops(d) for d in rho.mode_dims]
-    if rho.n_modes == 1:
-        marginals = [rho]
-    else:
-        marginals = [partial_trace(rho, lab) for lab in rho.mode_labels]
+    marginals = [rho] if rho.n_modes == 1 else [partial_trace(rho, lab) for lab in rho.mode_labels]
     n2 = 2 * rho.n_modes
     mean = np.zeros(n2)
     cov = np.zeros((n2, n2))
-    for k, (q, p) in enumerate(mode_ops):
-        red = marginals[k]
-        for i, op in enumerate((q, p)):
-            mean[2 * k + i] = expectation(red, op)
-        for i, a in enumerate((q, p)):
-            for j, b in enumerate((q, p)):
-                if 2 * k + j < 2 * k + i:
-                    continue
-                sym = 0.5 * (a @ b + b @ a)
-                val = expectation(red, sym) - mean[2 * k + i] * mean[2 * k + j]
-                cov[2 * k + i, 2 * k + j] = cov[2 * k + j, 2 * k + i] = val
+    for k, red in enumerate(marginals):
+        mat, n, pair = red.matrix, np.arange(red.dim), slice(2 * k, 2 * k + 2)
+        root = np.sqrt(n)
+        a1 = root[1:] @ np.diagonal(mat, -1)
+        a2 = (root[1:-1] * root[2:]) @ np.diagonal(mat, -2)
+        pops = np.diagonal(mat).real
+        s = 0.5 * (n @ pops + n[1:] @ pops[:-1])
+        mean[pair] = SQRT2 * a1.real, SQRT2 * a1.imag
+        cov[pair, pair] = np.subtract([[s + a2.real, a2.imag], [a2.imag, s - a2.real]],
+                                      np.outer(mean[pair], mean[pair]))
     if rho.n_modes == 2:
         if isinstance(rho, PhaseCovariantState):
             root = np.sqrt(np.arange(1.0, rho.mode_dims[0]))
-            z, w = root @ rho.diagonals_at(-1) @ root, 0.0  # X_-1[i, j] = <i, j|rho|i + 1, j + 1>
+            z, w = root @ rho.diagonals_at(1) @ root, 0.0  # X_1[i, j] = <i + 1, j + 1|rho|i, j>
         else:  # tr_M[rho (1 x a_M)] in one pass over the joint tensor, then against a_A and a_A^dag
             a, b = (annihilation(d) for d in rho.mode_dims)
             z, w = np.einsum("ab,kba->k", np.einsum("ambn,nm->ab", rho.tensor(), b), np.stack([a, a.T]))

@@ -102,12 +102,6 @@ class GaussianState:
             idx.extend([2 * k, 2 * k + 1])
         return idx
 
-    def marginal(self, labels) -> "GaussianState":
-        if isinstance(labels, str):
-            labels = (labels,)
-        idx = self.indices(labels)
-        return GaussianState(self.mean[idx], self.cov[np.ix_(idx, idx)], tuple(labels))
-
 
 def vacuum_state() -> GaussianState:
     return GaussianState(np.zeros(2), 0.5 * np.eye(2))
@@ -123,20 +117,24 @@ def coherent_state(alpha: complex) -> GaussianState:
     return GaussianState(math.sqrt(2) * np.array([alpha.real, alpha.imag]), 0.5 * np.eye(2))
 
 
-def gaussian_entropy(state: GaussianState) -> float:
-    """von Neumann entropy, sum of g(nu_k - 1/2) over the symplectic spectrum.
+def _entropy(cov: np.ndarray) -> float:
+    """Sum of g(nu_k - 1/2) over the symplectic spectrum of cov. Thermal
+    occupations below 1e-12 are floored to zero; they are eigenvalue noise
+    at the vacuum bound, not physical population."""
+    return float(sum(g_function(nu - 0.5) for nu in symplectic_eigenvalues(cov) if nu - 0.5 > 1e-12))
 
-    Thermal occupations below 1e-12 are floored to zero; they are eigenvalue
-    noise at the vacuum bound, not physical population.
-    """
-    nus = symplectic_eigenvalues(state.cov)
-    return float(sum(g_function(nu - 0.5) for nu in nus if nu - 0.5 > 1e-12))
+
+def gaussian_entropy(state: GaussianState) -> float:
+    """von Neumann entropy: `_entropy` of the covariance."""
+    return _entropy(state.cov)
 
 
 def gaussian_conditional_entropy(state: GaussianState, target: str, memory: str) -> float:
-    """S(target, memory) - S(memory) from the corresponding covariance blocks."""
-    joint = state.marginal((target, memory))
-    return gaussian_entropy(joint) - gaussian_entropy(state.marginal(memory))
+    """S(target, memory) - S(memory): `_entropy` of the two covariance blocks."""
+    if target == memory:
+        raise LabelError(f"target and memory are the same mode {target!r}")
+    joint, mem = state.indices((target, memory)), state.indices(memory)
+    return _entropy(state.cov[np.ix_(joint, joint)]) - _entropy(state.cov[np.ix_(mem, mem)])
 
 
 def _scale_mode(state: GaussianState, target: str, s: float, block: np.ndarray) -> GaussianState:
@@ -210,9 +208,9 @@ def tightness_family(k: float, a: float, b: float):
     from .phase_space import gaussian_pdf
 
     ta, tb = math.exp(a - 1.0), math.exp(b - 1.0)
-    rho_am = gaussian_heat_flow(tightness_state(k), ta, "A")
+    rho_am = gaussian_heat_flow(tightness_state(k), ta)
     f = gaussian_pdf(tb)
-    rho_cm = gaussian_heat_flow(rho_am, tb, "A")
+    rho_cm = gaussian_heat_flow(rho_am, tb)
     return rho_am, f, rho_cm
 
 

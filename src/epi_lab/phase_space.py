@@ -211,13 +211,11 @@ def shannon_entropy(f: GridPdf) -> float:
 
 
 def energy(f: GridPdf) -> float:
-    """Sum of second moments, sum_k integral xi_k^2 f(xi) d xi / (2 pi)."""
-    xs, ys = f.axes()
-    if f.factor is not None:
-        a = f.factor
-        return float((xs ** 2 @ a + ys ** 2 @ a) * a.sum() * f.cell_weight)
-    rsq = xs[:, None] ** 2 + ys[None, :] ** 2
-    return float((rsq * f.values).sum() * f.cell_weight)
+    """Sum of second moments, sum_k integral xi_k^2 f(xi) d xi / (2 pi), of a
+    normalized density: the trace of the covariance plus the squared mean,
+    both from `moments`."""
+    mean, cov = moments(f)
+    return float(np.trace(cov) + mean @ mean)
 
 
 def moments(f: GridPdf):

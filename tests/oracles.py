@@ -2,13 +2,14 @@
 (closed form, matrix exponential and the scalar Laguerre recurrence), the
 Gaussian noise on one diagonal built entry by entry, displaced Fock states
 and densities, untagged copies of densities and their shared cells, the
-per-mode photon number, the beam splitter's sector blocks by matrix
-exponential, the dense beam-splitter dilation, a one-mode
-superoperator's action and the dense two-mode squeezed vacuum. They stay
-independent oracles for the program's channels, heat flows, moments and
-diagonal storage.
+per-mode photon number, the quadrature moments from dense operators, the
+beam splitter's sector blocks by matrix exponential, the dense
+beam-splitter dilation, a one-mode superoperator's action and the dense
+two-mode squeezed vacuum. They stay independent oracles for the program's
+channels, heat flows, moments and diagonal storage.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -88,6 +89,27 @@ def mean_energy(rho: fk.FockState, mode: str = None) -> float:
     rho.mode_index(mode)
     marginal = fk.partial_trace(rho, mode) if rho.n_modes == 2 else rho
     return float(np.arange(marginal.dim) @ np.real(np.diag(marginal.matrix)))
+
+
+def quadrature_moments_dense(rho: fk.FockState):
+    """`fk.moments_of_state` from dense operators on the joint space: per
+    mode Q = (a + a^dag)/sqrt(2) and P = -i (a - a^dag)/sqrt(2), each
+    tensored with the identity on the other mode, then <O_i> and the
+    symmetrized <(O_i O_j + O_j O_i)/2> - <O_i><O_j>."""
+    ops = []
+    for k, d in enumerate(rho.mode_dims):
+        a = fk.annihilation(d)
+        for op in ((a + a.T) / math.sqrt(2.0), -1j * (a - a.T) / math.sqrt(2.0)):
+            factors = [op if j == k else np.eye(dj) for j, dj in enumerate(rho.mode_dims)]
+            ops.append(functools.reduce(np.kron, factors))
+    mat = rho.matrix
+
+    def expect(op):
+        return float(np.real(np.trace(op @ mat)))
+
+    mean = np.array([expect(op) for op in ops])
+    cov = np.array([[expect(0.5 * (x @ y + y @ x)) for y in ops] for x in ops])
+    return mean, cov - np.outer(mean, mean)
 
 
 def displaced(f: ps.GridPdf, eta) -> ps.GridPdf:

@@ -144,6 +144,16 @@ class TestExitCodes:
             code, _, err = run_cli(argv)
             assert code == 2 and "usage error" in err, argv
 
+    @pytest.mark.parametrize("argv,message", [
+        (["epi", "--cutoff", "abc"], "expected an integer"),
+        (["epi", "--state", "register:fock:1|cat:2"], "register spec must look like"),
+        (["epi", "--state", "register:p=0.5,fock:1|cat:2", "--noise", "gauss:0.3|gauss:0.5|gauss:0.7"],
+         "need one noise entry per register label"),
+    ])
+    def test_usage_error_names_the_fault(self, argv, message):
+        code, _, err = run_cli(argv)
+        assert code == 2 and f"usage error: {message}" in err, err
+
     def test_unreadable_input_paths_are_2(self, tmp_path):
         missing = tmp_path / "missing"
         for argv, message in ((["capacity", "--config", str(missing)], "cannot read config file"),

@@ -21,6 +21,7 @@ from oracles import (
     displacement_operator,
     displacement_operator_expm,
     mean_energy,
+    quadrature_moments_dense,
     tmsv_dense,
     untagged,
 )
@@ -36,6 +37,18 @@ class TestConstructors:
         st = fk.thermal(1.0, 60)
         assert fk.von_neumann_entropy(st) == pytest.approx(ga.g_function(1.0), abs=1e-7)
         assert mean_energy(st) == pytest.approx(1.0, abs=1e-10)
+
+    @pytest.mark.parametrize("make", [fk.thermal, fk.cat])
+    def test_zero_amplitude_is_the_vacuum(self, make):
+        assert np.array_equal(make(0, 9).matrix, fk.vacuum(9).matrix)
+
+    def test_thermal_cutoff(self):
+        assert fk.thermal_cutoff(0) == 4
+        for n in (0.5, 2.0):
+            d = fk.thermal_cutoff(n)
+            fk.thermal(n, d - 2)  # the tail fits two levels below the cutoff
+            with pytest.raises(TailError):
+                fk.thermal(n, d - 3)
 
     def test_thermal_tail_error(self):
         with pytest.raises(TailError):
@@ -360,6 +373,28 @@ class TestCrossRepresentation:
         mean, cov = fk.moments_of_state(st)
         assert np.abs(mean - gs.mean).max() <= 1e-6
         assert np.abs(cov - gs.cov).max() <= 1e-6
+
+    @pytest.mark.parametrize("dims,seed,phase_covariant", [
+        ((1,), 0, False), ((2,), 1, False), ((7,), 2, False), ((12,), 3, False),
+        ((5, 4), 4, False), ((6, 6), 5, False), ((1, 3), 6, False),
+        ((5, 5), 7, True), ((2, 2), 8, True),
+    ])
+    def test_moments_match_dense_operators(self, dims, seed, phase_covariant):
+        # a full-support random state weighs the top Fock level of each mode,
+        # where the truncated a a^dag is zero; the phase-covariant case keeps
+        # the entries with a - b = m - n, which leaves the state positive
+        rng = np.random.default_rng(seed)
+        dim = math.prod(dims)
+        g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        mat = g @ g.conj().T
+        mat /= np.trace(mat).real
+        if phase_covariant:
+            st = fk.PhaseCovariantState(dims[0], mat[fk._dense_index(dims[0])])
+        else:
+            st = fk.FockState(dims, mat)
+        assert st.tail_mass() > 1e-3
+        for x, y in zip(fk.moments_of_state(st), quadrature_moments_dense(fk.densify(st))):
+            assert np.abs(x - y).max() <= 1e-13
 
     def test_dense_two_mode_coherent_product(self):
         # z = alpha beta and w = conj(alpha) beta are both nonzero, on unequal cutoffs

@@ -153,9 +153,21 @@ class TestConditionalEntropy:
         assert all(a > b for a, b in zip(devs, devs[1:]))
         assert devs[-1] < 1e-3
 
+    def test_reads_the_blocks_of_the_named_modes(self):
+        # a thermal mode B sits between A and M and enters neither block
+        pair = ga.tightness_covariance(2.0)
+        idx = [0, 1, 4, 5]
+        cov = 1.5 * np.eye(6)
+        cov[np.ix_(idx, idx)] = pair
+        state = ga.GaussianState(np.zeros(6), cov, ("A", "B", "M"))
+        expected = ga.gaussian_conditional_entropy(ga.tightness_state(2.0), "A", "M")
+        assert ga.gaussian_conditional_entropy(state, "A", "M") == expected
+        assert ga.gaussian_conditional_entropy(state, "B", "M") == pytest.approx(ga.g_function(1.0), rel=1e-12)
+
     def test_unknown_label(self):
-        with pytest.raises(LabelError):
-            ga.gaussian_conditional_entropy(ga.tightness_state(2.0), "A", "B")
+        for target, memory in (("A", "B"), ("A", "A")):
+            with pytest.raises(LabelError):
+                ga.gaussian_conditional_entropy(ga.tightness_state(2.0), target, memory)
 
 
 class TestHeatFlow:
@@ -337,12 +349,6 @@ class TestStateValidation:
     def test_label_count(self):
         with pytest.raises(LabelError):
             ga.GaussianState(np.zeros(4), np.eye(4), ("A",))
-
-    def test_marginal_roundtrip(self):
-        state = ga.tightness_state(2.0)
-        m = state.marginal("M")
-        assert m.mode_labels == ("M",)
-        assert np.allclose(m.cov, 4.0 * np.eye(2))
 
 
 class TestSymplecticForm:

@@ -166,6 +166,10 @@ class TestDiagonalStorageRouting:
         assert rep.passed and rep.diagnostics["storage"] == "diagonals"
         assert peak < 64 * 2 ** 20
 
+    def test_crossrep_refuses_an_unknown_state(self):
+        with pytest.raises(DomainError, match="unknown crossrep state"):
+            hn.check_crossrep("nope")
+
 
 class TestLinearEpi:
     def test_endpoints_use_zero_convention(self):
