@@ -3,18 +3,18 @@ extension over a classical register, the heat flow on every side type, beam
 splitters, and the one-mode damping (quantum Ornstein-Uhlenbeck) semigroup.
 
 A channel on one mode acts through `fk.map_mode`, any other mode riding along
-as a batch. Gaussian noise comes from two Kraus tables: a one-mode state runs
-the Kraus sums on its whole matrix (padded, displaced and cut back in the same
-call for a shifted center); on a two-mode state it maps each diagonal by one
-small matrix gathered from the tables (`fk.map_diagonals`), and a shifted
-center pads and displaces the mode (`fk.conjugate_mode`). Damping, and a beam
-splitter against a diagonal input (thermal, Fock, vacuum), map each diagonal by
-one matrix too (`_environment_maps`); against coherences a beam splitter runs
-on the inputs' factors. A quadrature superoperator on a two-mode state is one
-matrix product (`apply_one_mode_kernel`). `qou_superoperator` is the damping
-oracle; the displacement quadrature serves densities with no Gaussian form and
-the oracle tests. Its sums run in fixed chunk order, so repeated runs on one
-machine agree bit for bit.
+as a batch. Gaussian noise is a loss and a gain Toeplitz kernel along the
+diagonals, factorials pulled out: a one-mode state runs each on all diagonals
+as one product (padded, displaced and cut back in the same call for a shifted
+center); a two-mode state maps each diagonal by one small matrix
+(`fk.map_diagonals`), and a shifted center pads and displaces the mode
+(`fk.conjugate_mode`). Damping, and a beam splitter against a diagonal input
+(thermal, Fock, vacuum), map each diagonal by one matrix too
+(`_environment_maps`); against coherences a beam splitter runs on the inputs'
+factors. A quadrature superoperator on a two-mode state is one matrix product
+(`apply_one_mode_kernel`). `qou_superoperator` is the damping oracle; the
+displacement quadrature serves densities with no Gaussian form and the oracle
+tests. Its sums run in fixed chunk order: repeated runs agree bit for bit.
 
 `heat_flow` dispatches on the side's type and `extended_channel` on the
 noise's: each type registers one implementation right below the function.
@@ -171,56 +171,66 @@ def quantum_heat_flow_fock_multi(
     return [next(outs) if t > 0 else rho.copy() for t in t_list]
 
 
-def _kraus_tables(d: int, t: float):
-    """Kraus tables of the noise of variance t > 0 on cutoff d, loss A_l of
-    transmissivity 1/G, then the amplifier B_l of gain G = 1 + t (exact below
-    the cutoff: loss only lowers the photon number, the amplifier only raises it):
-    c[l, m] = <m|A_l|m + l> = sqrt(C(m + l, l)) G^(-m/2) (t/G)^(l/2) and
-    b[l, m] = <m + l|B_l|m> = c[l, m] / sqrt(G), both 0 where m + l >= d."""
-    lf = log_factorials(2 * d - 1)
-    l, m = np.ogrid[:d, :d]
-    lg, lx = math.log1p(t), math.log(t) - math.log1p(t)
-    c = np.where(l + m < d, np.exp(0.5 * (lf[l + m] - lf[l] - lf[m] + l * lx - m * lg)), 0.0)
-    return c, c * math.exp(-0.5 * lg)
+def _noise_factors(d: int, t: float):
+    """Loss of transmissivity 1/G then the amplifier of gain G = 1 + t (Caruso, Giovannetti &
+    Holevo, NJP 8, 310 (2006)) on cutoff d, factored: f_m = sqrt(m!), p_m = G^(-m/2), the loss
+    kernel loss[k, j] = (t/G)^(j - k) / (j - k)! and the gain kernel gain[k, j] = t^(k - j) / (k - j)!."""
+    lf, lg, l = log_factorials(d), math.log1p(t), np.arange(d)
+    s, a, g = np.abs(l[:, None] - l), np.exp(l * (math.log(t) - lg) - lf), np.exp(l * math.log(t) - lf)
+    return np.exp(0.5 * lf), np.exp(-0.5 * lg * l), np.triu(a[s]), np.tril(g[s])
+
+
+@functools.lru_cache(maxsize=16)
+def _diagonal_index(d: int) -> np.ndarray:
+    """Read-only flat indices into a (d + 1) x (d + 1) array, shape (d, 2d - 1): column d - 1 + k
+    lists the k-th diagonal of its leading d x d block from the top, then its last entry."""
+    p, k = np.ogrid[:d, 1 - d:d]
+    i, j = p - np.minimum(k, 0), p + np.maximum(k, 0)
+    idx = np.where(np.maximum(i, j) < d, i * (d + 1) + j, (d + 1) ** 2 - 1)
+    idx.flags.writeable = False
+    return idx
+
+
+def _on_diagonals(x: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+    """kernel @ each diagonal of the square x, zero-padded to length d, as one product
+    (complex x as its real view); what lands past a diagonal's end is dropped."""
+    idx, xz = _diagonal_index(x.shape[0]), np.pad(x, (0, 1))  # xz's last entry reads as zero
+    np.put(xz, idx, (kernel @ np.take(xz, idx).view(float)).view(x.dtype))
+    return xz[:-1, :-1]
 
 
 def _diagonal_maps(d: int, t: float):
-    """maps(q) for `fk.map_diagonals`: the noise on the q-th diagonal, amp @ loss
-    with loss[i, j] = c[j - i, i + q] c[j - i, i] (j >= i) and
-    amp[i, j] = b[i - j, j + q] b[i - j, j] (j <= i), gathered from the tables."""
-    c, b = _kraus_tables(d, t)
+    """maps(q) for `fk.map_diagonals`: the noise on the q-th diagonal, amp @ loss with
+    F_i = f_i f_(i + q) and P_i = G^(-(2i + q)/2): loss is the loss kernel, rows scaled
+    by P / F and columns by F, amp the gain kernel, rows by F P / G and columns by 1 / F."""
+    f, p, loss, gain = _noise_factors(d, t)
 
-    def maps(q):
-        i, j = np.ogrid[:d - q, :d - q]
-        s = np.abs(i - j)
-        return np.tril(b[s, j + q] * b[s, j]) @ np.triu(c[s, i + q] * c[s, i])
+    def maps(q):  # a Toeplitz kernel's block [q:, q:] is its block [:d - q, :d - q]
+        F, P = f[:d - q] * f[q:], p[:d - q] * p[q:]
+        return (gain[q:, q:] * (F * P / (1 + t))[:, None] / F) @ (loss[q:, q:] * F * P[:, None] / F[:, None])
     return maps
 
 
 def _kraus_sums(x: np.ndarray, t: float) -> np.ndarray:
-    """The noise on a one-mode matrix: sum_l A_l x A_l^dag, then the same
-    with the B_l, one vector update per l."""
-    d = x.shape[0]
-    c, b = _kraus_tables(d, t)
-    y, z = np.zeros_like(x), np.zeros_like(x)
-    for l in range(d):
-        y[:d - l, :d - l] += c[l, :d - l, None] * c[l, None, :d - l] * x[l:, l:]
-    for l in range(d):
-        z[l:, l:] += b[l, :d - l, None] * b[l, None, :d - l] * y[:d - l, :d - l]
-    return z
+    """The noise on a one-mode matrix: the loss kernel on the diagonals of f x f, scaled by p / f,
+    then the gain kernel on those of the result over f, scaled by f p / G. Each scale is a row or
+    column vector applied in turn; a squared one such as f^2 under- or overflows at cutoff 144."""
+    f, p, loss, gain = _noise_factors(x.shape[0], t)
+    y = _on_diagonals(x * f[:, None] * f, loss) * p[:, None] * p / f[:, None] / f
+    return _on_diagonals(y / f[:, None] / f, gain) * f[:, None] * f * p[:, None] * p / (1 + t)
 
 
 def gaussian_noise_channel(rho: FockState, t: float, center=(0.0, 0.0), target: str = None) -> FockState:
     """Isotropic Gaussian noise of per-axis variance t centered at `center`
-    on the `target` mode (default: the first), in closed form: Kraus sums
-    (`_kraus_sums`) on a one-mode state, one matrix per diagonal of the
-    target mode (`_diagonal_maps` through `fk.map_diagonals`, which runs on
-    the diagonal storage of a phase-covariant state) on a two-mode one. A
-    nonzero center displaces the noisy state, computed CENTER_PAD levels
-    above the cutoff (on a two-mode state, the capped dense one), and
-    projects it back. t = 0 without a center returns a copy; the output goes
-    through the same trace-drift and tail checks as the quadrature channel.
-    """
+    on the `target` mode (default: the first), in closed form by the kernels
+    of `_noise_factors`: on all diagonals at once (`_kraus_sums`) on a one-mode
+    state, one matrix per diagonal of the target mode (`_diagonal_maps`
+    through `fk.map_diagonals`, which runs on the diagonal storage of a
+    phase-covariant state) on a two-mode one. A nonzero center displaces the
+    noisy state, computed CENTER_PAD levels above the cutoff (on a two-mode
+    state, the capped dense one), and projects it back. t = 0 without a center
+    returns a copy; the output goes through the same trace-drift and tail
+    checks as the quadrature channel."""
     if not t >= 0:  # NaN fails too
         raise NegativeTimeError(f"heat flow requires t >= 0, got {t}")
     shifted = bool(center[0] or center[1])

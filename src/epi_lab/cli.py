@@ -84,6 +84,8 @@ def _parse_gauss_args(spec: str):
     body, _, center = spec.partition(":")[2].partition("@")
     try:
         t = _finite(body)
+        if not t > 0:
+            raise UsageError(f"the variance T must be positive, got {t}")
         cxy = tuple(_finite(x) for x in center.split(",")) if center else (0.0, 0.0)
     except UsageError as exc:
         raise UsageError(f"bad noise spec {spec!r}: {exc}") from exc

@@ -40,9 +40,12 @@ MAX_DENSE_BYTES = 2 ** 30
 SQRT2 = math.sqrt(2.0)
 
 
+@functools.lru_cache(maxsize=32)
 def log_factorials(n: int) -> np.ndarray:
-    """log m! for m < n, each from math.lgamma."""
-    return np.array([math.lgamma(m + 1.0) for m in range(n)])
+    """log m! for m < n, each from math.lgamma; cached per n, read-only."""
+    lf = np.array([math.lgamma(m + 1.0) for m in range(n)])
+    lf.flags.writeable = False
+    return lf
 
 
 def xlogx(w) -> np.ndarray:

@@ -1,6 +1,7 @@
 """Reference helpers that only the tests use: single displacement operators
 (closed form, matrix exponential and the scalar Laguerre recurrence), the
-Gaussian noise on one diagonal built entry by entry, displaced Fock states
+Gaussian noise on one diagonal built entry by entry and on one mode as a
+loop of Kraus-table sums, displaced Fock states
 and densities, untagged copies of densities and their shared cells, the
 per-mode photon number, the quadrature moments from dense operators, the
 beam splitter's sector blocks by matrix exponential, the dense
@@ -73,6 +74,32 @@ def diagonal_map(d: int, k: int, t: float) -> np.ndarray:
     # amplifier, j <= i: sqrt(C(i + k, s) C(i, s)) G^-(1 + j + k/2) (t/G)^s
     amp = np.where(j <= i, np.exp(h[i] - h[j] - lf[s] - (1 + j + k / 2) * lg + s * lx), 0.0)
     return amp @ loss
+
+
+def kraus_tables(d: int, t: float):
+    """Kraus tables of the noise of variance t > 0 on cutoff d, loss A_l of
+    transmissivity 1/G, then the amplifier B_l of gain G = 1 + t (exact below
+    the cutoff: loss only lowers the photon number, the amplifier only raises it):
+    c[l, m] = <m|A_l|m + l> = sqrt(C(m + l, l)) G^(-m/2) (t/G)^(l/2) and
+    b[l, m] = <m + l|B_l|m> = c[l, m] / sqrt(G), both 0 where m + l >= d."""
+    lf = np.array([math.lgamma(m + 1.0) for m in range(2 * d - 1)])  # log m!
+    l, m = np.ogrid[:d, :d]
+    lg, lx = math.log1p(t), math.log(t) - math.log1p(t)
+    c = np.where(l + m < d, np.exp(0.5 * (lf[l + m] - lf[l] - lf[m] + l * lx - m * lg)), 0.0)
+    return c, c * math.exp(-0.5 * lg)
+
+
+def kraus_sums(x: np.ndarray, t: float) -> np.ndarray:
+    """The noise on a one-mode matrix: sum_l A_l x A_l^dag, then the same
+    with the B_l, one vector update per l."""
+    d = x.shape[0]
+    c, b = kraus_tables(d, t)
+    y, z = np.zeros_like(x), np.zeros_like(x)
+    for l in range(d):
+        y[:d - l, :d - l] += c[l, :d - l, None] * c[l, None, :d - l] * x[l:, l:]
+    for l in range(d):
+        z[l:, l:] += b[l, :d - l, None] * b[l, None, :d - l] * y[:d - l, :d - l]
+    return z
 
 
 def displace_state(rho: fk.FockState, xi, target: str = None) -> fk.FockState:

@@ -23,6 +23,7 @@ from oracles import (
     diagonal_map,
     displace_state,
     displaced,
+    kraus_sums,
     mean_energy,
     sector_tensor_expm,
     shared_cells,
@@ -214,14 +215,32 @@ class TestGaussianNoiseChannel:
         assert ch.channel_path(mixed) == "quadrature"
 
 
-# every cutoff at three times, plus the extreme times at the largest cutoff
-KRAUS_CASES = [(d, t) for d in (1, 2, 5, 40, 72, 128) for t in (1e-4, 0.37, 5.0)] + [
-    (128, 1e-12), (128, 50.0)]
+# every cutoff at three times, plus the extreme times at the largest cutoff and at
+# the padded one, MAX_CUTOFF + CENTER_PAD, which a shifted noise at cutoff 128 runs
+PADDED_CUTOFF = fk.MAX_CUTOFF + ch.CENTER_PAD
+KRAUS_CASES = [(d, t) for d in (1, 2, 5, 40, 72, 128, PADDED_CUTOFF) for t in (1e-4, 0.37, 5.0)] + [
+    (d, t) for d in (128, PADDED_CUTOFF) for t in (1e-12, 50.0)]
+
+
+def _full_support(d):
+    g = np.random.default_rng(4).standard_normal((d, 3, 2)) @ [1.0, 1j]
+    return g @ g.conj().T / np.vdot(g, g).real  # full support on cutoff d
+
+
+def _per_diagonal(maps, x):
+    """maps(q) on each diagonal of the matrix x, one at a time: no FockState,
+    whose cutoff stops at MAX_CUTOFF, below the padded cutoff."""
+    out = np.zeros_like(x)
+    for q in range(x.shape[0]):
+        i = np.arange(x.shape[0] - q)
+        out[i + q, i], out[i, i + q] = maps(q) @ x[i + q, i], maps(q) @ x[i, i + q]
+    return out
 
 
 class TestKrausNoise:
-    """The Kraus tables of the exact core against the entrywise per-diagonal
-    matrix, and the one-mode Kraus sums against the per-diagonal path."""
+    """The loss and gain kernels of the exact core against the entrywise
+    per-diagonal matrix and the loop over the Kraus tables, and the one-mode
+    kernels against the per-diagonal path."""
 
     @pytest.mark.parametrize("d,t", KRAUS_CASES)
     def test_diagonal_maps_match_the_entrywise_matrix(self, d, t):
@@ -230,11 +249,31 @@ class TestKrausNoise:
 
     @pytest.mark.parametrize("d,t", KRAUS_CASES)
     def test_kraus_sums_match_the_diagonal_maps(self, d, t):
-        g = np.random.default_rng(4).standard_normal((d, 3, 2)) @ [1.0, 1j]
-        x = g @ g.conj().T / np.vdot(g, g).real  # full support on cutoff d
-        ref = fk.map_diagonals(fk.FockState((d,), x), ch._diagonal_maps(d, t)).matrix
+        x = _full_support(d)
+        ref = _per_diagonal(ch._diagonal_maps(d, t), x)
         out = ch._kraus_sums(x, t)
         assert np.isfinite(out).all() and np.abs(out - ref).max() <= 1e-14
+
+    @pytest.mark.parametrize("d,t", KRAUS_CASES)
+    def test_kraus_sums_match_the_table_loop(self, d, t):
+        for x in (_full_support(d), _full_support(d).real):
+            out = ch._kraus_sums(x, t)
+            assert out.dtype == x.dtype and np.abs(out - kraus_sums(x, t)).max() <= 1e-14
+
+    @pytest.mark.parametrize("t", [1e-12, 0.37, 50.0])
+    @pytest.mark.parametrize("d", [40, PADDED_CUTOFF])
+    def test_top_level_population(self, d, t):
+        # the top level carries the largest factorial scales: |d-1><d-1| and
+        # (|0> + i|d-1>)/sqrt(2), whose corner coherences span every diagonal
+        v = np.zeros(d, dtype=complex)
+        v[0], v[-1] = 1 / np.sqrt(2), 1j / np.sqrt(2)
+        top = np.zeros((d, d))
+        top[-1, -1] = 1.0
+        maps = ch._diagonal_maps(d, t)
+        for x in (top, np.outer(v, v.conj())):
+            out = ch._kraus_sums(x, t)
+            assert np.abs(out - kraus_sums(x, t)).max() <= 1e-14
+            assert np.abs(out - _per_diagonal(maps, x)).max() <= 1e-14
 
     @pytest.mark.parametrize("t,center", [(0.05, (0.0, 0.0)), (0.3, (0.0, 0.0)), (0.3, (0.3, -0.2)),
                                           (0.0, (0.4, 0.1))])

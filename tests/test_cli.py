@@ -154,6 +154,21 @@ class TestExitCodes:
         code, _, err = run_cli(argv)
         assert code == 2 and f"usage error: {message}" in err, err
 
+    @pytest.mark.parametrize("argv", [
+        ["epi", "--state", "tmsv:0.3", "--noise", "gauss:0"],
+        ["linear-epi", "--state", "tmsv:0.3", "--noise", "gauss:0"],
+        ["epi", "--state", "coherent:1+1j", "--noise", "gauss:0@0.2,0"],
+        ["epi", "--state", "fock:1", "--noise", "gauss:0"],
+        ["epi", "--state", "vacuum", "--noise", "gauss:-1"],
+        ["epi", "--state", "register:p=0.5,fock:1|cat:2", "--noise", "gauss:0.3|gauss:0"],
+        ["capacity", "--noise", "gauss:-0.5"],
+        ["classical-epi", "--noise-b", "gauss:0"],
+    ])
+    def test_nonpositive_gaussian_noise_is_one_usage_error(self, argv):
+        # refused where the spec is parsed, before a state, a Gaussian twin or a grid is built
+        code, _, err = run_cli(argv + ["--cutoff", "20"])
+        assert code == 2 and "usage error: bad noise spec" in err and "must be positive" in err, err
+
     def test_unreadable_input_paths_are_2(self, tmp_path):
         missing = tmp_path / "missing"
         for argv, message in ((["capacity", "--config", str(missing)], "cannot read config file"),
